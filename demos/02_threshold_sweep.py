@@ -19,9 +19,8 @@ from alphaforge.errors import EmptySelection
 
 cloud, _ = synth(SyntheticSpec("torus", n=3000, fill="solid", seed=5))
 complex_ = delaunay_complex(cloud)
-radii = np.array([t.circumradius for t in complex_.tetrahedra])
 print(f"{len(complex_)} tetrahedra; circumradius percentiles "
-      f"50/90/99: {np.percentile(radii, [50, 90, 99]).round(3)}")
+      f"50/90/99: {np.percentile(complex_.radii, [50, 90, 99]).round(3)}")
 
 print(f"\n{'tau':>6}{'kept':>8}{'faces':>8}{'chi':>6}")
 for tau in (0.05, 0.15, 0.3, 0.5, 0.8, 1.5):
@@ -35,7 +34,7 @@ for tau in (0.05, 0.15, 0.3, 0.5, 0.8, 1.5):
 
 print("\nthe filter is monotone: every tetrahedron kept at a small tau"
       " is still kept at any larger tau")
-sets = [frozenset(t.indices for t in filter_tetrahedra(complex_, tau))
+sets = [frozenset(map(tuple, filter_tetrahedra(complex_, tau).tolist()))
         for tau in (0.2, 0.3, 0.5)]
 assert sets[0] <= sets[1] <= sets[2]
 print("verified on taus 0.2 <= 0.3 <= 0.5")

@@ -15,7 +15,7 @@ from .alphashape import (
     filter_tetrahedra,
     triangulate,
 )
-from .delaunay import DelaunayComplex, Tetrahedron, circumsphere, delaunay_complex
+from .delaunay import DelaunayComplex, circumsphere, delaunay_complex
 from .loss import (
     LossBreakdown,
     LossWeights,
@@ -42,6 +42,7 @@ from .mesh import (
     euler_characteristic,
     face_areas,
     face_normals,
+    nonmanifold_edges,
     unique_edges,
 )
 from .meshio import read_mesh, read_points, write_mesh, write_points
@@ -69,7 +70,6 @@ from .policy import (
 from .refine import (
     RefineConfig,
     TaubinConfig,
-    build_baseline,
     refine_mesh,
     subdivide,
     taubin_smooth,
@@ -84,13 +84,13 @@ __all__ = [
     "DelaunayComplex", "EvalReport", "LossBreakdown", "LossWeights", "Mesh",
     "METRIC_SAMPLES", "PRETTY_TAUS", "PointCloud", "QPolicy", "REWARD_SAMPLES",
     "RefineConfig", "RigidTransform", "SMOOTH_TAUS", "SyntheticSpec",
-    "TAU_PRESETS", "TaubinConfig", "Tetrahedron", "TrainLog",
-    "apply_protocol_scaling", "boundary_edges", "build_baseline", "chamfer",
-    "chamfer_grad", "circumsphere", "delaunay_complex", "edge_length_reg",
-    "enclosed_volume", "errors", "euler_characteristic", "evaluate",
-    "extract_boundary_faces", "f1_score", "face_areas", "face_normals",
-    "filter_tetrahedra", "icosphere", "icp_align", "laplacian_coords",
-    "laplacian_reg", "load_policy", "log_chamfer", "log_chamfer_grad",
+    "TAU_PRESETS", "TaubinConfig", "TrainLog", "apply_protocol_scaling",
+    "boundary_edges", "chamfer", "chamfer_grad", "circumsphere",
+    "delaunay_complex", "edge_length_reg", "enclosed_volume", "errors",
+    "euler_characteristic", "evaluate", "extract_boundary_faces", "f1_score",
+    "face_areas", "face_normals", "filter_tetrahedra", "icosphere",
+    "icp_align", "laplacian_coords", "laplacian_reg", "load_policy",
+    "log_chamfer", "log_chamfer_grad", "nonmanifold_edges",
     "normal_consistency", "normal_cosine", "normal_loss", "pretty_weights",
     "q_values", "read_mesh", "read_points", "reference_mesh", "refine_mesh",
     "reward", "sample_surface", "save_policy", "select_action",

@@ -11,7 +11,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from .delaunay import DelaunayComplex, Tetrahedron, delaunay_complex
+from .delaunay import DelaunayComplex, delaunay_complex
 from .errors import EmptyMesh, EmptySelection
 from .mesh import Mesh, PointCloud
 
@@ -27,37 +27,34 @@ TAU_PRESETS: dict[str, tuple[float, ...]] = {
     "pretty": PRETTY_TAUS,
 }
 
-# Per-tetrahedron faces, each paired with the index of the opposite vertex.
-_FACE_SLOTS = ((1, 2, 3, 0), (0, 2, 3, 1), (0, 1, 3, 2), (0, 1, 2, 3))
+# The face opposite vertex slot k of a tetrahedron, for k = 0..3.
+_FACE_SLOTS = np.array([[1, 2, 3], [0, 2, 3], [0, 1, 3], [0, 1, 2]])
 
 
-def filter_tetrahedra(complex_: DelaunayComplex, tau: float) -> list[Tetrahedron]:
-    """Tetrahedra with circumradius <= tau, input order preserved."""
+def filter_tetrahedra(complex_: DelaunayComplex, tau: float) -> np.ndarray:
+    """Simplices with circumradius <= tau, as a (k, 4) array in input order."""
     if tau <= 0:
         raise ValueError("tau must be positive")
-    return [t for t in complex_.tetrahedra if t.circumradius <= tau]
+    return complex_.simplices[complex_.radii <= tau]
 
 
 def extract_boundary_faces(
-    tets: list[Tetrahedron], points: PointCloud
+    simplices: np.ndarray, points: PointCloud
 ) -> tuple[Mesh, np.ndarray]:
-    """Boundary mesh of a tetrahedron set, plus the vertex index remap.
+    """Boundary mesh of a (k, 4) tetrahedron index array, plus the vertex
+    index remap.
 
     Keeps faces whose unordered index triple appears in exactly one
     tetrahedron, oriented so each face normal points away from its
     tetrahedron's fourth vertex. Output vertices are re-indexed to those
     referenced; the second return value maps new index -> original index.
     """
-    if not tets:
+    quads = np.asarray(simplices, dtype=np.int64)
+    if not len(quads):
         raise EmptySelection("no tetrahedra to extract faces from")
-    quads = np.array([t.indices for t in tets], dtype=np.int64)
-    faces = []
-    opposite = []
-    for ia, ib, ic, iop in _FACE_SLOTS:
-        faces.append(quads[:, [ia, ib, ic]])
-        opposite.append(quads[:, iop])
-    faces = np.concatenate(faces)
-    opposite = np.concatenate(opposite)
+    # slot-major: every tetrahedron's slot-0 face, then every slot-1 face, ...
+    faces = quads[:, _FACE_SLOTS].swapaxes(0, 1).reshape(-1, 3)
+    opposite = quads.T.reshape(-1)
     key = np.sort(faces, axis=1)
     _, first, counts = np.unique(key, axis=0, return_index=True, return_counts=True)
     boundary_idx = np.sort(first[counts == 1])
@@ -84,7 +81,7 @@ def triangulate(points: PointCloud | np.ndarray, tau: float) -> Mesh:
     """
     complex_ = delaunay_complex(points)
     kept = filter_tetrahedra(complex_, tau)
-    if not kept:
+    if not len(kept):
         raise EmptyMesh(f"tau={tau} removed all {len(complex_)} tetrahedra")
     mesh, _ = extract_boundary_faces(kept, complex_.points)
     return mesh

@@ -29,7 +29,7 @@ from . import meshio
 from .alphashape import TAU_PRESETS, triangulate
 from .errors import AlphaForgeError, ConfigError
 from .loss import LossWeights, pretty_weights, smooth_weights
-from .mesh import PointCloud, boundary_edges, euler_characteristic
+from .mesh import PointCloud, boundary_edges, euler_characteristic, nonmanifold_edges
 from .metrics import PROTOCOLS, evaluate
 from .policy import (
     QPolicy,
@@ -43,7 +43,6 @@ from .policy import (
 from .refine import (
     RefineConfig,
     TaubinConfig,
-    build_baseline,
     refine_mesh,
     taubin_smooth,
     trace_to_csv,
@@ -168,7 +167,8 @@ def _cmd_triangulate(args) -> int:
     mesh = triangulate(cloud, args.tau)
     print(f"triangulate: {mesh.num_vertices} vertices, {mesh.num_faces} faces, "
           f"chi={euler_characteristic(mesh)}, "
-          f"boundary_edges={len(boundary_edges(mesh))}", file=sys.stderr)
+          f"boundary_edges={len(boundary_edges(mesh))}, "
+          f"nonmanifold_edges={len(nonmanifold_edges(mesh))}", file=sys.stderr)
     _emit(meshio.mesh_to_text(mesh, args.format), args.out)
     return 0
 
@@ -220,13 +220,7 @@ def _cmd_reconstruct(args) -> int:
     initial = triangulate(cloud, tau)
     baseline = None
     if weights.lambda3 > 0:
-        taubin = TaubinConfig(iterations=args.taubin_iters)
-        baseline = build_baseline(cloud, tau, taubin)
-        if baseline.num_vertices != initial.num_vertices:
-            print("reconstruct: re-triangulated baseline lost vertex "
-                  "correspondence; falling back to the smoothed mesh",
-                  file=sys.stderr)
-            baseline = taubin_smooth(initial, taubin)
+        baseline = taubin_smooth(initial, TaubinConfig(iterations=args.taubin_iters))
     gt_samples = cloud
     if weights.lambda6 > 0 and not cloud.has_normals:
         print("reconstruct: input cloud has no normals; disabling the "

@@ -17,35 +17,23 @@ ORIENTATION_TOL = 1e-12
 
 
 @dataclass(frozen=True)
-class Tetrahedron:
-    """Four vertex indices plus the cached circumsphere."""
-
-    v0: int
-    v1: int
-    v2: int
-    v3: int
-    circumcenter: np.ndarray
-    circumradius: float
-
-    @property
-    def indices(self) -> tuple[int, int, int, int]:
-        return (self.v0, self.v1, self.v2, self.v3)
-
-
-@dataclass(frozen=True)
 class DelaunayComplex:
-    """Delaunay tetrahedralization of a point set.
+    """Delaunay tetrahedralization of a point set, stored as arrays.
 
-    No input point lies strictly inside any tetrahedron's circumsphere
-    (strictly: closer than circumradius * (1 - 1e-9)), and the union of
-    tetrahedra triangulates the convex hull.
+    ``simplices`` is a (T, 4) int64 array of ascending vertex indices with
+    rows in lexicographic order; ``centers`` (T, 3) and ``radii`` (T,) hold
+    each row's circumsphere. No input point lies strictly inside any
+    circumsphere (strictly: closer than radius * (1 - 1e-9)), and the union
+    of tetrahedra triangulates the convex hull.
     """
 
     points: PointCloud
-    tetrahedra: list[Tetrahedron]
+    simplices: np.ndarray
+    centers: np.ndarray
+    radii: np.ndarray
 
     def __len__(self) -> int:
-        return len(self.tetrahedra)
+        return len(self.simplices)
 
 
 def circumsphere(p0, p1, p2, p3) -> tuple[np.ndarray, float]:
@@ -128,13 +116,7 @@ def delaunay_complex(points: PointCloud | np.ndarray) -> DelaunayComplex:
         tri = _SciPyDelaunay(pts)
     except QhullError as exc:  # pragma: no cover - pre-checks catch the common cases
         raise DegenerateInput(f"tetrahedralization failed: {exc}") from exc
-    simplices = np.sort(tri.simplices, axis=1)
-    order = np.lexsort(simplices.T[::-1])
-    simplices = simplices[order]
+    simplices = np.sort(tri.simplices, axis=1).astype(np.int64)
+    simplices = simplices[np.lexsort(simplices.T[::-1])]
     centers, radii, ok = _batch_circumspheres(pts, simplices)
-    tets = [
-        Tetrahedron(int(s[0]), int(s[1]), int(s[2]), int(s[3]), centers[i], float(radii[i]))
-        for i, s in enumerate(simplices)
-        if ok[i]
-    ]
-    return DelaunayComplex(points=cloud, tetrahedra=tets)
+    return DelaunayComplex(cloud, simplices[ok], centers[ok], radii[ok])

@@ -120,14 +120,25 @@ def euler_characteristic(mesh: Mesh) -> int:
     return mesh.num_vertices - len(unique_edges(mesh)) + mesh.num_faces
 
 
-def boundary_edges(mesh: Mesh) -> np.ndarray:
-    """Unordered edges incident to exactly one face; empty iff the mesh is closed."""
+def _edge_face_counts(mesh: Mesh) -> tuple[np.ndarray, np.ndarray]:
+    """Unordered edges, as an (e, 2) array, and the number of faces on each."""
     if not len(mesh.faces):
-        return np.zeros((0, 2), dtype=np.int64)
+        return np.zeros((0, 2), dtype=np.int64), np.zeros(0, dtype=np.int64)
     f = mesh.faces
     e = np.sort(np.concatenate([f[:, [0, 1]], f[:, [1, 2]], f[:, [2, 0]]]), axis=1)
-    uniq, counts = np.unique(e, axis=0, return_counts=True)
-    return uniq[counts == 1]
+    return np.unique(e, axis=0, return_counts=True)
+
+
+def boundary_edges(mesh: Mesh) -> np.ndarray:
+    """Unordered edges incident to exactly one face; empty iff the mesh is closed."""
+    edges, counts = _edge_face_counts(mesh)
+    return edges[counts == 1]
+
+
+def nonmanifold_edges(mesh: Mesh) -> np.ndarray:
+    """Unordered edges incident to more than two faces."""
+    edges, counts = _edge_face_counts(mesh)
+    return edges[counts > 2]
 
 
 def face_cross_products(mesh: Mesh) -> np.ndarray:
@@ -162,13 +173,3 @@ def enclosed_volume(mesh: Mesh) -> float:
     if not len(f):
         return 0.0
     return float(np.einsum("ij,ij->i", v[f[:, 0]], np.cross(v[f[:, 1]], v[f[:, 2]])).sum() / 6.0)
-
-
-def vertex_adjacency(mesh: Mesh) -> list[np.ndarray]:
-    """Per-vertex array of neighbor indices (first-order, via unique edges)."""
-    edges = unique_edges(mesh)
-    nbrs: list[list[int]] = [[] for _ in range(mesh.num_vertices)]
-    for i, j in edges:
-        nbrs[i].append(j)
-        nbrs[j].append(i)
-    return [np.array(sorted(n), dtype=np.int64) for n in nbrs]

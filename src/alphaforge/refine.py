@@ -1,4 +1,7 @@
-"""Baseline construction, Taubin smoothing, subdivision, and mesh refinement.
+"""Taubin smoothing, subdivision, and mesh refinement.
+
+The Laplacian regularizer's baseline is a Taubin-smoothed copy of the
+initial mesh, so it shares the initial mesh's vertices and faces.
 
 Refinement optimizes a bounded offset per vertex: stage vertices are
 ``v + tanh(o)`` with the offsets driven by plain gradient descent on the
@@ -15,9 +18,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .alphashape import extract_boundary_faces, filter_tetrahedra, triangulate
-from .delaunay import delaunay_complex
-from .errors import ConfigError, EmptyMesh, NonFinite
+from .errors import ConfigError, NonFinite
 from .loss import LossBreakdown, LossWeights, total_loss_with_grad
 from .mesh import Mesh, PointCloud, unique_edges
 from .sampling import sample_surface_with_faces
@@ -89,36 +90,6 @@ def taubin_smooth(mesh: Mesh, cfg: TaubinConfig) -> Mesh:
         v = v + cfg.lam * _umbrella(v, edges)
         v = v + cfg.mu_shrink * _umbrella(v, edges)
     return mesh.with_vertices(v)
-
-
-def build_baseline(points: PointCloud | np.ndarray, tau: float,
-                   taubin: TaubinConfig) -> Mesh:
-    """Regularization target: triangulate, Taubin-smooth the boundary mesh,
-    then re-run the triangulation on the cloud with the smoothed positions.
-
-    The re-triangulation sees the full input cloud with the boundary
-    vertices moved to their smoothed locations. Re-triangulating only the
-    boundary vertices would hand the filter a surface-distributed cloud,
-    whose tangent tetrahedra carry curvature-scale circumradii; at any
-    workable tau that collapses into disconnected shell fragments, so the
-    full cloud keeps the interior support the filter needs.
-
-    With zero smoothing iterations the first triangulation is returned
-    unchanged. Raises EmptyMesh if either triangulation filters out every
-    tetrahedron.
-    """
-    cloud = points if isinstance(points, PointCloud) else PointCloud(points)
-    complex_ = delaunay_complex(cloud)
-    kept = filter_tetrahedra(complex_, tau)
-    if not kept:
-        raise EmptyMesh(f"tau={tau} removed all tetrahedra")
-    first, used = extract_boundary_faces(kept, complex_.points)
-    if taubin.iterations == 0:
-        return first
-    smoothed = taubin_smooth(first, taubin)
-    full = cloud.points.copy()
-    full[used] = smoothed.vertices
-    return triangulate(PointCloud(full), tau)
 
 
 def subdivide(mesh: Mesh) -> Mesh:

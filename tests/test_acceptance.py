@@ -49,7 +49,11 @@ from alphaforge.cli import run as cli_run
 from alphaforge.errors import EmptyMesh
 from alphaforge.metrics import PROTOCOLS
 from alphaforge.refine import _umbrella
-from test_delaunay import empty_circumsphere_violations, hull_volume_oracle
+from test_delaunay import (
+    empty_circumsphere_violations,
+    hull_volume_oracle,
+    tetrahedra_volume,
+)
 
 
 def report(num, name, ok):
@@ -65,11 +69,10 @@ def test_criterion_1_delaunay_correctness():
         rng = np.random.default_rng(seed)
         pts = rng.random((int(rng.integers(20, 51)), 3))
         complex_ = delaunay_complex(PointCloud(pts))
-        if empty_circumsphere_violations(pts, complex_.tetrahedra):
+        if empty_circumsphere_violations(pts, complex_):
             ok = False
             break
-        vol = sum(abs(np.linalg.det(pts[list(t.indices)][1:] - pts[t.indices[0]])) / 6
-                  for t in complex_.tetrahedra)
+        vol = tetrahedra_volume(pts, complex_.simplices)
         if abs(vol - hull_volume_oracle(pts)) > 1e-6 * hull_volume_oracle(pts):
             ok = False
             break

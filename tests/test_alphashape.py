@@ -3,20 +3,22 @@ from collections import Counter
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+from scipy.spatial import Delaunay
 
 from alphaforge import (
     PRETTY_TAUS,
     SMOOTH_TAUS,
     PointCloud,
     SyntheticSpec,
-    Tetrahedron,
     boundary_edges,
-    circumsphere,
     delaunay_complex,
     enclosed_volume,
     euler_characteristic,
     extract_boundary_faces,
     filter_tetrahedra,
+    nonmanifold_edges,
     synth,
     triangulate,
 )
@@ -24,9 +26,21 @@ from alphaforge.errors import EmptyMesh, EmptySelection
 from test_delaunay import REGULAR_TETRA
 
 
-def make_tet(points, quad):
-    center, radius = circumsphere(*points[list(quad)])
-    return Tetrahedron(*quad, circumcenter=center, circumradius=radius)
+def circumradii_and_volumes(points, simplices):
+    """Circumradius and volume of each tetrahedron; the radius from edge lengths:
+    R = sqrt((aA+bB+cC)(aA+bB-cC)(aA-bB+cC)(-aA+bB+cC)) / (24 V), where
+    (a, A), (b, B), (c, C) are the lengths of opposite edge pairs."""
+    p = points[simplices]
+
+    def length(i, j):
+        return np.linalg.norm(p[:, i] - p[:, j], axis=1)
+
+    aa = length(0, 1) * length(2, 3)
+    bb = length(0, 2) * length(1, 3)
+    cc = length(0, 3) * length(1, 2)
+    volume = np.abs(np.linalg.det(p[:, 1:] - p[:, :1])) / 6
+    prod = (aa + bb + cc) * (aa + bb - cc) * (aa - bb + cc) * (-aa + bb + cc)
+    return np.sqrt(np.maximum(prod, 0.0)) / (24 * volume), volume
 
 
 def edge_face_counts(mesh):
@@ -44,7 +58,7 @@ class TestFilter:
 
     def test_removes_above_threshold(self):
         complex_ = delaunay_complex(PointCloud(REGULAR_TETRA))
-        assert filter_tetrahedra(complex_, 0.5) == []
+        assert filter_tetrahedra(complex_, 0.5).shape == (0, 4)
 
     def test_presets(self):
         assert SMOOTH_TAUS == (0.05, 0.085, 0.11)
@@ -57,7 +71,7 @@ class TestFilter:
         cloud, _ = synth(SyntheticSpec("sphere", n=300, fill="solid", seed=8))
         complex_ = delaunay_complex(cloud)
         taus = [0.1, 0.2, 0.4, 0.8]
-        kept = [{t.indices for t in filter_tetrahedra(complex_, tau)} for tau in taus]
+        kept = [set(map(tuple, filter_tetrahedra(complex_, tau).tolist())) for tau in taus]
         for small, big in zip(kept, kept[1:]):
             assert small <= big
 
@@ -65,8 +79,7 @@ class TestFilter:
 class TestExtractBoundary:
     def test_single_tetrahedron(self):
         pts = PointCloud(REGULAR_TETRA)
-        tets = [make_tet(pts.points, (0, 1, 2, 3))]
-        mesh, used = extract_boundary_faces(tets, pts)
+        mesh, used = extract_boundary_faces(np.array([[0, 1, 2, 3]]), pts)
         assert mesh.num_faces == 4
         assert euler_characteristic(mesh) == 2
         assert len(boundary_edges(mesh)) == 0
@@ -82,7 +95,7 @@ class TestExtractBoundary:
             [0.0, 0.0, 0.8],
             [0.0, 0.0, -0.8],
         ])
-        tets = [make_tet(pts, (0, 1, 2, 3)), make_tet(pts, (0, 1, 2, 4))]
+        tets = np.array([[0, 1, 2, 3], [0, 1, 2, 4]])
         mesh, _ = extract_boundary_faces(tets, PointCloud(pts))
         assert mesh.num_faces == 6
         assert euler_characteristic(mesh) == 2
@@ -101,7 +114,6 @@ class TestExtractBoundary:
                 nxt[ax] = 1
                 walk.append(tuple(nxt))
             quads.append(tuple(cid(*p) for p in walk))
-        tets = [make_tet(corners, q) for q in quads]
 
         # oracle: brute-force face incidence over the six simplices
         counts = Counter()
@@ -111,7 +123,7 @@ class TestExtractBoundary:
         expected_boundary = {t for t, c in counts.items() if c == 1}
         assert len(expected_boundary) == 12
 
-        mesh, used = extract_boundary_faces(tets, PointCloud(corners))
+        mesh, used = extract_boundary_faces(np.array(quads), PointCloud(corners))
         got = {tuple(sorted(used[list(f)])) for f in mesh.faces.tolist()}
         assert got == expected_boundary
         assert euler_characteristic(mesh) == 2
@@ -119,7 +131,8 @@ class TestExtractBoundary:
 
     def test_empty_selection(self):
         with pytest.raises(EmptySelection):
-            extract_boundary_faces([], PointCloud(REGULAR_TETRA))
+            extract_boundary_faces(np.zeros((0, 4), dtype=np.int64),
+                                   PointCloud(REGULAR_TETRA))
 
 
 class TestTriangulate:
@@ -144,7 +157,7 @@ class TestTriangulate:
         from scipy.spatial import ConvexHull
         cloud, _ = synth(SyntheticSpec("torus", n=500, fill="solid", seed=14))
         complex_ = delaunay_complex(cloud)
-        tau = max(t.circumradius for t in complex_.tetrahedra) + 1.0
+        tau = complex_.radii.max() + 1.0
         kept = filter_tetrahedra(complex_, tau)
         mesh, used = extract_boundary_faces(kept, cloud)
         assert euler_characteristic(mesh) == 2
@@ -165,3 +178,33 @@ class TestTriangulate:
         b = triangulate(PointCloud(cloud.points.copy()), 0.35)
         np.testing.assert_array_equal(a.faces, b.faces)
         np.testing.assert_array_equal(a.vertices, b.vertices)
+
+    def test_stacked_cloud_reports_nonmanifold_edges(self):
+        cloud, _ = synth(SyntheticSpec("stacked", n=3000, fill="solid", seed=3))
+        mesh = triangulate(cloud, 0.15)
+        bad = nonmanifold_edges(mesh)
+        assert len(bad) == 3
+        assert euler_characteristic(mesh) == -3
+        counts = edge_face_counts(mesh)
+        assert {tuple(e) for e in bad.tolist()} == {
+            tuple(sorted(e)) for e, c in counts.items() if c > 2}
+
+
+@settings(max_examples=30, deadline=None)
+@given(seed=st.integers(0, 2**32 - 1), n=st.integers(5, 200),
+       tau=st.floats(0.02, 2.0))
+def test_triangulate_properties(seed, n, tau):
+    """Enclosed volume is the kept tetrahedra's volume, every edge has an
+    even face count, and every vertex is an input point."""
+    pts = np.random.default_rng(seed).random((n, 3))
+    simplices = Delaunay(pts).simplices
+    radii, volumes = circumradii_and_volumes(pts, simplices)
+    expected = volumes[radii <= tau].sum()
+    try:
+        mesh = triangulate(pts, tau)
+    except EmptyMesh:
+        assert expected == 0.0
+        return
+    assert abs(enclosed_volume(mesh) - expected) <= 1e-9 * expected
+    assert all(c % 2 == 0 for c in edge_face_counts(mesh).values())
+    assert set(map(tuple, mesh.vertices.tolist())) <= set(map(tuple, pts.tolist()))

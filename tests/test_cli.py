@@ -78,6 +78,7 @@ class TestSynthTriangulate:
         code, _, err = invoke(["triangulate", "--in", str(cloud_path),
                                "--tau", "0.3", "--out", str(mesh_path)], capsys)
         assert code == 0
+        assert "chi=0, boundary_edges=0, nonmanifold_edges=0" in err
         mesh = read_mesh(mesh_path)
         assert euler_characteristic(mesh) == 0
         assert len(boundary_edges(mesh)) == 0
@@ -194,6 +195,18 @@ class TestReconstruct:
         assert euler_characteristic(mesh) == 2
         trace = trace_path.read_text().strip().splitlines()
         assert len(trace) == 6  # header + 5 iterations
+
+    def test_smooth_preset_uses_smoothed_initial_mesh_as_baseline(self, tmp_path, capsys):
+        cloud, _ = synth(SyntheticSpec("sphere", n=800, fill="solid", seed=77))
+        cloud_path = tmp_path / "c.xyz"
+        write_points(cloud, cloud_path)
+        code, _, err = invoke(
+            ["reconstruct", "--in", str(cloud_path), "--tau", "0.3",
+             "--preset", "smooth", "--stages", "1", "--iters", "1",
+             "--step", "3e-5", "--out", str(tmp_path / "r.obj")], capsys)
+        assert code == 0, err
+        assert "baseline" not in err
+        assert "falling back" not in err
 
     def test_reconstruct_needs_tau_or_policy(self, tmp_path, capsys):
         cloud, _ = synth(SyntheticSpec("sphere", n=200, fill="solid", seed=78))

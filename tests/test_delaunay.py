@@ -22,15 +22,21 @@ def hull_volume_oracle(points):
     return np.einsum("ij,ij->i", tri[:, 0], np.cross(tri[:, 1], tri[:, 2])).sum() / 6.0
 
 
-def empty_circumsphere_violations(points, tets):
+def empty_circumsphere_violations(points, complex_):
     """Oracle: points strictly inside any circumsphere (1e-9 relative slack)."""
     bad = 0
-    for tet in tets:
-        dist = np.linalg.norm(points - tet.circumcenter, axis=1)
-        inside = dist < tet.circumradius * (1.0 - 1e-9)
-        inside[list(tet.indices)] = False
+    for quad, center, radius in zip(complex_.simplices, complex_.centers, complex_.radii):
+        dist = np.linalg.norm(points - center, axis=1)
+        inside = dist < radius * (1.0 - 1e-9)
+        inside[quad] = False
         bad += int(inside.sum())
     return bad
+
+
+def tetrahedra_volume(points, simplices):
+    """Sum of |det| / 6 over the tetrahedra."""
+    edges = points[simplices[:, 1:]] - points[simplices[:, :1]]
+    return float(np.abs(np.linalg.det(edges)).sum() / 6)
 
 
 class TestCircumsphere:
@@ -53,12 +59,12 @@ class TestDelaunayComplex:
     def test_minimal_simplex(self):
         complex_ = delaunay_complex(PointCloud(REGULAR_TETRA))
         assert len(complex_) == 1
-        assert sorted(complex_.tetrahedra[0].indices) == [0, 1, 2, 3]
+        assert complex_.simplices.tolist() == [[0, 1, 2, 3]]
 
     def test_centroid_splits_into_four(self):
         pts = np.vstack([REGULAR_TETRA, REGULAR_TETRA.mean(axis=0)])
         complex_ = delaunay_complex(PointCloud(pts))
-        got = {tuple(sorted(t.indices)) for t in complex_.tetrahedra}
+        got = set(map(tuple, complex_.simplices.tolist()))
 
         # oracle: enumerate all 4-subsets and keep those whose circumsphere
         # is empty of the remaining points
@@ -90,32 +96,42 @@ class TestDelaunayComplex:
             rng = np.random.default_rng(seed)
             pts = rng.random((int(rng.integers(20, 51)), 3))
             complex_ = delaunay_complex(PointCloud(pts))
-            assert empty_circumsphere_violations(pts, complex_.tetrahedra) == 0
-            vol = sum(abs(np.linalg.det(pts[list(t.indices)][1:]
-                                        - pts[t.indices[0]])) / 6
-                      for t in complex_.tetrahedra)
+            assert empty_circumsphere_violations(pts, complex_) == 0
+            vol = tetrahedra_volume(pts, complex_.simplices)
             assert vol == pytest.approx(hull_volume_oracle(pts), rel=1e-6)
 
     def test_equidistance_invariant(self):
         rng = np.random.default_rng(7)
         pts = rng.random((40, 3))
-        for tet in delaunay_complex(PointCloud(pts)).tetrahedra:
-            dist = np.linalg.norm(pts[list(tet.indices)] - tet.circumcenter, axis=1)
-            assert np.abs(dist - tet.circumradius).max() < 1e-7 * tet.circumradius
-            assert tet.circumradius > 0 and np.isfinite(tet.circumradius)
+        complex_ = delaunay_complex(PointCloud(pts))
+        assert complex_.simplices.dtype == np.int64
+        assert complex_.centers.shape == (len(complex_), 3)
+        assert complex_.radii.shape == (len(complex_),)
+        for quad, center, radius in zip(complex_.simplices, complex_.centers,
+                                        complex_.radii):
+            dist = np.linalg.norm(pts[quad] - center, axis=1)
+            assert np.abs(dist - radius).max() < 1e-7 * radius
+            assert radius > 0 and np.isfinite(radius)
+            # the batched circumspheres agree with the scalar reference
+            ref_center, ref_radius = circumsphere(*pts[quad])
+            np.testing.assert_allclose(center, ref_center, rtol=1e-9, atol=1e-12)
+            assert radius == pytest.approx(ref_radius, rel=1e-9)
 
     def test_translation_invariance_as_quadruple_set(self):
         rng = np.random.default_rng(3)
         pts = rng.random((60, 3))
-        base = {tuple(sorted(t.indices))
-                for t in delaunay_complex(PointCloud(pts)).tetrahedra}
-        moved = {tuple(sorted(t.indices))
-                 for t in delaunay_complex(PointCloud(pts + [17.0, -4.0, 9.0])).tetrahedra}
+        base = set(map(tuple, delaunay_complex(PointCloud(pts)).simplices.tolist()))
+        moved = set(map(tuple, delaunay_complex(
+            PointCloud(pts + [17.0, -4.0, 9.0])).simplices.tolist()))
         assert base == moved
 
     def test_deterministic(self):
         rng = np.random.default_rng(12)
         pts = rng.random((80, 3))
-        a = [t.indices for t in delaunay_complex(PointCloud(pts)).tetrahedra]
-        b = [t.indices for t in delaunay_complex(PointCloud(pts.copy())).tetrahedra]
-        assert a == b
+        a = delaunay_complex(PointCloud(pts))
+        b = delaunay_complex(PointCloud(pts.copy()))
+        np.testing.assert_array_equal(a.simplices, b.simplices)
+        np.testing.assert_array_equal(a.radii, b.radii)
+        # rows hold ascending indices and are lexicographically ordered
+        assert (np.diff(a.simplices, axis=1) > 0).all()
+        assert a.simplices.tolist() == sorted(a.simplices.tolist())

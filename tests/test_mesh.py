@@ -9,6 +9,7 @@ from alphaforge import (
     enclosed_volume,
     euler_characteristic,
     face_normals,
+    nonmanifold_edges,
     reference_mesh,
     subdivide,
 )
@@ -60,6 +61,20 @@ class TestBoundaryEdges:
     def test_hole_rim_has_three(self, tetra_mesh):
         holed = Mesh(tetra_mesh.vertices, tetra_mesh.faces[:-1])
         assert len(boundary_edges(holed)) == 3
+
+
+class TestNonmanifoldEdges:
+    def test_closed_tetrahedron_has_none(self, tetra_mesh):
+        assert nonmanifold_edges(tetra_mesh).shape == (0, 2)
+
+    def test_empty_mesh_has_none(self):
+        assert nonmanifold_edges(Mesh(np.zeros((0, 3)))).shape == (0, 2)
+
+    def test_three_fins_on_one_edge(self):
+        verts = np.array([[0.0, 0, 0], [0, 0, 1], [1, 0, 0], [0, 1, 0], [-1, -1, 0]])
+        fins = Mesh(verts, np.array([[0, 1, 2], [0, 1, 3], [1, 0, 4]]))
+        assert nonmanifold_edges(fins).tolist() == [[0, 1]]
+        assert len(boundary_edges(fins)) == 6
 
 
 class TestFaceNormals:

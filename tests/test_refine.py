@@ -5,10 +5,7 @@ from alphaforge import (
     LossWeights,
     Mesh,
     RefineConfig,
-    SyntheticSpec,
     TaubinConfig,
-    boundary_edges,
-    build_baseline,
     chamfer,
     enclosed_volume,
     euler_characteristic,
@@ -17,13 +14,11 @@ from alphaforge import (
     sample_surface,
     smooth_weights,
     subdivide,
-    synth,
     taubin_smooth,
     trace_to_csv,
-    triangulate,
     unique_edges,
 )
-from alphaforge.errors import ConfigError, EmptyMesh, NonFinite
+from alphaforge.errors import ConfigError, NonFinite
 
 
 class TestTaubinConfig:
@@ -96,26 +91,6 @@ class TestSubdivide:
         other = tetra_mesh.with_vertices(tetra_mesh.vertices * 2.0 + 1.0)
         a, b = subdivide(tetra_mesh), subdivide(other)
         np.testing.assert_array_equal(a.faces, b.faces)
-
-
-class TestBuildBaseline:
-    def test_zero_iterations_equals_triangulate(self):
-        cloud, _ = synth(SyntheticSpec("sphere", n=600, fill="solid", seed=20))
-        base = build_baseline(cloud, 0.3, TaubinConfig(iterations=0))
-        direct = triangulate(cloud, 0.3)
-        np.testing.assert_array_equal(base.vertices, direct.vertices)
-        np.testing.assert_array_equal(base.faces, direct.faces)
-
-    def test_sphere_baseline_closed_genus_zero(self):
-        cloud, _ = synth(SyntheticSpec("sphere", n=2000, fill="solid", seed=21))
-        base = build_baseline(cloud, 0.3, TaubinConfig(iterations=10))
-        assert euler_characteristic(base) == 2
-        assert len(boundary_edges(base)) == 0
-
-    def test_tiny_tau_raises(self):
-        cloud, _ = synth(SyntheticSpec("sphere", n=300, fill="solid", seed=22))
-        with pytest.raises(EmptyMesh):
-            build_baseline(cloud, 1e-9, TaubinConfig(iterations=2))
 
 
 class TestRefineMesh:
