@@ -5,8 +5,12 @@ inside the body survive, the large ones spanning holes and cavities are
 deleted, and the boundary of what survives is the reconstructed surface.
 Sweeping the three bundled shapes shows the topology coming out exactly
 right: sphere (genus 0), torus (genus 1), and a block with two tunnels
-(genus 2).
+(genus 2). The meshes are written as OBJ files into a temporary directory
+that is removed when the demo ends.
 """
+
+import tempfile
+from pathlib import Path
 
 from alphaforge import (
     SyntheticSpec,
@@ -26,13 +30,14 @@ RECIPES = [
 
 print(f"{'shape':<10}{'points':>8}{'tau':>7}{'chi':>5}{'genus':>7}"
       f"{'open edges':>12}{'volume':>9}")
-for name, spec, tau in RECIPES:
-    cloud, reference = synth(spec)
-    mesh = triangulate(cloud, tau)
-    chi = euler_characteristic(mesh)
-    genus = (2 - chi) // 2
-    print(f"{name:<10}{len(cloud):>8}{tau:>7}{chi:>5}{genus:>7}"
-          f"{len(boundary_edges(mesh)):>12}{enclosed_volume(mesh):>9.3f}")
-    write_mesh(mesh, f"{name}_reconstructed.obj")
-    print(f"{'':10}reference mesh chi={euler_characteristic(reference)}, "
-          f"wrote {name}_reconstructed.obj")
+with tempfile.TemporaryDirectory() as tmp:
+    for name, spec, tau in RECIPES:
+        cloud, reference = synth(spec)
+        mesh = triangulate(cloud, tau)
+        chi = euler_characteristic(mesh)
+        genus = (2 - chi) // 2
+        print(f"{name:<10}{len(cloud):>8}{tau:>7}{chi:>5}{genus:>7}"
+              f"{len(boundary_edges(mesh)):>12}{enclosed_volume(mesh):>9.3f}")
+        write_mesh(mesh, Path(tmp) / f"{name}_reconstructed.obj")
+        print(f"{'':10}reference mesh chi={euler_characteristic(reference)}, "
+              f"wrote {name}_reconstructed.obj")

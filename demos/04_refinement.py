@@ -3,8 +3,12 @@
 Vertices move by tanh of a free offset, so no vertex can drift more than
 one unit per stage. The objective combines the Chamfer data terms with the
 Laplacian, edge-length, and normal regularizers, with the Taubin-smoothed
-input serving as the regularization target.
+input serving as the regularization target. The loss trace is written as
+CSV into a temporary directory that is removed when the demo ends.
 """
+
+import tempfile
+from pathlib import Path
 
 import numpy as np
 
@@ -47,6 +51,6 @@ print(f"{len(totals)} iterations, loss decreased on "
 print(f"max vertex displacement {np.abs(refined.vertices - noisy.vertices).max():.4f} "
       f"(bounded below 1 by construction)")
 
-with open("refine_trace.csv", "w") as fh:
-    fh.write(trace_to_csv(trace))
+with tempfile.TemporaryDirectory() as tmp:
+    (Path(tmp) / "refine_trace.csv").write_text(trace_to_csv(trace))
 print("wrote refine_trace.csv (iteration, per-term values, total)")

@@ -18,6 +18,7 @@ from .alphashape import (
 from .delaunay import DelaunayComplex, circumsphere, delaunay_complex
 from .loss import (
     LossBreakdown,
+    LossPlan,
     LossWeights,
     chamfer,
     chamfer_grad,
@@ -26,6 +27,7 @@ from .loss import (
     laplacian_reg,
     log_chamfer,
     log_chamfer_grad,
+    loss_plan,
     normal_consistency,
     normal_loss,
     pretty_weights,
@@ -81,8 +83,8 @@ from .synth import SyntheticSpec, icosphere, reference_mesh, synth
 __version__ = "0.1.0"
 
 __all__ = [
-    "DelaunayComplex", "EvalReport", "LossBreakdown", "LossWeights", "Mesh",
-    "METRIC_SAMPLES", "PRETTY_TAUS", "PointCloud", "QPolicy", "REWARD_SAMPLES",
+    "DelaunayComplex", "EvalReport", "LossBreakdown", "LossPlan",
+    "LossWeights", "Mesh", "METRIC_SAMPLES", "PRETTY_TAUS", "PointCloud", "QPolicy", "REWARD_SAMPLES",
     "RefineConfig", "RigidTransform", "SMOOTH_TAUS", "SyntheticSpec",
     "TAU_PRESETS", "TaubinConfig", "TrainLog", "apply_protocol_scaling",
     "boundary_edges", "chamfer", "chamfer_grad", "circumsphere",
@@ -90,7 +92,7 @@ __all__ = [
     "euler_characteristic", "evaluate", "extract_boundary_faces", "f1_score",
     "face_areas", "face_normals", "filter_tetrahedra", "icosphere",
     "icp_align", "laplacian_coords", "laplacian_reg", "load_policy",
-    "log_chamfer", "log_chamfer_grad", "nonmanifold_edges",
+    "log_chamfer", "log_chamfer_grad", "loss_plan", "nonmanifold_edges",
     "normal_consistency", "normal_cosine", "normal_loss", "pretty_weights",
     "q_values", "read_mesh", "read_points", "reference_mesh", "refine_mesh",
     "reward", "sample_surface", "save_policy", "select_action",

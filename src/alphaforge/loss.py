@@ -5,12 +5,24 @@ Every term comes in a (value, gradient) pair whose gradient is validated
 against central finite differences in the test suite. Nearest-neighbor
 assignments are held fixed when differentiating (subgradient at ties,
 lowest index winning).
+
+The total loss is evaluated against a :class:`LossPlan` (see
+:func:`loss_plan`), which holds what stays fixed while only the vertices
+move, as within one refinement stage: the target cloud and its kd-tree,
+the frozen sampling map (face and barycentric coordinates per sample), the
+stage topology (unique edges, cotangent slots, adjacent face pairs) and the
+baseline's Laplacian coordinates. One evaluation makes one two-way
+nearest-neighbor correspondence between the samples and the target, which
+the log-Chamfer, Chamfer and normal-loss terms and their gradients all
+read. The per-cloud functions (``chamfer``, ``log_chamfer_grad``, ...)
+compute a correspondence and call the same term helpers.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from typing import NamedTuple
 
 import numpy as np
 from scipy.spatial import cKDTree
@@ -76,105 +88,157 @@ class LossBreakdown:
     total: float
 
 
-def nearest_neighbors(a: np.ndarray, b: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+def nearest_neighbors(a: np.ndarray, b: np.ndarray,
+                      tree: cKDTree | None = None) -> tuple[np.ndarray, np.ndarray]:
     """Index into b of the nearest neighbor for each row of a, plus squared
     distances. Exact; brute force below 64 target points (ties resolved to
-    the lowest index), kd-tree above."""
+    the lowest index), kd-tree above. ``tree``, a kd-tree already built over
+    b, is queried instead of building one."""
     if len(b) < BRUTE_FORCE_LIMIT:
         d2 = ((a[:, None, :] - b[None, :, :]) ** 2).sum(axis=2)
         idx = np.argmin(d2, axis=1)
         return idx, d2[np.arange(len(a)), idx]
-    dist, idx = cKDTree(b).query(a, k=1)
+    if tree is None:
+        tree = cKDTree(b)
+    dist, idx = tree.query(a, k=1)
     return idx, dist**2
 
 
-def _require_cloud(cloud: PointCloud, name: str) -> None:
-    if len(cloud) == 0:
-        raise EmptyCloud(f"{name} is empty")
+class _Match(NamedTuple):
+    """Two-way nearest-neighbor correspondence between clouds P and Q."""
+
+    idx_pq: np.ndarray
+    d2_pq: np.ndarray
+    idx_qp: np.ndarray
+    d2_qp: np.ndarray
+
+
+def _match(pp: np.ndarray, qq: np.ndarray, tree_q: cKDTree | None = None) -> _Match:
+    idx_pq, d2_pq = nearest_neighbors(pp, qq, tree=tree_q)
+    idx_qp, d2_qp = nearest_neighbors(qq, pp)
+    return _Match(idx_pq, d2_pq, idx_qp, d2_qp)
+
+
+def _require_clouds(p: PointCloud, q: PointCloud) -> None:
+    if len(p) == 0:
+        raise EmptyCloud("P is empty")
+    if len(q) == 0:
+        raise EmptyCloud("Q is empty")
+
+
+def _require_mu(mu: float) -> None:
+    if mu <= 0:
+        raise ValueError("mu must be positive")
+
+
+def _chamfer_value(m: _Match) -> float:
+    return float(m.d2_pq.mean() + m.d2_qp.mean())
+
+
+def _chamfer_grad(pp: np.ndarray, qq: np.ndarray, m: _Match) -> np.ndarray:
+    grad = (2.0 / len(pp)) * (pp - qq[m.idx_pq])
+    np.add.at(grad, m.idx_qp, (2.0 / len(qq)) * (pp[m.idx_qp] - qq))
+    return grad
+
+
+def _log_chamfer_value(m: _Match, mu: float) -> float:
+    return float(np.log10(m.d2_pq + mu).sum() + np.log10(m.d2_qp + mu).sum())
+
+
+def _log_chamfer_grad(pp: np.ndarray, qq: np.ndarray, m: _Match, mu: float) -> np.ndarray:
+    grad = 2.0 * (pp - qq[m.idx_pq]) / ((m.d2_pq + mu) * LN10)[:, None]
+    np.add.at(grad, m.idx_qp, 2.0 * (pp[m.idx_qp] - qq) / ((m.d2_qp + mu) * LN10)[:, None])
+    return grad
+
+
+def _normal_cosines(pn: np.ndarray, qn: np.ndarray, m: _Match):
+    """Pooled mean of 1 - |cos| over both match directions, plus the
+    forward and reverse cosines."""
+    cos_fwd = np.einsum("ij,ij->i", pn, qn[m.idx_pq])
+    cos_rev = np.einsum("ij,ij->i", pn[m.idx_qp], qn)
+    total = (1.0 - np.abs(cos_fwd)).sum() + (1.0 - np.abs(cos_rev)).sum()
+    return float(total / (len(pn) + len(qn))), cos_fwd, cos_rev
 
 
 def chamfer(p: PointCloud, q: PointCloud) -> float:
     """Symmetric mean of nearest-neighbor squared distances (both directions)."""
-    _require_cloud(p, "P")
-    _require_cloud(q, "Q")
-    _, d2_pq = nearest_neighbors(p.points, q.points)
-    _, d2_qp = nearest_neighbors(q.points, p.points)
-    return float(d2_pq.mean() + d2_qp.mean())
+    _require_clouds(p, q)
+    return _chamfer_value(_match(p.points, q.points))
 
 
 def chamfer_grad(p: PointCloud, q: PointCloud) -> np.ndarray:
     """d(chamfer)/dp for every point of P, assignments held fixed."""
-    _require_cloud(p, "P")
-    _require_cloud(q, "Q")
-    pp, qq = p.points, q.points
-    idx_pq, _ = nearest_neighbors(pp, qq)
-    idx_qp, _ = nearest_neighbors(qq, pp)
-    grad = (2.0 / len(pp)) * (pp - qq[idx_pq])
-    np.add.at(grad, idx_qp, (2.0 / len(qq)) * (pp[idx_qp] - qq))
-    return grad
+    _require_clouds(p, q)
+    return _chamfer_grad(p.points, q.points, _match(p.points, q.points))
 
 
 def log_chamfer(p: PointCloud, q: PointCloud, mu: float) -> float:
     """Sum (not mean) over both directions of log10(min squared dist + mu)."""
-    _require_cloud(p, "P")
-    _require_cloud(q, "Q")
-    if mu <= 0:
-        raise ValueError("mu must be positive")
-    _, d2_pq = nearest_neighbors(p.points, q.points)
-    _, d2_qp = nearest_neighbors(q.points, p.points)
-    return float(np.log10(d2_pq + mu).sum() + np.log10(d2_qp + mu).sum())
+    _require_clouds(p, q)
+    _require_mu(mu)
+    return _log_chamfer_value(_match(p.points, q.points), mu)
 
 
 def log_chamfer_grad(p: PointCloud, q: PointCloud, mu: float) -> np.ndarray:
     """d(log_chamfer)/dp; per matched pair 2(p-q) / ((|p-q|^2 + mu) ln 10)."""
-    _require_cloud(p, "P")
-    _require_cloud(q, "Q")
-    if mu <= 0:
-        raise ValueError("mu must be positive")
-    pp, qq = p.points, q.points
-    idx_pq, d2_pq = nearest_neighbors(pp, qq)
-    idx_qp, d2_qp = nearest_neighbors(qq, pp)
-    grad = 2.0 * (pp - qq[idx_pq]) / ((d2_pq + mu) * LN10)[:, None]
-    np.add.at(grad, idx_qp, 2.0 * (pp[idx_qp] - qq) / ((d2_qp + mu) * LN10)[:, None])
-    return grad
+    _require_clouds(p, q)
+    _require_mu(mu)
+    return _log_chamfer_grad(p.points, q.points, _match(p.points, q.points), mu)
+
+
+def normal_loss(p: PointCloud, q: PointCloud) -> float:
+    """Mean over both-direction nearest-neighbor matches of 1 - |cos| of the
+    matched normals; 0 means perfectly aligned (orientation ignored)."""
+    _require_clouds(p, q)
+    if not p.has_normals or not q.has_normals:
+        raise MissingNormals("normal loss needs normals on both clouds")
+    value, _, _ = _normal_cosines(p.normals, q.normals, _match(p.points, q.points))
+    return value
 
 
 # ---------------------------------------------------------------------------
 # Cotangent Laplacian
 
 
-def _cotangent_edge_data(mesh: Mesh):
-    """Per unique edge: endpoints, clamped weight, and the (edge slot -> face
-    corner) bookkeeping needed to differentiate the cotangents.
+class _EdgeSlots(NamedTuple):
+    """Unique edges of a face set (lexicographic, as ``unique_edges``) and
+    its cotangent slots: slot s is the angle at corner k[s] opposite edge
+    (i[s], j[s]) in one face, three slots per face, and ``edge[s]`` indexes
+    that edge in ``edges``."""
 
-    Returns (edges, weights, clamped_mask, slot_edge, slot_i, slot_j, slot_k)
-    where each slot is one angle opposite one edge in one face.
-    """
-    f = mesh.faces
-    # edge (i, j) opposite corner k, three slots per face
+    edges: np.ndarray
+    i: np.ndarray
+    j: np.ndarray
+    k: np.ndarray
+    edge: np.ndarray
+
+
+def _edge_slots(faces: np.ndarray) -> _EdgeSlots:
+    f = faces
     slot_i = np.concatenate([f[:, 1], f[:, 2], f[:, 0]])
     slot_j = np.concatenate([f[:, 2], f[:, 0], f[:, 1]])
     slot_k = np.concatenate([f[:, 0], f[:, 1], f[:, 2]])
     key = np.sort(np.stack([slot_i, slot_j], axis=1), axis=1)
     edges, inverse = np.unique(key, axis=0, return_inverse=True)
+    return _EdgeSlots(edges, slot_i, slot_j, slot_k, inverse)
 
-    v = mesh.vertices
-    u = v[slot_i] - v[slot_k]
-    w = v[slot_j] - v[slot_k]
+
+def _cotangents(v: np.ndarray, slots: _EdgeSlots):
+    """Per slot: corner vectors u, w, their cross product, |cross| and
+    u.w (so cot = d / s), plus the clamped edge weights and clamp mask."""
+    u = v[slots.i] - v[slots.k]
+    w = v[slots.j] - v[slots.k]
     cross = np.cross(u, w)
     s = np.linalg.norm(cross, axis=1)
     s = np.maximum(s, 1e-300)  # degenerate corners produce huge cots, clamped below
-    cot = np.einsum("ij,ij->i", u, w) / s
-
-    raw = np.zeros(len(edges))
-    np.add.at(raw, inverse, 0.5 * cot)
+    d = np.einsum("ij,ij->i", u, w)
+    raw = np.zeros(len(slots.edges))
+    np.add.at(raw, slots.edge, 0.5 * (d / s))
     weights = np.clip(raw, -COT_CLAMP, COT_CLAMP)
-    clamped = raw != weights
-    return edges, weights, clamped, inverse, slot_i, slot_j, slot_k
+    return (u, w, cross, s, d), weights, raw != weights
 
 
-def _laplacian_from_edges(mesh: Mesh, edges: np.ndarray, weights: np.ndarray) -> np.ndarray:
-    v = mesh.vertices
+def _laplacian_from_edges(v: np.ndarray, edges: np.ndarray, weights: np.ndarray) -> np.ndarray:
     lo = np.zeros_like(v)
     i, j = edges[:, 0], edges[:, 1]
     wd = weights[:, None] * (v[i] - v[j])
@@ -198,8 +262,9 @@ def laplacian_coords(mesh: Mesh) -> np.ndarray:
     if not incident.all():
         missing = int(np.flatnonzero(~incident)[0])
         raise IsolatedVertex(f"vertex {missing} has no incident face")
-    edges, weights, _, _, _, _, _ = _cotangent_edge_data(mesh)
-    return _laplacian_from_edges(mesh, edges, weights)
+    slots = _edge_slots(mesh.faces)
+    _, weights, _ = _cotangents(mesh.vertices, slots)
+    return _laplacian_from_edges(mesh.vertices, slots.edges, weights)
 
 
 def laplacian_reg(m: Mesh, m_t: Mesh) -> float:
@@ -215,16 +280,19 @@ def laplacian_reg(m: Mesh, m_t: Mesh) -> float:
     return float((diff**2).sum(axis=1).mean())
 
 
-def _laplacian_reg_and_grad(m: Mesh, lo_target: np.ndarray):
-    """Value and d/d(vertices of m) of mean_i |LO_m(i) - lo_target(i)|^2."""
-    edges, weights, clamped, inverse, si, sj, sk = _cotangent_edge_data(m)
-    lo = _laplacian_from_edges(m, edges, weights)
+def _laplacian_reg_and_grad(v: np.ndarray, slots: _EdgeSlots, lo_target: np.ndarray,
+                            want_grad: bool):
+    """Value and d/dv of mean_i |LO_v(i) - lo_target(i)|^2."""
+    (u, w, cross, s, d), weights, clamped = _cotangents(v, slots)
+    edges = slots.edges
+    lo = _laplacian_from_edges(v, edges, weights)
     g = lo - lo_target
-    nv = m.num_vertices
+    nv = len(v)
     value = float((g**2).sum(axis=1).mean())
+    if not want_grad:
+        return value, None
 
-    grad = np.zeros_like(m.vertices)
-    v = m.vertices
+    grad = np.zeros_like(v)
     i, j = edges[:, 0], edges[:, 1]
     # position part: LO(i) depends on v_i and its neighbors
     coeff = (2.0 / nv) * weights[:, None]
@@ -235,20 +303,15 @@ def _laplacian_reg_and_grad(m: Mesh, lo_target: np.ndarray):
     # weight part: c_e = (2/V) (g_i - g_j) . (v_i - v_j), zero where clamped
     c_e = (2.0 / nv) * np.einsum("ij,ij->i", gi_gj, v[i] - v[j])
     c_e = np.where(clamped, 0.0, c_e)
-    c_slot = 0.5 * c_e[inverse]  # each cot enters w_e with factor 1/2
+    c_slot = 0.5 * c_e[slots.edge]  # each cot enters w_e with factor 1/2
 
-    u = v[si] - v[sk]
-    w = v[sj] - v[sk]
-    cross = np.cross(u, w)
-    s = np.maximum(np.linalg.norm(cross, axis=1), 1e-300)
-    d = np.einsum("ij,ij->i", u, w)
     s1 = s[:, None]
     ds3 = (d / s**3)[:, None]
     dcot_du = w / s1 - ds3 * np.cross(w, cross)
     dcot_dw = u / s1 - ds3 * np.cross(cross, u)
-    np.add.at(grad, si, c_slot[:, None] * dcot_du)
-    np.add.at(grad, sj, c_slot[:, None] * dcot_dw)
-    np.add.at(grad, sk, -c_slot[:, None] * (dcot_du + dcot_dw))
+    np.add.at(grad, slots.i, c_slot[:, None] * dcot_du)
+    np.add.at(grad, slots.j, c_slot[:, None] * dcot_dw)
+    np.add.at(grad, slots.k, -c_slot[:, None] * (dcot_du + dcot_dw))
     return value, grad
 
 
@@ -256,46 +319,38 @@ def _laplacian_reg_and_grad(m: Mesh, lo_target: np.ndarray):
 # Normal terms
 
 
-def _adjacent_face_pairs(mesh: Mesh) -> np.ndarray:
-    """Unordered pairs of faces sharing an edge, as an (m, 2) array."""
-    f = mesh.faces
+def _adjacent_face_pairs(faces: np.ndarray) -> np.ndarray:
+    """Unordered pairs of faces sharing an edge, as an (m, 2) array in
+    lexicographic order."""
+    f = faces
     if not len(f):
         return np.zeros((0, 2), dtype=np.int64)
     e = np.sort(np.concatenate([f[:, [0, 1]], f[:, [1, 2]], f[:, [2, 0]]]), axis=1)
-    face_of = np.tile(np.arange(len(f)), 3)
+    face_of = np.tile(np.arange(len(f), dtype=np.int64), 3)
     order = np.lexsort((e[:, 1], e[:, 0]))
     e, face_of = e[order], face_of[order]
-    boundary = np.flatnonzero(np.any(e[1:] != e[:-1], axis=1))
-    starts = np.concatenate([[0], boundary + 1, [len(e)]])
-    pairs = []
-    for s, t in zip(starts[:-1], starts[1:]):
-        group = face_of[s:t]
-        if len(group) > 1:
-            for x in range(len(group)):
-                for y in range(x + 1, len(group)):
-                    pairs.append((group[x], group[y]))
-    if not pairs:
-        return np.zeros((0, 2), dtype=np.int64)
-    return np.unique(np.sort(np.array(pairs, dtype=np.int64), axis=1), axis=0)
+    # the faces of one edge are contiguous after the sort: pair each slot
+    # with the slot `gap` places later while any such pair shares an edge
+    pairs = [np.zeros((0, 2), dtype=np.int64)]
+    for gap in range(1, len(e)):
+        same = np.all(e[gap:] == e[:-gap], axis=1)
+        if not same.any():
+            break
+        pairs.append(np.stack([face_of[:-gap][same], face_of[gap:][same]], axis=1))
+    return np.unique(np.sort(np.concatenate(pairs), axis=1), axis=0)
 
 
-def normal_consistency(m: Mesh) -> float:
-    """Sum over adjacent face pairs of 1 - cos(n1, n2); 0 when no pairs."""
-    value, _ = _normal_consistency_and_grad(m, want_grad=False)
-    return value
-
-
-def _face_unit_normals(mesh: Mesh):
-    cross = face_cross_products(mesh)
+def _unit_normals(cross: np.ndarray):
+    """Unit vectors and norms of cross products (norms floored at 1e-300)."""
     s = np.maximum(np.linalg.norm(cross, axis=1), 1e-300)
     return cross / s[:, None], s
 
 
-def _scatter_normal_grad(mesh: Mesh, grad_n: np.ndarray, n: np.ndarray, s: np.ndarray):
+def _scatter_normal_grad(v: np.ndarray, faces: np.ndarray, grad_n: np.ndarray,
+                         n: np.ndarray, s: np.ndarray):
     """Chain per-face gradients w.r.t. unit normals back to vertices."""
     big_g = (grad_n - n * np.einsum("ij,ij->i", n, grad_n)[:, None]) / s[:, None]
-    v = mesh.vertices
-    f = mesh.faces
+    f = faces
     a, b, c = v[f[:, 0]], v[f[:, 1]], v[f[:, 2]]
     grad = np.zeros_like(v)
     np.add.at(grad, f[:, 0], np.cross(b - c, big_g))
@@ -304,11 +359,18 @@ def _scatter_normal_grad(mesh: Mesh, grad_n: np.ndarray, n: np.ndarray, s: np.nd
     return grad
 
 
-def _normal_consistency_and_grad(m: Mesh, want_grad: bool = True):
-    pairs = _adjacent_face_pairs(m)
+def normal_consistency(m: Mesh) -> float:
+    """Sum over adjacent face pairs of 1 - cos(n1, n2); 0 when no pairs."""
+    value, _ = _normal_consistency_and_grad(
+        m.vertices, m.faces, _adjacent_face_pairs(m.faces), face_cross_products(m),
+        want_grad=False)
+    return value
+
+
+def _normal_consistency_and_grad(v, faces, pairs, cross, want_grad: bool):
     if not len(pairs):
-        return 0.0, np.zeros_like(m.vertices)
-    n, s = _face_unit_normals(m)
+        return 0.0, np.zeros_like(v)
+    n, s = _unit_normals(cross)
     n1, n2 = n[pairs[:, 0]], n[pairs[:, 1]]
     value = float((1.0 - np.einsum("ij,ij->i", n1, n2)).sum())
     if not want_grad:
@@ -316,41 +378,32 @@ def _normal_consistency_and_grad(m: Mesh, want_grad: bool = True):
     grad_n = np.zeros_like(n)
     np.add.at(grad_n, pairs[:, 0], -n2)
     np.add.at(grad_n, pairs[:, 1], -n1)
-    return value, _scatter_normal_grad(m, grad_n, n, s)
+    return value, _scatter_normal_grad(v, faces, grad_n, n, s)
 
 
-def normal_loss(p: PointCloud, q: PointCloud) -> float:
-    """Mean over both-direction nearest-neighbor matches of 1 - |cos| of the
-    matched normals; 0 means perfectly aligned (orientation ignored)."""
-    value, _, _ = _normal_loss_matches(p, q)
-    return value
-
-
-def _normal_loss_matches(p: PointCloud, q: PointCloud):
-    _require_cloud(p, "P")
-    _require_cloud(q, "Q")
-    if not p.has_normals or not q.has_normals:
-        raise MissingNormals("normal loss needs normals on both clouds")
-    idx_pq, _ = nearest_neighbors(p.points, q.points)
-    idx_qp, _ = nearest_neighbors(q.points, p.points)
-    cos_fwd = np.einsum("ij,ij->i", p.normals, q.normals[idx_pq])
-    cos_rev = np.einsum("ij,ij->i", p.normals[idx_qp], q.normals)
-    total = (1.0 - np.abs(cos_fwd)).sum() + (1.0 - np.abs(cos_rev)).sum()
-    value = float(total / (len(p) + len(q)))
-    return value, (idx_pq, cos_fwd), (idx_qp, cos_rev)
+def _normal_loss_vertex_grad(v, faces, cross, face_idx, gt_n, cos_fwd, cos_rev, m: _Match):
+    """Vertex gradient of the pooled 1 - |cos| normal term: accumulate
+    d/d(face normal) over every match touching a sample of that face, then
+    chain through the unit-normal map."""
+    n, s = _unit_normals(cross)
+    denom = len(face_idx) + len(gt_n)
+    grad_n = np.zeros_like(n)
+    np.add.at(grad_n, face_idx,
+              -np.sign(cos_fwd)[:, None] * gt_n[m.idx_pq] / denom)
+    np.add.at(grad_n, face_idx[m.idx_qp],
+              -np.sign(cos_rev)[:, None] * gt_n / denom)
+    return _scatter_normal_grad(v, faces, grad_n, n, s)
 
 
 def edge_length_reg(m: Mesh) -> float:
     """Mean squared length over the mesh's unique edges."""
-    value, _ = _edge_length_and_grad(m, want_grad=False)
+    value, _ = _edge_length_and_grad(m.vertices, unique_edges(m), want_grad=False)
     return value
 
 
-def _edge_length_and_grad(m: Mesh, want_grad: bool = True):
-    edges = unique_edges(m)
+def _edge_length_and_grad(v: np.ndarray, edges: np.ndarray, want_grad: bool = True):
     if not len(edges):
         raise NoEdges("mesh has no edges")
-    v = m.vertices
     d = v[edges[:, 0]] - v[edges[:, 1]]
     value = float((d**2).sum(axis=1).mean())
     if not want_grad:
@@ -366,6 +419,71 @@ def _edge_length_and_grad(m: Mesh, want_grad: bool = True):
 # Total loss
 
 
+@dataclass(frozen=True)
+class LossPlan:
+    """What the total loss holds fixed while only the vertices move.
+
+    Built by :func:`loss_plan` for one face connectivity (one refinement
+    stage). Fields a weight setting does not need are None: the sampling
+    map and target kd-tree without data terms (and the tree below
+    ``BRUTE_FORCE_LIMIT`` target points, where queries are brute force),
+    the edge slots without Laplacian or edge-length terms, the face pairs
+    without normal consistency, the target Laplacian without a Laplacian
+    term.
+    """
+
+    weights: LossWeights
+    faces: np.ndarray
+    target: PointCloud
+    tree: cKDTree | None
+    face_idx: np.ndarray | None      # (n,) source face of each sample
+    bary: np.ndarray | None          # (n, 3) barycentric coordinates
+    sample_faces: np.ndarray | None  # (n, 3) faces[face_idx]
+    slots: _EdgeSlots | None
+    face_pairs: np.ndarray | None
+    lo_target: np.ndarray | None
+
+
+def loss_plan(
+    m: Mesh,
+    p_gt: PointCloud,
+    m_t: Mesh | None,
+    w: LossWeights,
+    n_samples: int,
+    seed: int,
+) -> LossPlan:
+    """Plan for the total loss of meshes with m's connectivity.
+
+    Draws the sampling map (n_samples area-uniform samples of m,
+    deterministic in seed) when a data term is active, builds the target's
+    kd-tree, the edge slots and face pairs the active regularizers need,
+    and the Laplacian coordinates of the baseline m_t. Zero-weight terms
+    are skipped and their preconditions waived.
+    """
+    tree = face_idx = bary = sample_faces = None
+    if w.lambda1 > 0 or w.lambda2 > 0 or w.lambda6 > 0:
+        _, face_idx, bary = sample_surface_with_faces(m, n_samples, seed)
+        sample_faces = m.faces[face_idx]
+        if len(p_gt) == 0:
+            raise EmptyCloud("target cloud is empty")
+        if w.lambda6 > 0 and not p_gt.has_normals:
+            raise MissingNormals("normal loss needs normals on both clouds")
+        if len(p_gt) >= BRUTE_FORCE_LIMIT:
+            tree = cKDTree(p_gt.points)
+    lo_target = None
+    if w.lambda3 > 0:
+        if m_t is None:
+            raise VertexCountMismatch("laplacian term requires a baseline mesh")
+        if m.num_vertices != m_t.num_vertices:
+            raise VertexCountMismatch(
+                f"{m.num_vertices} != {m_t.num_vertices} vertices")
+        lo_target = laplacian_coords(m_t)
+    slots = _edge_slots(m.faces) if w.lambda3 > 0 or w.lambda4 > 0 else None
+    pairs = _adjacent_face_pairs(m.faces) if w.lambda5 > 0 else None
+    return LossPlan(w, m.faces, p_gt, tree, face_idx, bary, sample_faces,
+                    slots, pairs, lo_target)
+
+
 def total_loss(
     m: Mesh,
     p_gt: PointCloud,
@@ -377,7 +495,8 @@ def total_loss(
     """Weighted sum of every active term; zero-weight terms are skipped and
     their preconditions waived. Data terms compare an n_samples surface
     sampling of m (deterministic in seed) against p_gt."""
-    breakdown, _ = _total_loss_impl(m, p_gt, m_t, w, n_samples, seed, want_grad=False)
+    plan = loss_plan(m, p_gt, m_t, w, n_samples, seed)
+    breakdown, _ = _evaluate(m, plan, want_grad=False)
     return breakdown
 
 
@@ -395,94 +514,67 @@ def total_loss_grad(
     face assignments, barycentric coordinates, and nearest-neighbor matches
     held fixed; the normal-loss term is chained through the face normals.
     """
-    _, grad = _total_loss_impl(m, p_gt, m_t, w, n_samples, seed, want_grad=True)
+    _, grad = _evaluate(m, loss_plan(m, p_gt, m_t, w, n_samples, seed), want_grad=True)
     return grad
 
 
-def total_loss_with_grad(
-    m: Mesh,
-    p_gt: PointCloud,
-    m_t: Mesh | None,
-    w: LossWeights,
-    n_samples: int,
-    seed: int,
-    fixed_sampling: tuple[np.ndarray, np.ndarray] | None = None,
-) -> tuple[LossBreakdown, np.ndarray]:
-    """Breakdown and gradient in one pass (used by the refinement loop).
+def total_loss_with_grad(m: Mesh, plan: LossPlan) -> tuple[LossBreakdown, np.ndarray]:
+    """Breakdown and gradient at m in one pass (used by the refinement loop).
 
-    ``fixed_sampling`` = (face_idx, barycentric) freezes the sampling map so
-    successive evaluations form a continuous objective in the vertices;
-    without it each call redraws samples from the current face areas.
+    m must have the plan's faces. The plan's sampling map is frozen, so
+    successive evaluations form a continuous objective in the vertices:
+    samples ride their faces as the vertices move.
     """
-    return _total_loss_impl(m, p_gt, m_t, w, n_samples, seed, want_grad=True,
-                            fixed_sampling=fixed_sampling)
+    return _evaluate(m, plan, want_grad=True)
 
 
-def _realize_fixed_samples(m: Mesh, face_idx: np.ndarray,
-                           bary: np.ndarray) -> PointCloud:
+def _evaluate(m: Mesh, plan: LossPlan, want_grad: bool):
+    if not np.array_equal(m.faces, plan.faces):
+        raise ValueError("mesh faces differ from the faces the loss plan was built for")
+    w = plan.weights
     v = m.vertices
-    f = m.faces[face_idx]
-    pos = (bary[:, 0, None] * v[f[:, 0]] + bary[:, 1, None] * v[f[:, 1]]
-           + bary[:, 2, None] * v[f[:, 2]])
-    cross = face_cross_products(m)[face_idx]
-    s = np.maximum(np.linalg.norm(cross, axis=1), 1e-300)
-    return PointCloud(pos, cross / s[:, None])
-
-
-def _total_loss_impl(m, p_gt, m_t, w, n_samples, seed, want_grad,
-                     fixed_sampling=None):
-    needs_samples = w.lambda1 > 0 or w.lambda2 > 0 or w.lambda6 > 0
-    grad = np.zeros_like(m.vertices)
+    grad = np.zeros_like(v)
     logcmd = cmd = lap = el = nc = nl = 0.0
+    cross = face_cross_products(m) if w.lambda5 > 0 or w.lambda6 > 0 else None
 
-    if needs_samples:
-        if fixed_sampling is not None:
-            # sampling map (face assignment + barycentric coordinates) frozen
-            # by the caller: positions and normals follow the current mesh
-            face_idx, bary = fixed_sampling
-            samples = _realize_fixed_samples(m, face_idx, bary)
-        else:
-            if n_samples < 1:
-                raise ValueError("n_samples must be >= 1")
-            samples, face_idx, bary = sample_surface_with_faces(m, n_samples, seed)
+    if plan.face_idx is not None:
+        f, bary = plan.sample_faces, plan.bary
+        pos = (bary[:, 0, None] * v[f[:, 0]] + bary[:, 1, None] * v[f[:, 1]]
+               + bary[:, 2, None] * v[f[:, 2]])
+        qq = plan.target.points
+        match = _match(pos, qq, plan.tree)
 
         def chain_to_vertices(grad_pts):
-            faces = m.faces[face_idx]
             for corner in range(3):
-                np.add.at(grad, faces[:, corner], bary[:, corner, None] * grad_pts)
+                np.add.at(grad, f[:, corner], bary[:, corner, None] * grad_pts)
 
         if w.lambda1 > 0:
-            logcmd = log_chamfer(samples, p_gt, w.mu)
+            logcmd = _log_chamfer_value(match, w.mu)
             if want_grad:
-                chain_to_vertices(w.lambda1 * log_chamfer_grad(samples, p_gt, w.mu))
+                chain_to_vertices(w.lambda1 * _log_chamfer_grad(pos, qq, match, w.mu))
         if w.lambda2 > 0:
-            cmd = chamfer(samples, p_gt)
+            cmd = _chamfer_value(match)
             if want_grad:
-                chain_to_vertices(w.lambda2 * chamfer_grad(samples, p_gt))
+                chain_to_vertices(w.lambda2 * _chamfer_grad(pos, qq, match))
         if w.lambda6 > 0:
-            nl, fwd, rev = _normal_loss_matches(samples, p_gt)
+            sample_normals, _ = _unit_normals(cross[plan.face_idx])
+            gt_n = plan.target.normals
+            nl, cos_fwd, cos_rev = _normal_cosines(sample_normals, gt_n, match)
             if want_grad:
                 grad += w.lambda6 * _normal_loss_vertex_grad(
-                    m, face_idx, p_gt, fwd, rev, len(samples))
+                    v, m.faces, cross, plan.face_idx, gt_n, cos_fwd, cos_rev, match)
 
     if w.lambda3 > 0:
-        if m_t is None:
-            raise VertexCountMismatch("laplacian term requires a baseline mesh")
-        if m.num_vertices != m_t.num_vertices:
-            raise VertexCountMismatch(
-                f"{m.num_vertices} != {m_t.num_vertices} vertices")
-        lo_target = laplacian_coords(m_t)
+        lap, lap_grad = _laplacian_reg_and_grad(v, plan.slots, plan.lo_target, want_grad)
         if want_grad:
-            lap, lap_grad = _laplacian_reg_and_grad(m, lo_target)
             grad += w.lambda3 * lap_grad
-        else:
-            lap = float(((laplacian_coords(m) - lo_target) ** 2).sum(axis=1).mean())
     if w.lambda4 > 0:
-        el, el_grad = _edge_length_and_grad(m, want_grad)
+        el, el_grad = _edge_length_and_grad(v, plan.slots.edges, want_grad)
         if want_grad:
             grad += w.lambda4 * el_grad
     if w.lambda5 > 0:
-        nc, nc_grad = _normal_consistency_and_grad(m, want_grad)
+        nc, nc_grad = _normal_consistency_and_grad(v, m.faces, plan.face_pairs, cross,
+                                                   want_grad)
         if want_grad:
             grad += w.lambda5 * nc_grad
 
@@ -492,20 +584,3 @@ def _total_loss_impl(m, p_gt, m_t, w, n_samples, seed, want_grad,
         logcmd=logcmd, cmd=cmd, laplacian_reg=lap, edge_len=el,
         normal_consistency=nc, normal_loss=nl, total=float(total))
     return breakdown, grad
-
-
-def _normal_loss_vertex_grad(m, face_idx, p_gt, fwd, rev, n_p):
-    """Vertex gradient of the pooled 1 - |cos| normal term: accumulate
-    d/d(face normal) over every match touching a sample of that face, then
-    chain through the unit-normal map."""
-    idx_pq, cos_fwd = fwd
-    idx_qp, cos_rev = rev
-    n, s = _face_unit_normals(m)
-    denom = n_p + len(p_gt)
-    grad_n = np.zeros_like(n)
-    gt_n = p_gt.normals
-    np.add.at(grad_n, face_idx,
-              -np.sign(cos_fwd)[:, None] * gt_n[idx_pq] / denom)
-    np.add.at(grad_n, face_idx[idx_qp],
-              -np.sign(cos_rev)[:, None] * gt_n / denom)
-    return _scatter_normal_grad(m, grad_n, n, s)

@@ -19,9 +19,8 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .errors import ConfigError, NonFinite
-from .loss import LossBreakdown, LossWeights, total_loss_with_grad
+from .loss import LossBreakdown, LossWeights, loss_plan, total_loss_with_grad
 from .mesh import Mesh, PointCloud, unique_edges
-from .sampling import sample_surface_with_faces
 
 # tanh(OFFSET_CLIP) < 1 - 1e-12, keeping the displacement bound strict even
 # if the optimizer drives an offset to saturation.
@@ -96,21 +95,18 @@ def subdivide(mesh: Mesh) -> Mesh:
     """Midpoint subdivision: one new vertex per unique edge, each face
     replaced by four. Meshes with identical connectivity subdivide to
     identical vertex indexing (edges are ranked lexicographically)."""
-    edges = unique_edges(mesh)
-    nv = mesh.num_vertices
+    f = mesh.faces
+    if not len(f):
+        return Mesh(mesh.vertices, f)
+    # the edges (a, b), (b, c), (c, a) of every face, ranked among the
+    # lexicographically sorted unique edges
+    key = np.sort(np.stack([f, np.roll(f, -1, axis=1)], axis=2), axis=2)
+    edges, rank = np.unique(key.reshape(-1, 2), axis=0, return_inverse=True)
     midpoints = 0.5 * (mesh.vertices[edges[:, 0]] + mesh.vertices[edges[:, 1]])
-    edge_rank = {(int(i), int(j)): nv + r for r, (i, j) in enumerate(edges)}
-
-    def mid(i: int, j: int) -> int:
-        return edge_rank[(i, j) if i < j else (j, i)]
-
-    new_faces = []
-    for a, b, c in mesh.faces:
-        a, b, c = int(a), int(b), int(c)
-        mab, mbc, mca = mid(a, b), mid(b, c), mid(c, a)
-        new_faces.extend([(a, mab, mca), (mab, b, mbc), (mca, mbc, c), (mab, mbc, mca)])
-    vertices = np.concatenate([mesh.vertices, midpoints]) if len(edges) else mesh.vertices
-    return Mesh(vertices, np.array(new_faces, dtype=np.int64).reshape(-1, 3))
+    a, b, c = f.T
+    mab, mbc, mca = (mesh.num_vertices + rank.reshape(-1, 3)).T
+    new_faces = np.stack([a, mab, mca, mab, b, mbc, mca, mbc, c, mab, mbc, mca], axis=1)
+    return Mesh(np.concatenate([mesh.vertices, midpoints]), new_faces.reshape(-1, 3))
 
 
 def refine_mesh(
@@ -126,9 +122,13 @@ def refine_mesh(
     working vertices are ``v + tanh(o)``; offsets are baked in at the end of
     the stage. Face connectivity never changes within a stage; with
     ``subdivide_between_stages`` both mesh and baseline are midpoint
-    subdivided between stages. The per-stage sampling seed is fixed, so each
-    stage descends a deterministic objective. Returns the refined mesh and
-    the per-iteration loss trace.
+    subdivided between stages. Each stage builds one loss plan
+    (:func:`alphaforge.loss.loss_plan`): its sampling map, drawn with the
+    stage's fixed seed, the target's kd-tree, the stage topology and the
+    baseline's Laplacian coordinates stay fixed over the stage's
+    iterations, so each stage descends a deterministic objective that is
+    continuous in the offsets (samples ride their faces as vertices move).
+    Returns the refined mesh and the per-iteration loss trace.
 
     Raises NonFinite when a loss or gradient stops being finite (step size
     too large for the geometry).
@@ -136,25 +136,16 @@ def refine_mesh(
     mesh = initial
     base = baseline
     n_samples = max(len(gt_samples), 1)
-    needs_samples = (cfg.weights.lambda1 > 0 or cfg.weights.lambda2 > 0
-                     or cfg.weights.lambda6 > 0)
     trace: list[LossBreakdown] = []
     for stage in range(cfg.stages):
         anchor = mesh.vertices
         offsets = np.zeros_like(anchor)
-        stage_seed = seed + stage
-        fixed = None
-        if needs_samples and cfg.iters_per_stage:
-            # freeze the stage's sampling map so the objective is continuous
-            # in the offsets (samples ride their faces as vertices move)
-            _, face_idx, bary = sample_surface_with_faces(mesh, n_samples, stage_seed)
-            fixed = (face_idx, bary)
+        if cfg.iters_per_stage:
+            plan = loss_plan(mesh, gt_samples, base, cfg.weights, n_samples, seed + stage)
         for _ in range(cfg.iters_per_stage):
             disp = np.tanh(offsets)
             current = mesh.with_vertices(anchor + disp)
-            breakdown, grad = total_loss_with_grad(
-                current, gt_samples, base, cfg.weights, n_samples, stage_seed,
-                fixed_sampling=fixed)
+            breakdown, grad = total_loss_with_grad(current, plan)
             if not math.isfinite(breakdown.total) or not np.isfinite(grad).all():
                 raise NonFinite("loss or gradient became non-finite; reduce step_size")
             trace.append(breakdown)

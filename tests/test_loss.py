@@ -1,3 +1,5 @@
+from dataclasses import astuple
+
 import numpy as np
 import pytest
 
@@ -14,12 +16,15 @@ from alphaforge import (
     laplacian_reg,
     log_chamfer,
     log_chamfer_grad,
+    loss_plan,
     normal_consistency,
     normal_loss,
     sample_surface,
     smooth_weights,
+    subdivide,
     total_loss,
     total_loss_grad,
+    total_loss_with_grad,
 )
 from alphaforge.errors import (
     EmptyCloud,
@@ -223,6 +228,16 @@ class TestNormalConsistency:
         assert normal_consistency(mesh) == pytest.approx(total, rel=1e-12)
 
 
+    def test_nonmanifold_edge_pairs_every_face(self):
+        # three faces share edge (0, 1): each of the three pairs is adjacent
+        verts = np.array([[0.0, 0, 0], [1.0, 0, 0], [0.5, 1, 0], [0.5, -1, 0.2],
+                          [0.5, 0.3, 1]])
+        mesh = Mesh(verts, np.array([[0, 1, 2], [1, 0, 3], [0, 1, 4]]))
+        n = face_normals(mesh)
+        expected = sum(1.0 - n[a] @ n[b] for a, b in ((0, 1), (0, 2), (1, 2)))
+        assert normal_consistency(mesh) == pytest.approx(expected, rel=1e-12)
+
+
 class TestNormalLoss:
     def test_identical_zero(self):
         rng = np.random.default_rng(5)
@@ -393,3 +408,37 @@ class TestRigidInvariance:
         other_moved = other.with_vertices(other.vertices @ rot.T + shift)
         assert laplacian_reg(moved, other_moved) == pytest.approx(
             laplacian_reg(tetra_mesh, other), abs=1e-9)
+
+
+class TestLossPlan:
+    def setup_method(self):
+        rng = np.random.default_rng(60)
+        self.base = icosphere(2)
+        self.mesh = self.base.with_vertices(
+            self.base.vertices + 0.03 * rng.normal(size=self.base.vertices.shape))
+        self.gt = sample_surface(icosphere(3), 500, seed=61)  # with normals
+        self.w = LossWeights(lambda1=1.0, lambda2=1.0, lambda3=0.5, lambda4=0.15,
+                             lambda5=1e-3, lambda6=0.2)
+
+    def test_plan_path_is_byte_identical_to_one_shot_entry_points(self):
+        plan = loss_plan(self.mesh, self.gt, self.base, self.w, 400, seed=62)
+        breakdown, grad = total_loss_with_grad(self.mesh, plan)
+        one_shot = total_loss(self.mesh, self.gt, self.base, self.w, 400, seed=62)
+        assert all(v != 0 for v in astuple(breakdown))  # every term is active
+        assert np.array_equal(astuple(breakdown), astuple(one_shot))
+        assert np.array_equal(
+            grad, total_loss_grad(self.mesh, self.gt, self.base, self.w, 400, seed=62))
+
+    def test_plan_is_reusable_across_vertex_moves(self):
+        plan = loss_plan(self.mesh, self.gt, self.base, self.w, 400, seed=62)
+        first = total_loss_with_grad(self.mesh, plan)
+        moved = self.mesh.with_vertices(self.mesh.vertices * 1.01)
+        assert total_loss_with_grad(moved, plan)[0] != first[0]
+        again = total_loss_with_grad(self.mesh, plan)
+        assert again[0] == first[0]
+        assert np.array_equal(again[1], first[1])
+
+    def test_other_connectivity_rejected(self):
+        plan = loss_plan(self.mesh, self.gt, self.base, self.w, 400, seed=62)
+        with pytest.raises(ValueError):
+            total_loss_with_grad(subdivide(self.mesh), plan)

@@ -1,9 +1,13 @@
+from dataclasses import replace
+
 import numpy as np
 import pytest
 
+import alphaforge.loss
 from alphaforge import (
     LossWeights,
     Mesh,
+    PointCloud,
     RefineConfig,
     TaubinConfig,
     chamfer,
@@ -92,6 +96,23 @@ class TestSubdivide:
         a, b = subdivide(tetra_mesh), subdivide(other)
         np.testing.assert_array_equal(a.faces, b.faces)
 
+    def test_exact_arrays(self, tetra_mesh):
+        out = subdivide(tetra_mesh)
+        np.testing.assert_array_equal(out.vertices, [
+            [1, 1, 1], [1, -1, -1], [-1, 1, -1], [-1, -1, 1], [1, 0, 0],
+            [0, 1, 0], [0, 0, 1], [0, 0, -1], [0, -1, 0], [-1, 0, 0]])
+        np.testing.assert_array_equal(out.faces, [
+            [0, 4, 5], [4, 1, 7], [5, 7, 2], [4, 7, 5], [0, 6, 4], [6, 3, 8],
+            [4, 8, 1], [6, 8, 4], [0, 5, 6], [5, 2, 9], [6, 9, 3], [5, 9, 6],
+            [1, 8, 7], [8, 3, 9], [7, 9, 2], [8, 9, 7]])
+        assert out.faces.dtype == np.int64
+
+    def test_no_faces(self):
+        mesh = Mesh(np.eye(3))
+        out = subdivide(mesh)
+        np.testing.assert_array_equal(out.vertices, mesh.vertices)
+        assert out.faces.shape == (0, 3)
+
 
 class TestRefineMesh:
     def make_fixture(self, noise=0.05, seed=30):
@@ -160,6 +181,26 @@ class TestRefineMesh:
                            weights=huge)
         with np.errstate(all="ignore"), pytest.raises(NonFinite):
             refine_mesh(noisy, gt, None, cfg, seed=7)
+
+    @pytest.mark.parametrize("with_normals", [False, True])
+    def test_two_nearest_neighbor_queries_per_iteration(self, monkeypatch, with_normals):
+        noisy, gt, baseline = self.make_fixture()
+        weights = smooth_weights()
+        if not with_normals:
+            gt = PointCloud(gt.points)
+            weights = replace(weights, lambda6=0.0)
+        calls = []
+        original = alphaforge.loss.nearest_neighbors
+
+        def counting(*args, **kwargs):
+            calls.append(len(args[0]))
+            return original(*args, **kwargs)
+
+        monkeypatch.setattr(alphaforge.loss, "nearest_neighbors", counting)
+        cfg = RefineConfig(stages=2, iters_per_stage=3, step_size=3e-5, weights=weights)
+        _, trace = refine_mesh(noisy, gt, baseline, cfg, seed=9)
+        assert len(trace) == 6
+        assert len(calls) == 2 * 6
 
     def test_trace_csv_shape(self):
         noisy, gt, baseline = self.make_fixture()
