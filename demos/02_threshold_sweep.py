@@ -26,7 +26,7 @@ print(f"\n{'tau':>6}{'kept':>8}{'faces':>8}{'chi':>6}")
 for tau in (0.05, 0.15, 0.3, 0.5, 0.8, 1.5):
     kept = filter_tetrahedra(complex_, tau)
     try:
-        mesh, _ = extract_boundary_faces(kept, complex_.points)
+        mesh, _ = extract_boundary_faces(complex_, kept)
         print(f"{tau:>6}{len(kept):>8}{mesh.num_faces:>8}"
               f"{euler_characteristic(mesh):>6}")
     except EmptySelection:
@@ -34,7 +34,7 @@ for tau in (0.05, 0.15, 0.3, 0.5, 0.8, 1.5):
 
 print("\nthe filter is monotone: every tetrahedron kept at a small tau"
       " is still kept at any larger tau")
-sets = [frozenset(map(tuple, filter_tetrahedra(complex_, tau).tolist()))
+sets = [frozenset(filter_tetrahedra(complex_, tau).tolist())
         for tau in (0.2, 0.3, 0.5)]
 assert sets[0] <= sets[1] <= sets[2]
 print("verified on taus 0.2 <= 0.3 <= 0.5")

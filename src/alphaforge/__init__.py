@@ -11,6 +11,7 @@ from .alphashape import (
     PRETTY_TAUS,
     SMOOTH_TAUS,
     TAU_PRESETS,
+    boundary_meshes,
     extract_boundary_faces,
     filter_tetrahedra,
     triangulate,
@@ -87,7 +88,7 @@ __all__ = [
     "LossWeights", "Mesh", "METRIC_SAMPLES", "PRETTY_TAUS", "PointCloud", "QPolicy", "REWARD_SAMPLES",
     "RefineConfig", "RigidTransform", "SMOOTH_TAUS", "SyntheticSpec",
     "TAU_PRESETS", "TaubinConfig", "TrainLog", "apply_protocol_scaling",
-    "boundary_edges", "chamfer", "chamfer_grad", "circumsphere",
+    "boundary_edges", "boundary_meshes", "chamfer", "chamfer_grad", "circumsphere",
     "delaunay_complex", "edge_length_reg", "enclosed_volume", "errors",
     "euler_characteristic", "evaluate", "extract_boundary_faces", "f1_score",
     "face_areas", "face_normals", "filter_tetrahedra", "icosphere",

@@ -5,6 +5,11 @@ every tetrahedron whose circumradius exceeds a threshold tau, and keeps the
 faces incident to exactly one surviving tetrahedron. Interior walls (faces
 shared by two kept tetrahedra) are discarded, so the result is the boundary
 surface of the filtered solid.
+
+The complex is a filtration: every tau keeps a prefix of the tetrahedra
+ordered by circumradius, so one complex serves every threshold
+(:func:`boundary_meshes`). Boundary faces are found from the complex's
+neighbour array, one lookup per face of a kept tetrahedron.
 """
 
 from __future__ import annotations
@@ -32,45 +37,58 @@ _FACE_SLOTS = np.array([[1, 2, 3], [0, 2, 3], [0, 1, 3], [0, 1, 2]])
 
 
 def filter_tetrahedra(complex_: DelaunayComplex, tau: float) -> np.ndarray:
-    """Simplices with circumradius <= tau, as a (k, 4) array in input order."""
+    """Ascending row indices of the tetrahedra with circumradius <= tau."""
     if tau <= 0:
         raise ValueError("tau must be positive")
-    return complex_.simplices[complex_.radii <= tau]
+    return np.flatnonzero(complex_.radii <= tau)
 
 
 def extract_boundary_faces(
-    simplices: np.ndarray, points: PointCloud
+    complex_: DelaunayComplex, kept: np.ndarray
 ) -> tuple[Mesh, np.ndarray]:
-    """Boundary mesh of a (k, 4) tetrahedron index array, plus the vertex
-    index remap.
+    """Boundary mesh of the tetrahedra at row indices ``kept``, plus the
+    vertex index remap.
 
-    Keeps faces whose unordered index triple appears in exactly one
-    tetrahedron, oriented so each face normal points away from its
-    tetrahedron's fourth vertex. Output vertices are re-indexed to those
-    referenced; the second return value maps new index -> original index.
+    A face of a kept tetrahedron is on the boundary iff its neighbour across
+    that face is the hull (-1) or not kept. Faces come in slot-major order
+    (every kept tetrahedron's slot-0 face, then every slot-1 face, ...),
+    oriented so each face normal points away from its tetrahedron's fourth
+    vertex. Output vertices are re-indexed to those referenced; the second
+    return value maps new index -> original index.
     """
-    quads = np.asarray(simplices, dtype=np.int64)
-    if not len(quads):
+    kept = np.asarray(kept, dtype=np.int64)
+    if not len(kept):
         raise EmptySelection("no tetrahedra to extract faces from")
-    # slot-major: every tetrahedron's slot-0 face, then every slot-1 face, ...
-    faces = quads[:, _FACE_SLOTS].swapaxes(0, 1).reshape(-1, 3)
-    opposite = quads.T.reshape(-1)
-    key = np.sort(faces, axis=1)
-    _, first, counts = np.unique(key, axis=0, return_index=True, return_counts=True)
-    boundary_idx = np.sort(first[counts == 1])
-    bfaces = faces[boundary_idx]
-    bopp = opposite[boundary_idx]
+    inside = np.zeros(len(complex_) + 1, dtype=bool)  # last entry: the hull, -1
+    inside[kept] = True
+    boundary = ~inside[complex_.neighbors[kept]]
+    slot, row = np.divmod(np.flatnonzero(boundary.T.reshape(-1)), len(kept))
+    quads = complex_.simplices[kept[row]]
+    bfaces = np.take_along_axis(quads, _FACE_SLOTS[slot], axis=1)
+    bopp = quads[np.arange(len(quads)), slot]
 
-    pts = points.points
+    pts = complex_.points.points
     a, b, c = pts[bfaces[:, 0]], pts[bfaces[:, 1]], pts[bfaces[:, 2]]
     outward = np.einsum("ij,ij->i", np.cross(b - a, c - a), pts[bopp] - a)
     flip = outward > 0
     bfaces[flip] = bfaces[flip][:, [0, 2, 1]]
 
-    used = np.unique(bfaces)
+    referenced = np.zeros(len(pts), dtype=bool)
+    referenced[bfaces] = True
+    used = np.flatnonzero(referenced)
     remap = np.full(len(pts), -1, dtype=np.int64)
     remap[used] = np.arange(len(used))
     return Mesh(pts[used], remap[bfaces]), used
+
+
+def boundary_meshes(complex_: DelaunayComplex, taus) -> list[Mesh | None]:
+    """The alpha-shape boundary mesh at each tau, read off one complex;
+    None where filtering removes every tetrahedron."""
+    meshes = []
+    for tau in taus:
+        kept = filter_tetrahedra(complex_, tau)
+        meshes.append(extract_boundary_faces(complex_, kept)[0] if len(kept) else None)
+    return meshes
 
 
 def triangulate(points: PointCloud | np.ndarray, tau: float) -> Mesh:
@@ -80,8 +98,7 @@ def triangulate(points: PointCloud | np.ndarray, tau: float) -> Mesh:
     too small for this cloud; the caller decides how to recover.
     """
     complex_ = delaunay_complex(points)
-    kept = filter_tetrahedra(complex_, tau)
-    if not len(kept):
+    (mesh,) = boundary_meshes(complex_, (tau,))
+    if mesh is None:
         raise EmptyMesh(f"tau={tau} removed all {len(complex_)} tetrahedra")
-    mesh, _ = extract_boundary_faces(kept, complex_.points)
     return mesh

@@ -26,7 +26,8 @@ from pathlib import Path
 import numpy as np
 
 from . import meshio
-from .alphashape import TAU_PRESETS, triangulate
+from .alphashape import TAU_PRESETS, boundary_meshes, triangulate
+from .delaunay import delaunay_complex
 from .errors import AlphaForgeError, ConfigError
 from .loss import LossWeights, pretty_weights, smooth_weights
 from .mesh import PointCloud, boundary_edges, euler_characteristic, nonmanifold_edges
@@ -238,21 +239,28 @@ def _cmd_reconstruct(args) -> int:
 
 
 def _ablate_instance(item, taus, policy, nu, n_samples, seed):
+    """One instance's rewards at each tau and at the policy's pick, all read
+    off one complex; any AlphaForgeError scores 0."""
     cls, name, cloud, gt = item
-    row = {}
-    for tau in taus:
-        try:
-            mesh = triangulate(cloud, tau)
-            row[tau] = reward(mesh, gt, nu=nu, n_samples=n_samples, seed=seed)
-        except AlphaForgeError:
-            row[tau] = 0.0
+    scored = list(taus)
     if policy is not None:
-        tau = policy.actions[int(np.argmax(q_values(policy, state_descriptor(cloud))))]
+        pick = policy.actions[int(np.argmax(q_values(policy, state_descriptor(cloud))))]
+        if pick not in scored:  # else the tau cell has the same mesh and seed
+            scored.append(pick)
+    try:
+        meshes = boundary_meshes(delaunay_complex(cloud), scored)
+    except AlphaForgeError:
+        meshes = [None] * len(scored)
+    rewards = {}
+    for tau, mesh in zip(scored, meshes):
         try:
-            mesh = triangulate(cloud, tau)
-            row["policy"] = reward(mesh, gt, nu=nu, n_samples=n_samples, seed=seed)
+            rewards[tau] = 0.0 if mesh is None else reward(
+                mesh, gt, nu=nu, n_samples=n_samples, seed=seed)
         except AlphaForgeError:
-            row["policy"] = 0.0
+            rewards[tau] = 0.0
+    row = {tau: rewards[tau] for tau in taus}
+    if policy is not None:
+        row["policy"] = rewards[pick]
     return cls, row
 
 

@@ -22,15 +22,22 @@ class DelaunayComplex:
 
     ``simplices`` is a (T, 4) int64 array of ascending vertex indices with
     rows in lexicographic order; ``centers`` (T, 3) and ``radii`` (T,) hold
-    each row's circumsphere. No input point lies strictly inside any
-    circumsphere (strictly: closer than radius * (1 - 1e-9)), and the union
-    of tetrahedra triangulates the convex hull.
+    each row's circumsphere. ``neighbors`` (T, 4) int64 gives, for slot k,
+    the row sharing the face opposite ``simplices[t, k]``, or -1 across the
+    hull and across a dropped sliver. No input point lies strictly inside
+    any circumsphere (strictly: closer than radius * (1 - 1e-9)), and the
+    union of tetrahedra triangulates the convex hull.
+
+    The complex is a filtration: the alpha shape at tau keeps the rows with
+    radius <= tau, a prefix of the rows ordered by radius, so one complex
+    serves every threshold.
     """
 
     points: PointCloud
     simplices: np.ndarray
     centers: np.ndarray
     radii: np.ndarray
+    neighbors: np.ndarray
 
     def __len__(self) -> int:
         return len(self.simplices)
@@ -116,7 +123,15 @@ def delaunay_complex(points: PointCloud | np.ndarray) -> DelaunayComplex:
         tri = _SciPyDelaunay(pts)
     except QhullError as exc:  # pragma: no cover - pre-checks catch the common cases
         raise DegenerateInput(f"tetrahedralization failed: {exc}") from exc
-    simplices = np.sort(tri.simplices, axis=1).astype(np.int64)
-    simplices = simplices[np.lexsort(simplices.T[::-1])]
+    # Sort each row's vertices and carry the neighbour across each slot along.
+    slots = np.argsort(tri.simplices, axis=1)
+    simplices = np.take_along_axis(tri.simplices, slots, axis=1).astype(np.int64)
+    neighbors = np.take_along_axis(tri.neighbors, slots, axis=1)
+    rows = np.lexsort(simplices.T[::-1])
+    simplices, neighbors = simplices[rows], neighbors[rows]
     centers, radii, ok = _batch_circumspheres(pts, simplices)
-    return DelaunayComplex(cloud, simplices[ok], centers[ok], radii[ok])
+    # Qhull id -> kept row id; the extra last entry maps Qhull's -1 to -1.
+    renumber = np.full(len(rows) + 1, -1, dtype=np.int64)
+    renumber[rows[ok]] = np.arange(np.count_nonzero(ok))
+    return DelaunayComplex(cloud, simplices[ok], centers[ok], radii[ok],
+                           renumber[neighbors[ok]])

@@ -102,8 +102,19 @@ class Mesh:
             raise InvalidMesh("mesh contains a zero-area face")
 
     def with_vertices(self, vertices) -> "Mesh":
-        """Same connectivity, new vertex positions."""
-        return Mesh(vertices, self.faces)
+        """Same connectivity, new vertex positions.
+
+        The faces were validated when this mesh was built, so only the new
+        vertex array is checked: its shape, and that it has as many rows as
+        the old one (else InvalidMesh).
+        """
+        verts = _as_points(vertices, "vertices")
+        if len(verts) != len(self.vertices):
+            raise InvalidMesh(f"expected {len(self.vertices)} vertices, got {len(verts)}")
+        out = object.__new__(Mesh)
+        object.__setattr__(out, "vertices", verts)
+        object.__setattr__(out, "faces", self.faces)
+        return out
 
 
 def unique_edges(mesh: Mesh) -> np.ndarray:

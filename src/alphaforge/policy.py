@@ -16,7 +16,8 @@ from dataclasses import dataclass, field
 import numpy as np
 from scipy.spatial import cKDTree
 
-from .alphashape import triangulate
+from .alphashape import boundary_meshes
+from .delaunay import delaunay_complex
 from .errors import EmptyMesh, RewardOutOfRange, TooFewPoints
 from .mesh import Mesh, PointCloud
 from .metrics import f1_score
@@ -184,15 +185,19 @@ def train_policy(
     """Train on (cloud, ground-truth mesh) pairs for ``episodes`` transitions.
 
     Each transition: build the descriptor, epsilon-greedily pick a threshold,
-    run the triangulation layer, score the result with the F1 reward (an
-    empty filtered complex scores 0), and buffer the transition. Every
-    ``period`` transitions the buffer is replayed once through the update
-    rule and cleared. The dataset order is reshuffled every pass.
+    take the cloud's alpha-shape mesh at it, score the result with the F1
+    reward (an empty filtered complex scores 0), and buffer the transition.
+    Every ``period`` transitions the buffer is replayed once through the
+    update rule and cleared. The dataset order is reshuffled every pass.
+
+    A cloud is tetrahedralized once, at its first visit, and its meshes for
+    every action are read off that one complex; only the meshes are kept.
     """
     if not dataset:
         raise ValueError("dataset must be non-empty")
     rng = np.random.Generator(np.random.Philox(seed))
     descriptors = [state_descriptor(cloud) for cloud, _ in dataset]
+    meshes: dict[int, list[Mesh | None]] = {}
     log = TrainLog()
     buffer: list[tuple[np.ndarray, int, float]] = []
     step = 0
@@ -206,13 +211,16 @@ def train_policy(
             qv = q_values(policy, s)
             explore = rng.random() < policy.epsilon
             action = int(rng.integers(policy.n_actions)) if explore else int(np.argmax(qv))
-            tau = policy.actions[action]
-            try:
-                mesh = triangulate(cloud, tau)
-                r = reward(mesh, gt, nu=nu, n_samples=n_samples,
-                           seed=int(rng.integers(2**62)))
-            except EmptyMesh:
-                r = 0.0
+            if i not in meshes:
+                meshes[i] = boundary_meshes(delaunay_complex(cloud), policy.actions)
+            mesh = meshes[i][action]
+            r = 0.0
+            if mesh is not None:  # the reward seed is drawn only for a mesh
+                try:
+                    r = reward(mesh, gt, nu=nu, n_samples=n_samples,
+                               seed=int(rng.integers(2**62)))
+                except EmptyMesh:  # an empty ground-truth mesh
+                    pass
             buffer.append((s, action, r))
             log.append(state_hash(s), action, r, policy.epsilon, not explore)
             step += 1

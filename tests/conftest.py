@@ -30,3 +30,24 @@ def tetra_mesh() -> Mesh:
 def single_triangle() -> Mesh:
     return Mesh(np.array([[0.0, 0, 0], [1.0, 0, 0], [0.0, 1, 0]]),
                 np.array([[0, 1, 2]]))
+
+
+@pytest.fixture
+def complex_builds(monkeypatch):
+    """Counts ``delaunay_complex`` calls made through any alphaforge module."""
+    import sys
+
+    from alphaforge import delaunay
+
+    original = delaunay.delaunay_complex
+    calls = []
+
+    def counted(points):
+        calls.append(points)
+        return original(points)
+
+    for name, module in list(sys.modules.items()):
+        if ((name == "alphaforge" or name.startswith("alphaforge."))
+                and getattr(module, "delaunay_complex", None) is original):
+            monkeypatch.setattr(module, "delaunay_complex", counted)
+    return calls

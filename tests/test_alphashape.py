@@ -10,9 +10,12 @@ from scipy.spatial import Delaunay
 from alphaforge import (
     PRETTY_TAUS,
     SMOOTH_TAUS,
+    DelaunayComplex,
+    Mesh,
     PointCloud,
     SyntheticSpec,
     boundary_edges,
+    boundary_meshes,
     delaunay_complex,
     enclosed_volume,
     euler_characteristic,
@@ -23,7 +26,7 @@ from alphaforge import (
     triangulate,
 )
 from alphaforge.errors import EmptyMesh, EmptySelection
-from test_delaunay import REGULAR_TETRA
+from test_delaunay import GRID_3, REGULAR_TETRA
 
 
 def circumradii_and_volumes(points, simplices):
@@ -43,6 +46,55 @@ def circumradii_and_volumes(points, simplices):
     return np.sqrt(np.maximum(prod, 0.0)) / (24 * volume), volume
 
 
+def complex_from_quads(points, quads):
+    """A DelaunayComplex over hand-built tetrahedra, with the neighbours
+    found by brute-force face matching; no circumspheres."""
+    quads = np.sort(np.asarray(quads, dtype=np.int64), axis=1)
+    quads = quads[np.lexsort(quads.T[::-1])]
+    owners = {}
+    for t, q in enumerate(quads.tolist()):
+        for v in q:
+            owners.setdefault(frozenset(q) - {v}, []).append(t)
+    neighbors = np.array([[next((o for o in owners[frozenset(q) - {v}] if o != t), -1)
+                           for v in q] for t, q in enumerate(quads.tolist())],
+                         dtype=np.int64).reshape(-1, 4)
+    nan = np.full(len(quads), np.nan)
+    return DelaunayComplex(PointCloud(points), quads, np.column_stack([nan] * 3),
+                           nan, neighbors)
+
+
+def face_count_boundary(complex_, kept):
+    """Oracle: the boundary by counting faces over the kept tetrahedra.
+
+    Faces in slot-major order (all slot-0 faces, then all slot-1 faces, ...)
+    whose vertex set occurs once, oriented away from the opposite vertex,
+    re-indexed to the vertices they use."""
+    quads = complex_.simplices[kept].tolist()
+    count = Counter(frozenset(q) - {v} for q in quads for v in q)
+    pts = complex_.points.points
+    faces = []
+    for k in range(4):
+        for q in quads:
+            face = [v for v in q if v != q[k]]
+            if count[frozenset(face)] != 1:
+                continue
+            a, b, c = pts[face]
+            if np.dot(np.cross(b - a, c - a), pts[q[k]] - a) > 0:
+                face = [face[0], face[2], face[1]]
+            faces.append(face)
+    used = sorted({v for f in faces for v in f})
+    index = {v: i for i, v in enumerate(used)}
+    return Mesh(pts[used], [[index[v] for v in f] for f in faces]), np.array(used)
+
+
+def assert_matches_face_count(complex_, kept):
+    mesh, used = extract_boundary_faces(complex_, kept)
+    ref, ref_used = face_count_boundary(complex_, kept)
+    np.testing.assert_array_equal(mesh.faces, ref.faces)
+    np.testing.assert_array_equal(mesh.vertices, ref.vertices)
+    np.testing.assert_array_equal(used, ref_used)
+
+
 def edge_face_counts(mesh):
     counts = Counter()
     for a, b, c in mesh.faces.tolist():
@@ -58,7 +110,7 @@ class TestFilter:
 
     def test_removes_above_threshold(self):
         complex_ = delaunay_complex(PointCloud(REGULAR_TETRA))
-        assert filter_tetrahedra(complex_, 0.5).shape == (0, 4)
+        assert filter_tetrahedra(complex_, 0.5).shape == (0,)
 
     def test_presets(self):
         assert SMOOTH_TAUS == (0.05, 0.085, 0.11)
@@ -71,15 +123,15 @@ class TestFilter:
         cloud, _ = synth(SyntheticSpec("sphere", n=300, fill="solid", seed=8))
         complex_ = delaunay_complex(cloud)
         taus = [0.1, 0.2, 0.4, 0.8]
-        kept = [set(map(tuple, filter_tetrahedra(complex_, tau).tolist())) for tau in taus]
+        kept = [set(filter_tetrahedra(complex_, tau).tolist()) for tau in taus]
         for small, big in zip(kept, kept[1:]):
             assert small <= big
 
 
 class TestExtractBoundary:
     def test_single_tetrahedron(self):
-        pts = PointCloud(REGULAR_TETRA)
-        mesh, used = extract_boundary_faces(np.array([[0, 1, 2, 3]]), pts)
+        complex_ = complex_from_quads(REGULAR_TETRA, [[0, 1, 2, 3]])
+        mesh, used = extract_boundary_faces(complex_, np.array([0]))
         assert mesh.num_faces == 4
         assert euler_characteristic(mesh) == 2
         assert len(boundary_edges(mesh)) == 0
@@ -95,8 +147,8 @@ class TestExtractBoundary:
             [0.0, 0.0, 0.8],
             [0.0, 0.0, -0.8],
         ])
-        tets = np.array([[0, 1, 2, 3], [0, 1, 2, 4]])
-        mesh, _ = extract_boundary_faces(tets, PointCloud(pts))
+        complex_ = complex_from_quads(pts, [[0, 1, 2, 3], [0, 1, 2, 4]])
+        mesh, _ = extract_boundary_faces(complex_, np.array([0, 1]))
         assert mesh.num_faces == 6
         assert euler_characteristic(mesh) == 2
 
@@ -123,7 +175,8 @@ class TestExtractBoundary:
         expected_boundary = {t for t, c in counts.items() if c == 1}
         assert len(expected_boundary) == 12
 
-        mesh, used = extract_boundary_faces(np.array(quads), PointCloud(corners))
+        mesh, used = extract_boundary_faces(complex_from_quads(corners, quads),
+                                            np.arange(6))
         got = {tuple(sorted(used[list(f)])) for f in mesh.faces.tolist()}
         assert got == expected_boundary
         assert euler_characteristic(mesh) == 2
@@ -131,8 +184,38 @@ class TestExtractBoundary:
 
     def test_empty_selection(self):
         with pytest.raises(EmptySelection):
-            extract_boundary_faces(np.zeros((0, 4), dtype=np.int64),
-                                   PointCloud(REGULAR_TETRA))
+            extract_boundary_faces(complex_from_quads(REGULAR_TETRA, [[0, 1, 2, 3]]),
+                                   np.zeros(0, dtype=np.int64))
+
+    def test_grid_with_dropped_slivers_matches_face_count(self):
+        complex_ = delaunay_complex(GRID_3)
+        rng = np.random.default_rng(4)
+        for _ in range(20):
+            kept = np.flatnonzero(rng.random(len(complex_)) < rng.random())
+            if len(kept):
+                assert_matches_face_count(complex_, kept)
+        assert_matches_face_count(complex_, np.arange(len(complex_)))
+
+    @settings(max_examples=30, deadline=None)
+    @given(seed=st.integers(0, 2**32 - 1), n=st.integers(5, 150),
+           tau=st.floats(0.02, 2.0))
+    def test_random_clouds_match_face_count(self, seed, n, tau):
+        complex_ = delaunay_complex(np.random.default_rng(seed).random((n, 3)))
+        kept = filter_tetrahedra(complex_, tau)
+        if len(kept):
+            assert_matches_face_count(complex_, kept)
+
+
+class TestBoundaryMeshes:
+    def test_one_complex_serves_every_tau(self):
+        cloud, _ = synth(SyntheticSpec("torus", n=600, fill="solid", seed=21))
+        taus = (1e-9, 0.15, 0.3, 0.9)
+        meshes = boundary_meshes(delaunay_complex(cloud), taus)
+        assert meshes[0] is None
+        for tau, mesh in zip(taus[1:], meshes[1:]):
+            ref = triangulate(cloud, tau)
+            np.testing.assert_array_equal(mesh.faces, ref.faces)
+            np.testing.assert_array_equal(mesh.vertices, ref.vertices)
 
 
 class TestTriangulate:
@@ -159,7 +242,7 @@ class TestTriangulate:
         complex_ = delaunay_complex(cloud)
         tau = complex_.radii.max() + 1.0
         kept = filter_tetrahedra(complex_, tau)
-        mesh, used = extract_boundary_faces(kept, cloud)
+        mesh, used = extract_boundary_faces(complex_, kept)
         assert euler_characteristic(mesh) == 2
         assert len(boundary_edges(mesh)) == 0
         hull_faces = {tuple(sorted(f)) for f in ConvexHull(cloud.points).simplices}

@@ -1,6 +1,10 @@
 import json
 
+import numpy as np
+
 from alphaforge import (
+    Mesh,
+    PointCloud,
     SyntheticSpec,
     boundary_edges,
     euler_characteristic,
@@ -158,6 +162,53 @@ class TestPolicyCommands:
         rows = table.read_text().strip().splitlines()
         assert rows[0] == "model,blob,torus"
         assert [r.split(",")[0] for r in rows[1:]] == ["tau=0.3", "tau=0.9", "policy"]
+
+    def dataset_with_flat_cloud(self, tmp_path, capsys):
+        """make_dataset, a policy trained on it, then a coplanar instance."""
+        root = make_dataset(tmp_path)
+        policy_path = tmp_path / "policy.json"
+        code, _, _ = invoke(
+            ["train-policy", "--dataset", str(root), "--actions", "0.3,0.9",
+             "--episodes", "12", "--seed", "2", "--nu", "0.2",
+             "--n-samples", "300", "--out", str(policy_path)], capsys)
+        assert code == 0
+        xy = np.random.default_rng(5).random((40, 2))
+        write_points(PointCloud(np.column_stack([xy, np.zeros(40)])), root / "flat__0.xyz")
+        write_mesh(Mesh(np.array([[0, 0, 0], [1, 0, 0], [1, 1, 0], [0, 1, 0.0]]),
+                        np.array([[0, 1, 2], [0, 2, 3]])), root / "flat__0.obj")
+        return root, policy_path
+
+    def ablate(self, tmp_path, capsys, root, policy_path, taus, jobs):
+        table = tmp_path / "table.csv"
+        code, _, _ = invoke(
+            ["ablate", "--dataset", str(root), "--taus", taus, "--policy",
+             str(policy_path), "--nu", "0.2", "--n-samples", "300",
+             "--jobs", jobs, "--out", str(table)], capsys)
+        assert code == 0
+        return table.read_text()
+
+    def test_ablate_builds_one_complex_per_instance(self, tmp_path, capsys,
+                                                    complex_builds):
+        root, policy_path = self.dataset_with_flat_cloud(tmp_path, capsys)
+        complex_builds.clear()
+        self.ablate(tmp_path, capsys, root, policy_path, "0.3,0.9", "1")
+        assert len(complex_builds) == 5
+
+    def test_ablate_tables_pinned(self, tmp_path, capsys):
+        """Tables recorded before one complex served every cell; the coplanar
+        instance scores 0 in every column."""
+        root, policy_path = self.dataset_with_flat_cloud(tmp_path, capsys)
+        for jobs in ("1", "2"):
+            # the policy picks 0.9 for every instance: a tau column, then none
+            assert self.ablate(tmp_path, capsys, root, policy_path, "0.3,0.9", jobs) == (
+                "model,blob,flat,torus\n"
+                "tau=0.3,52.071390568996414,0.0,97.49743577755116\n"
+                "tau=0.9,75.81891839668832,0.0,86.03371549456665\n"
+                "policy,75.81891839668832,0.0,86.03371549456665\n")
+            assert self.ablate(tmp_path, capsys, root, policy_path, "0.5", jobs) == (
+                "model,blob,flat,torus\n"
+                "tau=0.5,73.94467164827799,0.0,98.66638512790516\n"
+                "policy,75.81891839668832,0.0,86.03371549456665\n")
 
     def test_jobs_env_default(self, monkeypatch):
         from alphaforge.cli import _build_parser

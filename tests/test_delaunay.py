@@ -1,8 +1,11 @@
 import itertools
+from collections import Counter
 
 import numpy as np
 import pytest
-from scipy.spatial import ConvexHull
+from hypothesis import given, settings
+from hypothesis import strategies as st
+from scipy.spatial import ConvexHull, Delaunay
 
 from alphaforge import PointCloud, circumsphere, delaunay_complex
 from alphaforge.errors import DegenerateInput, DegenerateTetrahedron, TooFewPoints
@@ -37,6 +40,29 @@ def tetrahedra_volume(points, simplices):
     """Sum of |det| / 6 over the tetrahedra."""
     edges = points[simplices[:, 1:]] - points[simplices[:, :1]]
     return float(np.abs(np.linalg.det(edges)).sum() / 6)
+
+
+GRID_3 = np.mgrid[0:3, 0:3, 0:3].reshape(3, -1).T.astype(float)
+
+
+def check_neighbors(complex_):
+    """Oracle for ``neighbors``: the array shape and dtype, symmetric
+    adjacency, the neighbour across slot k sharing the row minus vertex k,
+    and -1 exactly on faces that no other kept row contains."""
+    simplices, neighbors = complex_.simplices, complex_.neighbors
+    assert neighbors.shape == simplices.shape and neighbors.dtype == np.int64
+    assert neighbors.min() >= -1 and neighbors.max() < len(simplices)
+    face_count = Counter(frozenset(q) - {v} for q in simplices.tolist() for v in q)
+    for t, (quad, nbrs) in enumerate(zip(simplices.tolist(), neighbors.tolist())):
+        for k, n in enumerate(nbrs):
+            face = frozenset(quad) - {quad[k]}
+            if n < 0:
+                assert face_count[face] == 1
+                continue
+            assert face_count[face] == 2
+            back = neighbors[n].tolist()
+            assert back.count(t) == 1
+            assert frozenset(simplices[n].tolist()) - {simplices[n, back.index(t)]} == face
 
 
 class TestCircumsphere:
@@ -135,3 +161,20 @@ class TestDelaunayComplex:
         # rows hold ascending indices and are lexicographically ordered
         assert (np.diff(a.simplices, axis=1) > 0).all()
         assert a.simplices.tolist() == sorted(a.simplices.tolist())
+
+
+class TestNeighbors:
+    def test_single_tetrahedron_touches_only_the_hull(self):
+        complex_ = delaunay_complex(PointCloud(REGULAR_TETRA))
+        np.testing.assert_array_equal(complex_.neighbors, [[-1, -1, -1, -1]])
+
+    def test_grid_drops_flat_slivers(self):
+        # ties on the cubic grid make Qhull emit flat slivers, which are dropped
+        complex_ = delaunay_complex(GRID_3)
+        assert len(complex_) < len(Delaunay(GRID_3).simplices)
+        check_neighbors(complex_)
+
+    @settings(max_examples=30, deadline=None)
+    @given(seed=st.integers(0, 2**32 - 1), n=st.integers(5, 120))
+    def test_random_clouds(self, seed, n):
+        check_neighbors(delaunay_complex(np.random.default_rng(seed).random((n, 3))))

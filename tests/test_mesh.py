@@ -121,6 +121,18 @@ class TestInvariants:
         with pytest.raises(InvalidMesh):
             Mesh(verts, np.array([[0, 1, 2], [2, 1, 0]]))
 
+    def test_with_vertices_checks_the_new_vertex_array(self, tetra_mesh):
+        moved = tetra_mesh.with_vertices(tetra_mesh.vertices * 2.0)
+        assert moved.faces is tetra_mesh.faces
+        np.testing.assert_array_equal(moved.vertices, tetra_mesh.vertices * 2.0)
+        for count in (3, 5):
+            with pytest.raises(InvalidMesh):
+                tetra_mesh.with_vertices(np.zeros((count, 3)))
+        with pytest.raises(ValueError):
+            tetra_mesh.with_vertices(np.zeros((4, 2)))
+        with pytest.raises(ValueError):
+            tetra_mesh.with_vertices(np.full((4, 3), np.inf))
+
     def test_nonfinite_vertices_rejected(self):
         with pytest.raises(ValueError):
             Mesh(np.array([[np.nan, 0, 0]]), np.zeros((0, 3), dtype=int))

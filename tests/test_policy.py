@@ -1,3 +1,5 @@
+import hashlib
+
 import numpy as np
 import pytest
 
@@ -16,7 +18,24 @@ from alphaforge import (
     update,
 )
 from alphaforge.errors import EmptyMesh, RewardOutOfRange, TooFewPoints
-from alphaforge.policy import STATE_DIM, load_policy, save_policy
+from alphaforge.policy import STATE_DIM, load_policy, policy_to_json, save_policy
+
+
+PINNED_LOG = """\
+step,state_hash,action,reward,epsilon,greedy
+0,e9734223b020c379,1,0.6088166214995483,0.9,0
+1,5e7f542963e9b815,0,0.0,0.9,1
+2,2a809b9645970cf9,0,0.0,0.88209,0
+3,2a809b9645970cf9,1,0.7007025761124122,0.88209,1
+4,e9734223b020c379,2,0.8766666666666667,0.8645364090000001,0
+5,5e7f542963e9b815,2,0.8503891050583658,0.8645364090000001,0
+6,5e7f542963e9b815,2,0.8303777335984095,0.8473321344609,1
+7,e9734223b020c379,0,0.0,0.8473321344609,0
+8,2a809b9645970cf9,2,0.9332857142857143,0.8304702249851281,0
+9,5e7f542963e9b815,2,0.8153629032258065,0.8304702249851281,1
+10,2a809b9645970cf9,2,0.9532284382284384,0.8139438675079241,0
+11,e9734223b020c379,0,0.0,0.8139438675079241,0
+"""
 
 
 def sphere_cloud(n=1000, seed=0):
@@ -216,6 +235,34 @@ class TestTrainPolicy:
                                        nu=0.2, n_samples=300)
             runs.append([(r["action"], r["reward"]) for r in log.records])
         assert runs[0] == runs[1]
+
+    def three_cloud_dataset(self):
+        # tau=0.05 is below every cloud's spacing: always EmptyMesh
+        dataset = []
+        for shape, n, seed in (("sphere", 120, 9), ("torus", 150, 21), ("sphere", 150, 31)):
+            kw = {"major_radius": 0.8} if shape == "sphere" else {"minor_radius": 0.25}
+            dataset.append(synth(SyntheticSpec(shape, n=n, fill="solid", seed=seed, **kw)))
+        return dataset
+
+    def test_one_complex_per_cloud(self, complex_builds):
+        policy = QPolicy.fresh((0.05, 0.3, 0.9), epsilon=0.9)
+        train_policy(self.three_cloud_dataset(), policy, episodes=12, seed=3,
+                     nu=0.2, n_samples=300)
+        assert len(complex_builds) == 3
+
+    def test_log_and_policy_pinned(self):
+        """Training output recorded before the complex was shared across
+        episodes; the empty action scores 0 without drawing a reward seed."""
+        dataset = self.three_cloud_dataset()
+        for cloud, _ in dataset:
+            with pytest.raises(EmptyMesh):
+                triangulate(cloud, 0.05)
+        policy = QPolicy.fresh((0.05, 0.3, 0.9), epsilon=0.9)
+        policy, log = train_policy(dataset, policy, episodes=12, seed=3,
+                                   nu=0.2, n_samples=300)
+        assert log.to_csv() == PINNED_LOG
+        digest = hashlib.sha256(policy_to_json(policy).encode()).hexdigest()
+        assert digest == "8e60430743895cfb2e0012b642f06e53b15551725cd08bd47b3f7f9459b836ce"
 
     def test_argmax_invariant_to_constant_shift(self):
         rng = np.random.default_rng(13)
