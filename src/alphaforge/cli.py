@@ -240,13 +240,18 @@ def _cmd_reconstruct(args) -> int:
 
 def _ablate_instance(item, taus, policy, nu, n_samples, seed):
     """One instance's rewards at each tau and at the policy's pick, all read
-    off one complex; any AlphaForgeError scores 0."""
+    off one complex; any AlphaForgeError scores 0, including a cloud the
+    policy cannot describe."""
     cls, name, cloud, gt = item
     scored = list(taus)
+    pick = None
     if policy is not None:
-        pick = policy.actions[int(np.argmax(q_values(policy, state_descriptor(cloud))))]
-        if pick not in scored:  # else the tau cell has the same mesh and seed
-            scored.append(pick)
+        try:
+            pick = policy.actions[int(np.argmax(q_values(policy, state_descriptor(cloud))))]
+        except AlphaForgeError:
+            pass
+    if pick is not None and pick not in scored:  # else the tau cell has the same mesh and seed
+        scored.append(pick)
     try:
         meshes = boundary_meshes(delaunay_complex(cloud), scored)
     except AlphaForgeError:
@@ -260,7 +265,7 @@ def _ablate_instance(item, taus, policy, nu, n_samples, seed):
             rewards[tau] = 0.0
     row = {tau: rewards[tau] for tau in taus}
     if policy is not None:
-        row["policy"] = rewards[pick]
+        row["policy"] = 0.0 if pick is None else rewards[pick]
     return cls, row
 
 

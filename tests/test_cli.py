@@ -15,7 +15,7 @@ from alphaforge import (
     write_points,
 )
 from alphaforge.cli import run
-from alphaforge.policy import load_policy
+from alphaforge.policy import QPolicy, load_policy, save_policy
 
 
 def invoke(argv, capsys):
@@ -209,6 +209,33 @@ class TestPolicyCommands:
                 "model,blob,flat,torus\n"
                 "tau=0.5,73.94467164827799,0.0,98.66638512790516\n"
                 "policy,75.81891839668832,0.0,86.03371549456665\n")
+
+    def test_ablate_policy_scores_undescribable_cloud_zero(self, tmp_path, capsys):
+        """A 6-point cloud is too small for the state descriptor: its policy
+        cell scores 0, like any other cell whose computation fails, and the
+        rest of the table is what ablate gives without a policy."""
+        root = tmp_path / "dataset"
+        root.mkdir()
+        cloud, gt = synth(SyntheticSpec("sphere", n=90, fill="solid", seed=600,
+                                        major_radius=0.8))
+        for name, points in (("blob__0", cloud.points), ("tiny__0", cloud.points[:6])):
+            write_points(PointCloud(points), root / f"{name}.xyz")
+            write_mesh(gt, root / f"{name}.obj")
+        policy_path = tmp_path / "policy.json"
+        save_policy(QPolicy.fresh((0.3, 0.9)), policy_path)  # zero weights pick 0.3
+        tables = []
+        for extra in ([], ["--policy", str(policy_path)]):
+            table = tmp_path / "table.csv"
+            code, _, err = invoke(
+                ["ablate", "--dataset", str(root), "--taus", "0.3,0.9", "--nu", "0.2",
+                 "--n-samples", "300", "--out", str(table)] + extra, capsys)
+            assert code == 0, err
+            tables.append(table.read_text())
+        plain, with_policy = tables
+        rows = plain.splitlines()
+        assert rows[0] == "model,blob,tiny"
+        blob_at_pick = rows[1].split(",")[1]
+        assert with_policy == plain + f"policy,{blob_at_pick},0.0\n"
 
     def test_jobs_env_default(self, monkeypatch):
         from alphaforge.cli import _build_parser
