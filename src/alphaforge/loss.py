@@ -104,6 +104,12 @@ def nearest_neighbors(a: np.ndarray, b: np.ndarray,
     return idx, dist**2
 
 
+def _tree(b: np.ndarray) -> cKDTree | None:
+    """kd-tree over b for repeated ``nearest_neighbors`` queries, or None
+    below ``BRUTE_FORCE_LIMIT`` points, where queries are brute force."""
+    return cKDTree(b) if len(b) >= BRUTE_FORCE_LIMIT else None
+
+
 class _Match(NamedTuple):
     """Two-way nearest-neighbor correspondence between clouds P and Q."""
 
@@ -468,8 +474,7 @@ def loss_plan(
             raise EmptyCloud("target cloud is empty")
         if w.lambda6 > 0 and not p_gt.has_normals:
             raise MissingNormals("normal loss needs normals on both clouds")
-        if len(p_gt) >= BRUTE_FORCE_LIMIT:
-            tree = cKDTree(p_gt.points)
+        tree = _tree(p_gt.points)
     lo_target = None
     if w.lambda3 > 0:
         if m_t is None:

@@ -17,7 +17,6 @@ from .mesh import Mesh, PointCloud
 
 MESH_FORMATS = ("obj", "off", "ply")
 POINT_FORMATS = ("xyz", "ply")
-WELD_TOL = 1e-9
 
 
 def _infer_format(path, fmt, allowed) -> str:
@@ -41,46 +40,10 @@ def _parse_floats(fields, lineno, count) -> list[float]:
     return vals
 
 
-def _fan(indices, lineno, triangulate_polygons):
+def _fan(indices, lineno):
     if len(indices) < 3:
         raise ParseError("face with fewer than 3 indices", lineno)
-    if len(indices) > 3 and not triangulate_polygons:
-        raise UnsupportedElement(
-            f"polygonal face with {len(indices)} vertices (triangulation disabled)",
-            lineno)
     return [(indices[0], indices[k], indices[k + 1]) for k in range(1, len(indices) - 1)]
-
-
-_CELL_OFFSETS = [(dx, dy, dz) for dx in (-1, 0, 1) for dy in (-1, 0, 1)
-                 for dz in (-1, 0, 1)]
-
-
-def _weld(vertices: np.ndarray, faces: list, tol: float):
-    """Merge vertices whose coordinates agree within tol; remaps faces.
-
-    Hash-grid with neighbor-cell probing so near-boundary pairs still weld.
-    """
-    keep: list[int] = []
-    remap = np.empty(len(vertices), dtype=np.int64)
-    grid: dict[tuple, int] = {}
-    inv = 1.0 / tol
-    for i, v in enumerate(vertices):
-        cx, cy, cz = (int(round(c)) for c in v * inv)
-        hit = None
-        for dx, dy, dz in _CELL_OFFSETS:
-            j = grid.get((cx + dx, cy + dy, cz + dz))
-            if j is not None and np.abs(vertices[keep[j]] - v).max() <= tol:
-                hit = j
-                break
-        if hit is None:
-            grid[(cx, cy, cz)] = len(keep)
-            remap[i] = len(keep)
-            keep.append(i)
-        else:
-            remap[i] = hit
-    welded = vertices[keep]
-    new_faces = [tuple(int(remap[i]) for i in f) for f in faces]
-    return welded, new_faces
 
 
 def _lines(path):
@@ -93,35 +56,28 @@ def _lines(path):
         raise UnsupportedElement(f"file is not ASCII/UTF-8 text ({exc})") from None
 
 
-def read_mesh(path, format: str | None = None, *, weld: bool = False,
-              triangulate_polygons: bool = True) -> Mesh:
-    """Read a triangle mesh; polygonal faces are fan-triangulated.
-
-    ``weld=True`` merges vertices closer than 1e-9 before face indexing
-    (off by default: silent welding changes topology diagnostics).
-    """
+def read_mesh(path, format: str | None = None) -> Mesh:
+    """Read a triangle mesh; polygonal faces are fan-triangulated. Vertices
+    are kept as written (never merged), so topology diagnostics see the
+    file's own connectivity."""
     fmt = _infer_format(path, format, MESH_FORMATS)
-    return mesh_from_text("\n".join(_lines(path)), fmt, weld=weld,
-                          triangulate_polygons=triangulate_polygons)
+    return mesh_from_text("\n".join(_lines(path)), fmt)
 
 
-def mesh_from_text(text: str, format: str, *, weld: bool = False,
-                   triangulate_polygons: bool = True) -> Mesh:
+def mesh_from_text(text: str, format: str) -> Mesh:
     """Parse a mesh from file contents already in memory."""
     fmt = _infer_format("", format, MESH_FORMATS)
     lines = text.splitlines()
     if fmt == "obj":
-        verts, faces = _read_obj(lines, triangulate_polygons)
+        verts, faces = _read_obj(lines)
     elif fmt == "off":
-        verts, faces = _read_off(lines, triangulate_polygons)
+        verts, faces = _read_off(lines)
     else:
-        verts, faces, _ = _read_ply(lines, triangulate_polygons)
-    if weld and len(verts):
-        verts, faces = _weld(verts, faces, WELD_TOL)
+        verts, faces, _ = _read_ply(lines)
     return Mesh(verts, np.array(faces, dtype=np.int64).reshape(-1, 3))
 
 
-def _read_obj(lines, triangulate_polygons):
+def _read_obj(lines):
     verts: list[list[float]] = []
     faces: list[tuple[int, int, int]] = []
     for lineno, raw in enumerate(lines, start=1):
@@ -143,12 +99,12 @@ def _read_obj(lines, triangulate_polygons):
                 if k == 0:
                     raise ParseError("OBJ indices are 1-based; got 0", lineno)
                 idx.append(k - 1 if k > 0 else len(verts) + k)
-            faces.extend(_fan(idx, lineno, triangulate_polygons))
+            faces.extend(_fan(idx, lineno))
         # vn/vt/usemtl and friends are ignored
     return np.array(verts, dtype=np.float64).reshape(-1, 3), faces
 
 
-def _read_off(lines, triangulate_polygons):
+def _read_off(lines):
     content = [(i + 1, ln.strip()) for i, ln in enumerate(lines)
                if ln.strip() and not ln.strip().startswith("#")]
     if not content or content[0][1] != "OFF":
@@ -178,11 +134,11 @@ def _read_off(lines, triangulate_polygons):
             raise ParseError("bad OFF face record", ln) from None
         if len(idx) != k:
             raise ParseError(f"face promises {k} indices, has {len(idx)}", ln)
-        faces.extend(_fan(idx, ln, triangulate_polygons))
+        faces.extend(_fan(idx, ln))
     return np.array(verts, dtype=np.float64).reshape(-1, 3), faces
 
 
-def _read_ply(lines, triangulate_polygons):
+def _read_ply(lines):
     """ASCII PLY reader; returns (vertices, faces, normals-or-None)."""
     if not lines or lines[0].strip() != "ply":
         raise ParseError("missing 'ply' magic", 1)
@@ -249,7 +205,7 @@ def _read_ply(lines, triangulate_polygons):
                     raise ParseError("bad PLY face record", ln) from None
                 if len(idx) != k:
                     raise ParseError(f"face promises {k} indices, has {len(idx)}", ln)
-                faces.extend(_fan(idx, ln, triangulate_polygons))
+                faces.extend(_fan(idx, ln))
         else:
             raise UnsupportedElement(f"element {name!r} not supported",
                                      rows[0][0] if rows else lineno)
@@ -298,7 +254,7 @@ def points_from_text(text: str, format: str) -> PointCloud:
     fmt = _infer_format("", format, POINT_FORMATS)
     lines = text.splitlines()
     if fmt == "ply":
-        verts, _, normals = _read_ply(lines, triangulate_polygons=True)
+        verts, _, normals = _read_ply(lines)
         if normals is not None:
             normals = _normalize_normals(normals, lineno=None)
         return PointCloud(verts, normals)

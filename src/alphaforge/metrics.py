@@ -4,6 +4,12 @@ Protocols: ``pixel2mesh`` (rescale by 0.57, F1 at radii 0.1/0.2),
 ``meshrcnn`` (rescale so the longest bounding-box edge is 10, F1 at
 0.1/0.3/0.5), ``tmnet`` (unscaled, ICP alignment before the Chamfer
 metric), ``skeleton`` (unscaled, per-class Chamfer reporting).
+
+The metrics read the loss module's two-way nearest-neighbor correspondence
+(``loss._match``) through the same kind of term helpers the loss uses: one
+evaluation makes one correspondence, from which the Chamfer, the F1 at
+every radius and the normal cosine are all read. ICP builds one kd-tree
+over its fixed target and queries it at every iteration.
 """
 
 from __future__ import annotations
@@ -13,7 +19,15 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .errors import DegenerateConfiguration, EmptyCloud, EmptyMesh, MissingNormals
-from .loss import chamfer, nearest_neighbors
+from .loss import (
+    _chamfer_value,
+    _Match,
+    _match,
+    _normal_cosines,
+    _require_clouds,
+    _tree,
+    nearest_neighbors,
+)
 from .mesh import Mesh, PointCloud
 from .sampling import METRIC_SAMPLES, sample_surface
 
@@ -105,10 +119,12 @@ def f1_score(p: PointCloud, q: PointCloud, r: float) -> tuple[float, float, floa
         raise EmptyCloud("f1_score needs non-empty clouds")
     if r <= 0:
         raise ValueError("radius must be positive")
-    _, d2_pq = nearest_neighbors(p.points, q.points)
-    _, d2_qp = nearest_neighbors(q.points, p.points)
-    precision = 100.0 * float((d2_pq <= r * r).mean())
-    recall = 100.0 * float((d2_qp <= r * r).mean())
+    return _f1(_match(p.points, q.points), r)
+
+
+def _f1(m: _Match, r: float) -> tuple[float, float, float]:
+    precision = 100.0 * float((m.d2_pq <= r * r).mean())
+    recall = 100.0 * float((m.d2_qp <= r * r).mean())
     f1 = 0.0 if precision + recall == 0 else 2 * precision * recall / (precision + recall)
     return precision, recall, f1
 
@@ -119,11 +135,12 @@ def normal_cosine(p: PointCloud, q: PointCloud) -> float:
         raise EmptyCloud("normal_cosine needs non-empty clouds")
     if not p.has_normals or not q.has_normals:
         raise MissingNormals("normal_cosine needs normals on both clouds")
-    idx_pq, _ = nearest_neighbors(p.points, q.points)
-    idx_qp, _ = nearest_neighbors(q.points, p.points)
-    cos_fwd = np.abs(np.einsum("ij,ij->i", p.normals, q.normals[idx_pq]))
-    cos_rev = np.abs(np.einsum("ij,ij->i", p.normals[idx_qp], q.normals))
-    return float((cos_fwd.sum() + cos_rev.sum()) / (len(p) + len(q)))
+    return _mean_abs_cosine(p.normals, q.normals, _match(p.points, q.points))
+
+
+def _mean_abs_cosine(pn: np.ndarray, qn: np.ndarray, m: _Match) -> float:
+    _, cos_fwd, cos_rev = _normal_cosines(pn, qn, m)
+    return float((np.abs(cos_fwd).sum() + np.abs(cos_rev).sum()) / (len(pn) + len(qn)))
 
 
 def _best_rigid_fit(src: np.ndarray, dst: np.ndarray) -> RigidTransform:
@@ -164,11 +181,12 @@ def icp_align(
     if len(pts) < 3 or svals[1] <= 1e-12 * max(svals[0], 1e-300):
         raise DegenerateConfiguration("point spread is rank-deficient (collinear)")
 
+    tree = _tree(q.points)
     transform = RigidTransform.identity()
     aligned = pts.copy()
     prev_mse = np.inf
     for _ in range(max_iters):
-        idx, d2 = nearest_neighbors(aligned, q.points)
+        idx, d2 = nearest_neighbors(aligned, q.points, tree=tree)
         if d2.max() == 0.0:
             # exact correspondence: a further fit would only add roundoff
             if history is not None:
@@ -183,9 +201,7 @@ def icp_align(
         if prev_mse - mse < tol:
             break
         prev_mse = mse
-    aligned_cloud = PointCloud(aligned, None if p.normals is None
-                               else p.normals @ transform.rotation.T)
-    return transform, chamfer(aligned_cloud, q)
+    return transform, _chamfer_value(_match(aligned, q.points, tree))
 
 
 def apply_protocol_scaling(mesh: Mesh, protocol: str) -> Mesh:
@@ -212,16 +228,16 @@ def evaluate(
     n_samples: int = METRIC_SAMPLES,
     seed: int = 0,
     class_label: str | None = None,
-    f1_radii: tuple[float, ...] | None = None,
 ) -> EvalReport:
     """Protocol evaluation of a predicted mesh against ground truth.
 
     Both meshes are protocol-scaled and surface-sampled with the same seed
     (common random numbers), so identical meshes hit the exact fixed point
-    chamfer 0 / F1 100 / cosine 1. The tmnet protocol ICP-aligns the
-    prediction before computing the Chamfer metric.
+    chamfer 0 / F1 100 / cosine 1. One nearest-neighbor correspondence
+    between the final clouds serves the Chamfer, every F1 radius and the
+    normal cosine. The tmnet protocol ICP-aligns the prediction first and
+    takes its Chamfer metric from ICP's incrementally aligned cloud.
     """
-    radii = F1_RADII[protocol] if f1_radii is None else tuple(f1_radii)
     pred_s = apply_protocol_scaling(pred, protocol)
     gt_s = apply_protocol_scaling(gt, protocol)
     pred_cloud = sample_surface(pred_s, n_samples, seed)
@@ -230,16 +246,17 @@ def evaluate(
     if protocol == "tmnet":
         transform, cd = icp_align(pred_cloud, gt_cloud)
         pred_cloud = transform.apply_to_cloud(pred_cloud)
-    else:
-        cd = chamfer(pred_cloud, gt_cloud)
+    _require_clouds(pred_cloud, gt_cloud)
+    match = _match(pred_cloud.points, gt_cloud.points)
+    if protocol != "tmnet":
+        cd = _chamfer_value(match)
 
     f1 = {}
     precision = {}
     recall = {}
-    for r in radii:
-        pr, rc, f = f1_score(pred_cloud, gt_cloud, r)
-        precision[r], recall[r], f1[r] = pr, rc, f
-    ncos = normal_cosine(pred_cloud, gt_cloud)
+    for r in F1_RADII[protocol]:
+        precision[r], recall[r], f1[r] = _f1(match, r)
+    ncos = _mean_abs_cosine(pred_cloud.normals, gt_cloud.normals, match)
     per_class = {class_label: cd} if (protocol == "skeleton" and class_label) else None
     return EvalReport(protocol=protocol, chamfer=cd, f1=f1,
                       normal_cosine=ncos, per_class=per_class,

@@ -1,3 +1,5 @@
+import sys
+
 import numpy as np
 import pytest
 
@@ -32,22 +34,43 @@ def single_triangle() -> Mesh:
                 np.array([[0, 1, 2]]))
 
 
+def _count_calls(monkeypatch, original, name: str) -> list:
+    """Wrap ``original`` in every alphaforge module that binds it as
+    ``name``; the returned list gets one entry (the positional arguments)
+    per call."""
+    calls = []
+
+    def counted(*args, **kwargs):
+        calls.append(args)
+        return original(*args, **kwargs)
+
+    for modname, module in list(sys.modules.items()):
+        if ((modname == "alphaforge" or modname.startswith("alphaforge."))
+                and getattr(module, name, None) is original):
+            monkeypatch.setattr(module, name, counted)
+    return calls
+
+
 @pytest.fixture
 def complex_builds(monkeypatch):
     """Counts ``delaunay_complex`` calls made through any alphaforge module."""
-    import sys
-
     from alphaforge import delaunay
 
-    original = delaunay.delaunay_complex
-    calls = []
+    return _count_calls(monkeypatch, delaunay.delaunay_complex, "delaunay_complex")
 
-    def counted(points):
-        calls.append(points)
-        return original(points)
 
-    for name, module in list(sys.modules.items()):
-        if ((name == "alphaforge" or name.startswith("alphaforge."))
-                and getattr(module, "delaunay_complex", None) is original):
-            monkeypatch.setattr(module, "delaunay_complex", counted)
-    return calls
+@pytest.fixture
+def nn_calls(monkeypatch):
+    """Counts ``loss.nearest_neighbors`` calls made through any alphaforge
+    module."""
+    from alphaforge import loss
+
+    return _count_calls(monkeypatch, loss.nearest_neighbors, "nearest_neighbors")
+
+
+@pytest.fixture
+def kdtree_builds(monkeypatch):
+    """Counts kd-trees built by any alphaforge module."""
+    from alphaforge import loss
+
+    return _count_calls(monkeypatch, loss.cKDTree, "cKDTree")

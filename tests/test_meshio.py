@@ -78,26 +78,10 @@ class TestReadMesh:
         mesh = read_mesh(write(tmp_path, "quad.obj", text))
         np.testing.assert_array_equal(mesh.faces, [[0, 1, 2], [0, 2, 3]])
 
-    def test_quad_rejected_when_triangulation_off(self, tmp_path):
-        text = "v 0 0 0\nv 1 0 0\nv 1 1 0\nv 0 1 0\nf 1 2 3 4\n"
-        path = write(tmp_path, "quad.obj", text)
-        with pytest.raises(UnsupportedElement):
-            read_mesh(path, triangulate_polygons=False)
-
     def test_binary_ply_rejected(self, tmp_path):
         text = "ply\nformat binary_little_endian 1.0\nend_header\n"
         with pytest.raises(UnsupportedElement):
             read_mesh(write(tmp_path, "bin.ply", text))
-
-    def test_weld_merges_duplicates(self, tmp_path):
-        text = ("v 0 0 0\nv 1 0 0\nv 0 1 0\nv 1 0 0\nv 0 1 0\nv 0 0 1\n"
-                "f 1 2 3\nf 4 5 6\n")
-        path = write(tmp_path, "dup.obj", text)
-        raw = read_mesh(path)
-        assert raw.num_vertices == 6
-        welded = read_mesh(path, weld=True)
-        assert welded.num_vertices == 4
-        assert welded.num_faces == 2
 
     def test_obj_negative_indices(self, tmp_path):
         text = "v 0 0 0\nv 1 0 0\nv 0 1 0\nf -3 -2 -1\n"

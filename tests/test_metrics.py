@@ -121,6 +121,19 @@ class TestIcp:
         assert len(history) >= 2
         assert all(b <= a + 1e-12 for a, b in zip(history, history[1:]))
 
+    @pytest.mark.parametrize("max_iters", [1, 4, 12])
+    def test_two_kdtree_builds_whatever_the_iterations(self, kdtree_builds, max_iters):
+        """One tree over the fixed target serves every iteration; one over
+        the aligned cloud serves the final Chamfer."""
+        rng = np.random.default_rng(8)
+        p = PointCloud(rng.random((80, 3)))
+        q = PointCloud(p.points @ rot_z(25.0).T + [0.2, 0.1, -0.3]
+                       + 0.01 * rng.normal(size=(80, 3)))
+        history = []
+        icp_align(p, q, max_iters=max_iters, tol=-np.inf, history=history)
+        assert len(history) == max_iters
+        assert len(kdtree_builds) == 2
+
 
 class TestProtocolScaling:
     def test_meshrcnn_longest_edge_ten(self):
@@ -176,9 +189,71 @@ class TestEvaluate:
         report = evaluate(moved, brick, "tmnet", n_samples=1500, seed=3)
         assert report.chamfer < 1e-6
 
+    @pytest.mark.parametrize("proto", ["pixel2mesh", "meshrcnn", "skeleton"])
+    def test_one_correspondence_per_evaluation(self, nn_calls, proto):
+        sphere = icosphere(2)
+        moved = sphere.with_vertices(sphere.vertices * 1.05)
+        evaluate(moved, sphere, proto, n_samples=300, seed=5)
+        assert len(nn_calls) == 2
+
+    def test_reports_pinned(self):
+        """Reports recorded before the metrics shared one correspondence;
+        300 samples put every query on the kd-tree path."""
+        gt = icosphere(2)
+        pred = gt.with_vertices(gt.vertices * [1.1, 0.95, 1.0] + [0.03, 0.0, -0.02])
+        rotated = pred.with_vertices(pred.vertices @ rot_z(25.0).T + [0.2, -0.1, 0.05])
+        got = {proto: evaluate(rotated if proto == "tmnet" else pred, gt, proto,
+                               n_samples=300, seed=5, class_label="ball").to_dict()
+               for proto in PROTOCOLS}
+        assert got == PINNED_REPORTS
+
     def test_report_round_trips_to_dict(self):
         cloud, mesh = synth(SyntheticSpec("box", n=50))
         report = evaluate(mesh, mesh, "pixel2mesh", n_samples=500, seed=1)
         doc = report.to_dict()
         assert doc["schema_version"] == 1
         assert set(doc["f1"]) == {"0.1", "0.2"}
+
+
+PINNED_REPORTS = {
+    "pixel2mesh": {
+        "schema_version": 1,
+        "protocol": "pixel2mesh",
+        "chamfer": 0.007153556844117483,
+        "f1": {"0.1": 92.0, "0.2": 100.0},
+        "precision": {"0.1": 92.0, "0.2": 100.0},
+        "recall": {"0.1": 92.0, "0.2": 100.0},
+        "normal_cosine": 0.986623049677167,
+        "per_class": None,
+    },
+    "meshrcnn": {
+        "schema_version": 1,
+        "protocol": "meshrcnn",
+        "chamfer": 0.8086259873237351,
+        "f1": {"0.1": 0.0, "0.3": 6.984126984126983, "0.5": 27.15746421267894},
+        "precision": {"0.1": 0.0, "0.3": 7.333333333333333, "0.5": 27.666666666666668},
+        "recall": {"0.1": 0.0, "0.3": 6.666666666666667, "0.5": 26.666666666666668},
+        "normal_cosine": 0.9873612466006585,
+        "per_class": None,
+    },
+    "tmnet": {
+        "schema_version": 1,
+        "protocol": "tmnet",
+        "chamfer": 0.0263900810736153,
+        "f1": {"0.1": 55.48748748748749},
+        "precision": {"0.1": 56.333333333333336},
+        "recall": {"0.1": 54.666666666666664},
+        "normal_cosine": 0.9826744709947045,
+        "per_class": None,
+    },
+    "skeleton": {
+        "schema_version": 1,
+        "protocol": "skeleton",
+        "chamfer": 0.022017718818459476,
+        "f1": {"0.1": 61.39837398373984},
+        "precision": {"0.1": 64.0},
+        "recall": {"0.1": 59.0},
+        "normal_cosine": 0.986623049677167,
+        "per_class": {"ball": 0.022017718818459476},
+    },
+}
