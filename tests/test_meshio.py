@@ -83,6 +83,13 @@ class TestReadMesh:
         with pytest.raises(UnsupportedElement):
             read_mesh(write(tmp_path, "bin.ply", text))
 
+    def test_duplicate_vertices_kept_as_written(self, tmp_path):
+        text = ("v 0 0 0\nv 1 0 0\nv 0 1 0\nv 1 0 0\nv 0 1 0\nv 0 0 1\n"
+                "f 1 2 3\nf 4 5 6\n")
+        mesh = read_mesh(write(tmp_path, "dup.obj", text))
+        assert mesh.num_vertices == 6
+        np.testing.assert_array_equal(mesh.faces, [[0, 1, 2], [3, 4, 5]])
+
     def test_obj_negative_indices(self, tmp_path):
         text = "v 0 0 0\nv 1 0 0\nv 0 1 0\nf -3 -2 -1\n"
         mesh = read_mesh(write(tmp_path, "neg.obj", text))
