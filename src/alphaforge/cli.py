@@ -30,7 +30,7 @@ from .alphashape import TAU_PRESETS, boundary_meshes, triangulate
 from .delaunay import delaunay_complex
 from .errors import AlphaForgeError, ConfigError
 from .loss import LossWeights, pretty_weights, smooth_weights
-from .mesh import PointCloud, boundary_edges, euler_characteristic, nonmanifold_edges
+from .mesh import PointCloud, _edge_face_counts
 from .metrics import PROTOCOLS, evaluate
 from .policy import (
     QPolicy,
@@ -166,10 +166,11 @@ def _cmd_synth(args) -> int:
 def _cmd_triangulate(args) -> int:
     cloud = _read_cloud(args.infile, args.in_format)
     mesh = triangulate(cloud, args.tau)
+    edges, faces_per_edge = _edge_face_counts(mesh)
     print(f"triangulate: {mesh.num_vertices} vertices, {mesh.num_faces} faces, "
-          f"chi={euler_characteristic(mesh)}, "
-          f"boundary_edges={len(boundary_edges(mesh))}, "
-          f"nonmanifold_edges={len(nonmanifold_edges(mesh))}", file=sys.stderr)
+          f"chi={mesh.num_vertices - len(edges) + mesh.num_faces}, "
+          f"boundary_edges={np.count_nonzero(faces_per_edge == 1)}, "
+          f"nonmanifold_edges={np.count_nonzero(faces_per_edge > 2)}", file=sys.stderr)
     _emit(meshio.mesh_to_text(mesh, args.format), args.out)
     return 0
 

@@ -9,7 +9,7 @@ from scipy.spatial import Delaunay as _SciPyDelaunay
 from scipy.spatial import QhullError
 
 from .errors import DegenerateInput, DegenerateTetrahedron, TooFewPoints
-from .mesh import PointCloud
+from .mesh import PointCloud, _lex_order
 
 # Affine-independence predicate: |det| of the edge matrix must exceed this
 # factor times (max edge length)^3, else the quadruple is treated as coplanar.
@@ -61,19 +61,24 @@ def circumsphere(p0, p1, p2, p3) -> tuple[np.ndarray, float]:
 
 
 def _batch_circumspheres(pts: np.ndarray, simplices: np.ndarray):
-    """Vectorized circumspheres; returns (centers, radii, valid_mask)."""
+    """Vectorized circumspheres; returns (centers, radii, valid_mask).
+
+    With edge vectors a, b, c from the first vertex, the determinant is
+    a . (b x c) and, by Cramer's rule, the centre sits at
+    (|a|^2 b x c + |b|^2 c x a + |c|^2 a x b) / (2 det) from that vertex.
+    """
     p0 = pts[simplices[:, 0]]
-    A = pts[simplices[:, 1:]] - p0[:, None, :]
-    scale = np.linalg.norm(A, axis=2).max(axis=1)
-    det = np.linalg.det(A)
+    a, b, c = (pts[simplices[:, k]] - p0 for k in (1, 2, 3))
+    bc, ca, ab = np.cross(b, c), np.cross(c, a), np.cross(a, b)
+    sq = [np.einsum("ij,ij->i", e, e) for e in (a, b, c)]
+    scale = np.sqrt(np.maximum(np.maximum(sq[0], sq[1]), sq[2]))
+    det = np.einsum("ij,ij->i", a, bc)
     ok = np.abs(det) > ORIENTATION_TOL * scale**3
-    centers = np.full((len(simplices), 3), np.nan)
-    radii = np.full(len(simplices), np.nan)
-    if ok.any():
-        b = 0.5 * np.einsum("tij,tij->ti", A[ok], A[ok])
-        local = np.linalg.solve(A[ok], b[..., None])[..., 0]
-        centers[ok] = p0[ok] + local
-        radii[ok] = np.linalg.norm(local, axis=1)
+    with np.errstate(divide="ignore", invalid="ignore"):  # rows with det 0
+        local = (sq[0][:, None] * bc + sq[1][:, None] * ca
+                 + sq[2][:, None] * ab) / (2.0 * det[:, None])
+    centers = np.where(ok[:, None], p0 + local, np.nan)
+    radii = np.where(ok, np.linalg.norm(local, axis=1), np.nan)
     return centers, radii, ok
 
 
@@ -127,7 +132,7 @@ def delaunay_complex(points: PointCloud | np.ndarray) -> DelaunayComplex:
     slots = np.argsort(tri.simplices, axis=1)
     simplices = np.take_along_axis(tri.simplices, slots, axis=1).astype(np.int64)
     neighbors = np.take_along_axis(tri.neighbors, slots, axis=1)
-    rows = np.lexsort(simplices.T[::-1])
+    rows = _lex_order(simplices)
     simplices, neighbors = simplices[rows], neighbors[rows]
     centers, radii, ok = _batch_circumspheres(pts, simplices)
     # Qhull id -> kept row id; the extra last entry maps Qhull's -1 to -1.

@@ -34,7 +34,7 @@ from .errors import (
     NoEdges,
     VertexCountMismatch,
 )
-from .mesh import Mesh, PointCloud, face_cross_products, unique_edges
+from .mesh import Mesh, PointCloud, _unique_rows, face_cross_products, unique_edges
 from .sampling import sample_surface_with_faces
 
 LN10 = math.log(10.0)
@@ -225,7 +225,7 @@ def _edge_slots(faces: np.ndarray) -> _EdgeSlots:
     slot_j = np.concatenate([f[:, 2], f[:, 0], f[:, 1]])
     slot_k = np.concatenate([f[:, 0], f[:, 1], f[:, 2]])
     key = np.sort(np.stack([slot_i, slot_j], axis=1), axis=1)
-    edges, inverse = np.unique(key, axis=0, return_inverse=True)
+    edges, inverse, _ = _unique_rows(key)
     return _EdgeSlots(edges, slot_i, slot_j, slot_k, inverse)
 
 
@@ -343,7 +343,7 @@ def _adjacent_face_pairs(faces: np.ndarray) -> np.ndarray:
         if not same.any():
             break
         pairs.append(np.stack([face_of[:-gap][same], face_of[gap:][same]], axis=1))
-    return np.unique(np.sort(np.concatenate(pairs), axis=1), axis=0)
+    return _unique_rows(np.sort(np.concatenate(pairs), axis=1))[0]
 
 
 def _unit_normals(cross: np.ndarray):

@@ -84,7 +84,7 @@ class Mesh:
             a, b, c = faces[:, 0], faces[:, 1], faces[:, 2]
             if ((a == b) | (b == c) | (a == c)).any():
                 raise InvalidMesh("face with repeated vertex index")
-            if len(np.unique(np.sort(faces, axis=1), axis=0)) != len(faces):
+            if len(_unique_rows(np.sort(faces, axis=1))[0]) != len(faces):
                 raise InvalidMesh("duplicate faces (same unordered index triple)")
         object.__setattr__(self, "faces", faces)
 
@@ -117,13 +117,46 @@ class Mesh:
         return out
 
 
+def _lex_order(rows: np.ndarray) -> np.ndarray:
+    """A permutation that sorts the rows of an (n, k) int64 array
+    lexicographically (equal rows in any order).
+
+    The rows are ordered by one packed 1-D key when the span of their values
+    fits k times into 63 bits, else by ``np.lexsort``.
+    """
+    if not len(rows):
+        return np.zeros(0, dtype=np.int64)
+    lo = int(rows.min())
+    bits = (int(rows.max()) - lo).bit_length()
+    if bits * rows.shape[1] > 63:
+        return np.lexsort(rows.T[::-1])
+    shifted = rows - lo
+    key = shifted[:, 0]
+    for j in range(1, rows.shape[1]):
+        key = (key << bits) | shifted[:, j]
+    return np.argsort(key)
+
+
+def _unique_rows(rows: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """``np.unique(rows, axis=0, return_inverse=True, return_counts=True)``
+    for an (n, k) int64 array: the distinct rows in lexicographic order, the
+    index of each input row among them, and how often each occurs. Sorted
+    by ``_lex_order``, without the structured-dtype sort that ``np.unique``
+    makes along an axis."""
+    n = len(rows)
+    order = _lex_order(rows)
+    srt = rows[order]
+    new = np.ones(n, dtype=bool)
+    np.any(srt[1:] != srt[:-1], axis=1, out=new[1:])
+    starts = np.flatnonzero(new)
+    inverse = np.empty(n, dtype=np.int64)
+    inverse[order] = np.cumsum(new) - 1
+    return srt[starts], inverse, np.diff(np.append(starts, n))
+
+
 def unique_edges(mesh: Mesh) -> np.ndarray:
     """Unordered vertex-index pairs appearing in any face, as an (e, 2) array."""
-    if not len(mesh.faces):
-        return np.zeros((0, 2), dtype=np.int64)
-    f = mesh.faces
-    e = np.concatenate([f[:, [0, 1]], f[:, [1, 2]], f[:, [2, 0]]])
-    return np.unique(np.sort(e, axis=1), axis=0)
+    return _edge_face_counts(mesh)[0]
 
 
 def euler_characteristic(mesh: Mesh) -> int:
@@ -132,12 +165,14 @@ def euler_characteristic(mesh: Mesh) -> int:
 
 
 def _edge_face_counts(mesh: Mesh) -> tuple[np.ndarray, np.ndarray]:
-    """Unordered edges, as an (e, 2) array, and the number of faces on each."""
+    """Unordered edges, as an (e, 2) array in lexicographic order, and the
+    number of faces on each."""
     if not len(mesh.faces):
         return np.zeros((0, 2), dtype=np.int64), np.zeros(0, dtype=np.int64)
     f = mesh.faces
     e = np.sort(np.concatenate([f[:, [0, 1]], f[:, [1, 2]], f[:, [2, 0]]]), axis=1)
-    return np.unique(e, axis=0, return_counts=True)
+    edges, _, counts = _unique_rows(e)
+    return edges, counts
 
 
 def boundary_edges(mesh: Mesh) -> np.ndarray:

@@ -3,6 +3,16 @@
 Writers emit shortest round-trip decimal floats (Python repr), so files are
 diff-stable and re-reading reproduces coordinates bit-for-bit. Parsers
 reject non-finite coordinates and report 1-based line numbers on failure.
+
+OBJ and XYZ files laid out as the writers lay them out (only ``v x y z``
+lines followed by only ``f a b c`` lines; only ``x y z`` lines) are read
+array-wide: one ``split`` of the whole text, then one ``float``/``int``
+conversion per field, so a field is accepted exactly when the line parser
+accepts it. Any other layout (comments, blank lines, ``vn`` or other
+records, polygons, ``a/b/c`` indices, zero or negative indices, ``v`` lines
+after an ``f`` line, XYZ normals) and any field the array path cannot take
+(a non-finite or malformed value) go to the line-by-line parser. It alone
+raises ``ParseError``, so error line numbers do not depend on the path.
 """
 
 from __future__ import annotations
@@ -46,10 +56,10 @@ def _fan(indices, lineno):
     return [(indices[0], indices[k], indices[k + 1]) for k in range(1, len(indices) - 1)]
 
 
-def _lines(path):
+def _text(path) -> str:
     try:
         with open(path, encoding="utf-8", errors="strict") as fh:
-            return fh.read().splitlines()
+            return fh.read()
     except OSError as exc:
         raise IoError(f"cannot read {path}: {exc}") from exc
     except UnicodeDecodeError as exc:
@@ -61,23 +71,72 @@ def read_mesh(path, format: str | None = None) -> Mesh:
     are kept as written (never merged), so topology diagnostics see the
     file's own connectivity."""
     fmt = _infer_format(path, format, MESH_FORMATS)
-    return mesh_from_text("\n".join(_lines(path)), fmt)
+    return mesh_from_text(_text(path), fmt)
 
 
 def mesh_from_text(text: str, format: str) -> Mesh:
     """Parse a mesh from file contents already in memory."""
     fmt = _infer_format("", format, MESH_FORMATS)
-    lines = text.splitlines()
     if fmt == "obj":
-        verts, faces = _read_obj(lines)
+        verts, faces = _read_obj(text)
     elif fmt == "off":
-        verts, faces = _read_off(lines)
+        verts, faces = _read_off(text.splitlines())
     else:
-        verts, faces, _ = _read_ply(lines)
+        verts, faces, _ = _read_ply(text.splitlines())
     return Mesh(verts, np.array(faces, dtype=np.int64).reshape(-1, 3))
 
 
-def _read_obj(lines):
+def _fields(text: str, width: int) -> list[str] | None:
+    """The whitespace-separated fields of ``text``, or None when its token
+    and line counts cannot hold ``width`` fields per line.
+
+    Every newline becomes a ';' token, so one ``split`` gives the fields
+    and the line ends; then every (width + 1)-th token is deleted. The rest
+    holds ``width`` fields per line only if each deleted token was a line
+    end; otherwise a ';' is left among the fields, and no ``float``/``int``
+    conversion or OBJ tag accepts it. The ``splitlines`` count rejects line
+    breaks other than newlines.
+    """
+    if text and not text.endswith("\n"):
+        text += "\n"
+    n = text.count("\n")
+    tokens = text.replace("\n", " ; ").split()
+    if len(tokens) != (width + 1) * n or len(text.splitlines()) != n:
+        return None
+    del tokens[width::width + 1]
+    return tokens
+
+
+def _floats(fields: list[str]) -> np.ndarray | None:
+    """``fields`` as finite float64 (n, 3) coordinates, or None."""
+    try:
+        vals = np.fromiter(map(float, fields), dtype=np.float64, count=len(fields))
+    except ValueError:
+        return None
+    return vals.reshape(-1, 3) if np.isfinite(vals).all() else None
+
+
+def _read_obj(text: str):
+    """Vertices and faces of an OBJ file: array-wide for plain ``v``/``f``
+    records, else by the line parser (see the module docstring)."""
+    fields = _fields(text, 4)
+    if fields is not None:
+        tags = fields[::4]
+        nv = tags.count("v")
+        if tags[nv:].count("f") == len(tags) - nv:
+            del fields[::4]
+            verts = _floats(fields[:3 * nv])
+            try:
+                faces = np.fromiter(map(int, fields[3 * nv:]), dtype=np.int64,
+                                    count=len(fields) - 3 * nv)
+            except (ValueError, OverflowError):
+                faces = None
+            if verts is not None and faces is not None and (faces > 0).all():
+                return verts, (faces - 1).reshape(-1, 3)
+    return _read_obj_lines(text.splitlines())
+
+
+def _read_obj_lines(lines):
     verts: list[list[float]] = []
     faces: list[tuple[int, int, int]] = []
     for lineno, raw in enumerate(lines, start=1):
@@ -246,18 +305,25 @@ def mesh_to_text(mesh: Mesh, format: str) -> str:
 def read_points(path, format: str | None = None) -> PointCloud:
     """Read a point cloud: XYZ ('x y z [nx ny nz]' per line) or ASCII PLY."""
     fmt = _infer_format(path, format, POINT_FORMATS)
-    return points_from_text("\n".join(_lines(path)), fmt)
+    return points_from_text(_text(path), fmt)
 
 
 def points_from_text(text: str, format: str) -> PointCloud:
     """Parse a point cloud from file contents already in memory."""
     fmt = _infer_format("", format, POINT_FORMATS)
-    lines = text.splitlines()
     if fmt == "ply":
-        verts, _, normals = _read_ply(lines)
+        verts, _, normals = _read_ply(text.splitlines())
         if normals is not None:
             normals = _normalize_normals(normals, lineno=None)
         return PointCloud(verts, normals)
+    fields = _fields(text, 3)
+    pts = None if fields is None else _floats(fields)
+    if pts is not None:
+        return PointCloud(pts)
+    return _read_xyz_lines(text.splitlines())
+
+
+def _read_xyz_lines(lines) -> PointCloud:
     pts: list[list[float]] = []
     normals_list: list[list[float]] = []
     for lineno, raw in enumerate(lines, start=1):

@@ -8,8 +8,9 @@ metric), ``skeleton`` (unscaled, per-class Chamfer reporting).
 The metrics read the loss module's two-way nearest-neighbor correspondence
 (``loss._match``) through the same kind of term helpers the loss uses: one
 evaluation makes one correspondence, from which the Chamfer, the F1 at
-every radius and the normal cosine are all read. ICP builds one kd-tree
-over its fixed target and queries it at every iteration.
+every radius and the normal cosine are all read. One kd-tree over the
+ground-truth samples serves that correspondence and, under tmnet, every
+ICP iteration.
 """
 
 from __future__ import annotations
@@ -173,6 +174,13 @@ def icp_align(
     Raises DegenerateConfiguration when P's spread is rank-deficient
     (e.g. collinear points), for which the rotation is not identifiable.
     """
+    return _icp(p, q, _tree(q.points), max_iters, tol, history)
+
+
+def _icp(p: PointCloud, q: PointCloud, tree, max_iters: int = 50,
+         tol: float = 1e-10, history: list | None = None) -> tuple[RigidTransform, float]:
+    """``icp_align`` against ``tree``, the kd-tree ``loss._tree`` built over
+    q's points (None for a small q), which the caller may query again."""
     if len(p) == 0 or len(q) == 0:
         raise EmptyCloud("icp_align needs non-empty clouds")
     pts = p.points
@@ -181,7 +189,6 @@ def icp_align(
     if len(pts) < 3 or svals[1] <= 1e-12 * max(svals[0], 1e-300):
         raise DegenerateConfiguration("point spread is rank-deficient (collinear)")
 
-    tree = _tree(q.points)
     transform = RigidTransform.identity()
     aligned = pts.copy()
     prev_mse = np.inf
@@ -243,11 +250,12 @@ def evaluate(
     pred_cloud = sample_surface(pred_s, n_samples, seed)
     gt_cloud = sample_surface(gt_s, n_samples, seed)
 
+    tree = _tree(gt_cloud.points)
     if protocol == "tmnet":
-        transform, cd = icp_align(pred_cloud, gt_cloud)
+        transform, cd = _icp(pred_cloud, gt_cloud, tree)
         pred_cloud = transform.apply_to_cloud(pred_cloud)
     _require_clouds(pred_cloud, gt_cloud)
-    match = _match(pred_cloud.points, gt_cloud.points)
+    match = _match(pred_cloud.points, gt_cloud.points, tree)
     if protocol != "tmnet":
         cd = _chamfer_value(match)
 

@@ -20,7 +20,7 @@ import numpy as np
 
 from .errors import ConfigError, NonFinite
 from .loss import LossBreakdown, LossWeights, loss_plan, total_loss_with_grad
-from .mesh import Mesh, PointCloud, unique_edges
+from .mesh import Mesh, PointCloud, _unique_rows, unique_edges
 
 # tanh(OFFSET_CLIP) < 1 - 1e-12, keeping the displacement bound strict even
 # if the optimizer drives an offset to saturation.
@@ -101,7 +101,7 @@ def subdivide(mesh: Mesh) -> Mesh:
     # the edges (a, b), (b, c), (c, a) of every face, ranked among the
     # lexicographically sorted unique edges
     key = np.sort(np.stack([f, np.roll(f, -1, axis=1)], axis=2), axis=2)
-    edges, rank = np.unique(key.reshape(-1, 2), axis=0, return_inverse=True)
+    edges, rank, _ = _unique_rows(key.reshape(-1, 2))
     midpoints = 0.5 * (mesh.vertices[edges[:, 0]] + mesh.vertices[edges[:, 1]])
     a, b, c = f.T
     mab, mbc, mca = (mesh.num_vertices + rank.reshape(-1, 3)).T

@@ -1,5 +1,8 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+from hypothesis.extra import numpy as hnp
 
 from alphaforge import (
     Mesh,
@@ -14,6 +17,7 @@ from alphaforge import (
     subdivide,
 )
 from alphaforge.errors import DegenerateFace, InvalidMesh
+from alphaforge.mesh import _unique_rows
 from conftest import random_rotation
 
 
@@ -154,3 +158,35 @@ class TestInvariants:
                          np.array([[0, 1, 2]]))
         with pytest.raises(InvalidMesh):
             collinear.validate()
+
+
+def assert_unique_rows_match_numpy(rows):
+    got = _unique_rows(rows)
+    want = np.unique(rows, axis=0, return_inverse=True, return_counts=True)
+    for g, w in zip(got, want):
+        assert g.dtype == w.dtype and g.shape == w.shape
+        np.testing.assert_array_equal(g, w)
+
+
+# Values near 0, near 2**21 (where a 3-column packed key stops fitting in 63
+# bits) and anywhere in int64, so both the packed key and lexsort are taken.
+ROW_VALUES = st.one_of(st.integers(0, 4), st.integers(2**21 - 2, 2**21 + 2),
+                       st.integers(-2**63, 2**63 - 1))
+
+
+class TestUniqueRows:
+    @settings(max_examples=200, deadline=None)
+    @given(rows=st.integers(1, 3).flatmap(lambda k: hnp.arrays(
+        np.int64, st.tuples(st.integers(0, 40), st.just(k)), elements=ROW_VALUES)))
+    def test_matches_numpy_unique(self, rows):
+        assert_unique_rows_match_numpy(rows)
+
+    @pytest.mark.parametrize("rows", [
+        np.zeros((0, 3), dtype=np.int64),
+        np.array([[7, 3, 5]]),
+        np.full((6, 2), 9),
+        np.array([[2**21, 0, 1], [0, 2**21, 1], [2**21, 0, 1], [0, 0, 2**21 + 5]]),
+        np.array([[2**40, 3], [0, 2**40], [2**40, 3]]),
+    ], ids=["empty", "single", "all-equal", "3-columns-past-2**21", "2-columns-past-2**31"])
+    def test_edge_cases(self, rows):
+        assert_unique_rows_match_numpy(rows.astype(np.int64))

@@ -1,5 +1,10 @@
+from unittest import mock
+
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+from hypothesis.extra import numpy as hnp
 
 from alphaforge import (
     Mesh,
@@ -12,7 +17,8 @@ from alphaforge import (
     write_mesh,
     write_points,
 )
-from alphaforge.errors import ParseError, UnsupportedElement
+from alphaforge import meshio
+from alphaforge.errors import AlphaForgeError, InvalidMesh, ParseError, UnsupportedElement
 
 MINIMAL_OBJ = "v 0 0 0\nv 1 0 0\nv 0 1 0\nf 1 2 3\n"
 MINIMAL_OFF = "OFF\n3 1 0\n0 0 0\n1 0 0\n0 1 0\n3 0 1 2\n"
@@ -156,3 +162,212 @@ class TestReadPoints:
     def test_mixed_normal_presence_rejected(self, tmp_path):
         with pytest.raises(ParseError):
             read_points(write(tmp_path, "p.xyz", "0 0 0 0 0 1\n1 1 1\n"))
+
+
+# ---------------------------------------------------------------------------
+# The array-wide OBJ/XYZ path against the line parser
+
+
+def failure(exc):
+    return type(exc).__name__, str(exc), getattr(exc, "line", None)
+
+
+def obj_outcome(read, arg):
+    """Byte-exact result of an OBJ reader: the vertex and face arrays as
+    ``mesh_from_text`` builds them, or the error with its line."""
+    try:
+        verts, faces = read(arg)
+    except (AlphaForgeError, ValueError) as exc:
+        return failure(exc)
+    faces = np.array(faces, dtype=np.int64).reshape(-1, 3)
+    return verts.dtype.str, verts.shape, verts.tobytes(), faces.shape, faces.tobytes()
+
+
+def xyz_outcome(read, arg):
+    try:
+        cloud = read(arg)
+    except (AlphaForgeError, ValueError) as exc:
+        return failure(exc)
+    normals = None if cloud.normals is None else cloud.normals.tobytes()
+    return cloud.points.dtype.str, cloud.points.shape, cloud.points.tobytes(), normals
+
+
+def array_path_obj(text):
+    return obj_outcome(meshio._read_obj, text)
+
+
+def line_parser_obj(text):
+    return obj_outcome(meshio._read_obj_lines, text.splitlines())
+
+
+def array_path_xyz(text):
+    return xyz_outcome(lambda t: meshio.points_from_text(t, "xyz"), text)
+
+
+def line_parser_xyz(text):
+    return xyz_outcome(meshio._read_xyz_lines, text.splitlines())
+
+
+def line_parser_unused():
+    """Make the line parsers raise: writer output must never reach them."""
+    def unused(lines):
+        raise AssertionError("the line parser ran on plain writer output")
+    return mock.patch.multiple(meshio, _read_obj_lines=unused, _read_xyz_lines=unused)
+
+
+COORDS = st.one_of(st.floats(allow_nan=False, allow_infinity=False),
+                   st.floats(-2.0, 2.0))
+
+
+@st.composite
+def meshes(draw):
+    nv = draw(st.integers(0, 12))
+    verts = draw(hnp.arrays(np.float64, (nv, 3), elements=COORDS))
+    faces = []
+    if nv >= 3:
+        index = st.integers(0, nv - 1)
+        faces = draw(st.lists(st.tuples(index, index, index).filter(
+            lambda t: len(set(t)) == 3), unique_by=lambda t: tuple(sorted(t)), max_size=15))
+    return Mesh(verts, np.array(faces, dtype=np.int64).reshape(-1, 3))
+
+
+@st.composite
+def clouds(draw):
+    n = draw(st.integers(0, 12))
+    points = draw(hnp.arrays(np.float64, (n, 3), elements=COORDS))
+    if not draw(st.booleans()):
+        return PointCloud(points)
+    raw = draw(hnp.arrays(np.float64, (n, 3), elements=st.floats(-1.0, 1.0)).filter(
+        lambda a: (np.linalg.norm(a, axis=1) > 0.1).all()))
+    return PointCloud(points, raw / np.linalg.norm(raw, axis=1, keepdims=True))
+
+
+def _edit_line(k, edit):
+    def apply(lines):
+        i = k % len(lines) if lines else 0
+        return lines[:i] + edit(lines[i] if lines else "") + lines[i + 1:]
+    return apply
+
+
+def _replace_token(k, new):
+    def edit(line):
+        fields = line.split()
+        if len(fields) > 1:
+            fields[1 + k % (len(fields) - 1)] = new(fields[1 + k % (len(fields) - 1)])
+        return [" ".join(fields)]
+    return _edit_line(k, edit)
+
+
+def _underscore(token):
+    return token[0] + "_" + token[1:] if len(token) > 1 and token[:2].isdigit() else token
+
+
+# Each edit takes the file's lines and a position, and returns new lines (or
+# the text itself when the edit is to the line ends).
+EDITS = {
+    "comment": lambda lines, k: lines[:k] + ["# a comment"] + lines[k:],
+    "blank": lambda lines, k: lines[:k] + ["", "   "] + lines[k:],
+    "crlf": lambda lines, k: "\r\n".join(lines) + "\r\n",
+    "no-final-newline": lambda lines, k: "\n".join(lines),
+    # positive integer fields, so a record read under the wrong tag converts
+    "vn": lambda lines, k: lines[:k] + ["vn 1 1 1"] + lines[k:],
+    "quad": lambda lines, k: lines + ["f 1 2 3 4"],
+    "slashes": lambda lines, k: _replace_token(k, lambda t: f"{t}/{t}/{t}")(lines),
+    "negative": lambda lines, k: lines + ["f -1 -2 -3"],
+    "zero-index": lambda lines, k: lines + ["f 0 1 2"],
+    "interleaved": lambda lines, k: lines[:k] + ["v 1 2 3"] + lines[k:],
+    "nan": lambda lines, k: _replace_token(k, lambda t: "nan")(lines),
+    "inf": lambda lines, k: _replace_token(k, lambda t: "-Infinity")(lines),
+    "underscore": lambda lines, k: _replace_token(k, _underscore)(lines),
+    "bad-field": lambda lines, k: _replace_token(k, lambda t: "oops")(lines),
+    "extra-field": lambda lines, k: _edit_line(k, lambda line: [line + " 1"])(lines),
+    # one line as long as two records and their newline
+    "extra-record": lambda lines, k: _edit_line(
+        k, lambda line: [line + " 1" * (4 + k % 2)])(lines),
+    "short-line": lambda lines, k: _edit_line(k, lambda line: [line.rsplit(" ", 1)[0]])(lines),
+    "two-per-line": lambda lines, k: _edit_line(k, lambda line: [line + " " + line])(lines),
+    "split-line": lambda lines, k: _edit_line(k, lambda line: line.split(" ", 1))(lines),
+    "tab": lambda lines, k: _edit_line(k, lambda line: [line.replace(" ", "\t", 1)])(lines),
+    "indent": lambda lines, k: _edit_line(k, lambda line: ["  " + line])(lines),
+    # line breaks that splitlines honours and a newline count does not see
+    "joined-by-cr": lambda lines, k: "\n".join(lines).replace("\n", "\r", 1 + k % 2),
+    "split-by-cr": lambda lines, k: _edit_line(
+        k, lambda line: [line.replace(" ", "\r", 1)])(lines),
+    "split-by-vt": lambda lines, k: _edit_line(
+        k, lambda line: [line.replace(" ", "\x0b", 1)])(lines),
+    "split-by-fs": lambda lines, k: _edit_line(
+        k, lambda line: [line.replace(" ", "\x1c", 1)])(lines),
+    "split-by-ls": lambda lines, k: _edit_line(
+        k, lambda line: [line.replace(" ", "\u2028", 1)])(lines),
+    # a ';' field and a line break that only splitlines honours: the counts
+    # of newlines and of fields still fit a plain layout
+    "semicolon": lambda lines, k: _edit_line(k, lambda line: [
+        line.split(" ", 1)[0] + " ;\r" + line.split(" ", 1)[1] if " " in line else line])(
+            lines),
+}
+
+
+def apply_edit(text, name, k):
+    out = EDITS[name](text.splitlines(), k)
+    return out if isinstance(out, str) else "\n".join(out) + "\n"
+
+
+class TestArrayPath:
+    @settings(max_examples=150, deadline=None)
+    @given(mesh=meshes())
+    def test_obj_writer_output_identical_and_never_line_parsed(self, mesh):
+        text = meshio.mesh_to_text(mesh, "obj")
+        with line_parser_unused():
+            fast = array_path_obj(text)
+        assert fast == line_parser_obj(text)
+
+    @settings(max_examples=150, deadline=None)
+    @given(cloud=clouds())
+    def test_xyz_writer_output_identical(self, cloud):
+        text = meshio.points_to_text(cloud, "xyz")
+        assert array_path_xyz(text) == line_parser_xyz(text)
+        if not cloud.has_normals:
+            with line_parser_unused():
+                array_path_xyz(text)
+
+    @settings(max_examples=300, deadline=None)
+    @given(mesh=meshes(), edit=st.sampled_from(sorted(EDITS)), k=st.integers(0, 50))
+    def test_obj_edited_copies_agree(self, mesh, edit, k):
+        text = apply_edit(meshio.mesh_to_text(mesh, "obj"), edit, k)
+        assert array_path_obj(text) == line_parser_obj(text)
+
+    @settings(max_examples=300, deadline=None)
+    @given(cloud=clouds(), edit=st.sampled_from(sorted(EDITS)), k=st.integers(0, 50))
+    def test_xyz_edited_copies_agree(self, cloud, edit, k):
+        text = apply_edit(meshio.points_to_text(cloud, "xyz"), edit, k)
+        assert array_path_xyz(text) == line_parser_xyz(text)
+
+    @pytest.mark.parametrize("text, fmt, line", [
+        ("v 1 2\n3 v 4 5 6\n", "obj", 1),
+        ("1 2\n3 4 5 6\n", "xyz", 1),
+        ("1 2 3 ;\r4 5 6\n", "xyz", 1),
+        ("0 0 0\n1 1 nan\n", "xyz", 2),
+    ])
+    def test_misaligned_records_reach_the_line_parser(self, text, fmt, line):
+        """Field counts that fit a plain layout although the lines do not."""
+        read = meshio.mesh_from_text if fmt == "obj" else meshio.points_from_text
+        with pytest.raises(ParseError) as err:
+            read(text, fmt)
+        assert err.value.line == line
+
+    def test_two_records_on_one_line_read_as_one(self):
+        """The line parser reads the first three fields of a 'v' line, so
+        face 1 2 3 names a third vertex that does not exist."""
+        with pytest.raises(InvalidMesh):
+            meshio.mesh_from_text("v 0 0 0\nv 1 2 3 v 4 5 6\nf 1 2 3\n", "obj")
+
+    def test_plain_files_never_reach_the_line_parser(self, tmp_path):
+        cloud, ref = synth(SyntheticSpec("torus", n=500, fill="solid", seed=3))
+        write_mesh(ref, tmp_path / "ref.obj")
+        write_points(cloud, tmp_path / "cloud.xyz")
+        with line_parser_unused():
+            mesh = read_mesh(tmp_path / "ref.obj")
+            back = read_points(tmp_path / "cloud.xyz")
+        assert np.array_equal(mesh.vertices, ref.vertices)
+        np.testing.assert_array_equal(mesh.faces, ref.faces)
+        assert np.array_equal(back.points, cloud.points) and back.normals is None

@@ -196,6 +196,17 @@ class TestEvaluate:
         evaluate(moved, sphere, proto, n_samples=300, seed=5)
         assert len(nn_calls) == 2
 
+    @pytest.mark.parametrize("proto, builds", [
+        ("pixel2mesh", 2), ("meshrcnn", 2), ("tmnet", 3), ("skeleton", 2)])
+    def test_one_ground_truth_tree_per_evaluation(self, kdtree_builds, proto, builds):
+        """One tree over the ground-truth samples, one over the prediction's
+        for the reverse queries; under tmnet, ICP's final Chamfer needs one
+        over its aligned cloud, and its loop reuses the ground-truth tree."""
+        sphere = icosphere(2)
+        moved = sphere.with_vertices(sphere.vertices * 1.05)
+        evaluate(moved, sphere, proto, n_samples=300, seed=5)
+        assert len(kdtree_builds) == builds
+
     def test_reports_pinned(self):
         """Reports recorded before the metrics shared one correspondence;
         300 samples put every query on the kd-tree path."""
