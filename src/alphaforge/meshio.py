@@ -82,7 +82,7 @@ def mesh_from_text(text: str, format: str) -> Mesh:
     elif fmt == "off":
         verts, faces = _read_off(text.splitlines())
     else:
-        verts, faces, _ = _read_ply(text.splitlines())
+        verts, faces, *_ = _read_ply(text.splitlines())
     return Mesh(verts, np.array(faces, dtype=np.int64).reshape(-1, 3))
 
 
@@ -198,7 +198,7 @@ def _read_off(lines):
 
 
 def _read_ply(lines):
-    """ASCII PLY reader; returns (vertices, faces, normals-or-None)."""
+    """ASCII PLY reader: (vertices, faces, normals or None, vertex line numbers)."""
     if not lines or lines[0].strip() != "ply":
         raise ParseError("missing 'ply' magic", 1)
     elements: list[tuple[str, int, list[str]]] = []
@@ -234,6 +234,7 @@ def _read_ply(lines):
     cursor = 0
     verts: list[list[float]] = []
     normals: list[list[float]] = []
+    vertex_lines: list[int] = []
     faces: list[tuple[int, int, int]] = []
     for name, count, props in elements:
         if cursor + count > len(body):
@@ -252,6 +253,7 @@ def _read_ply(lines):
             for ln, text in rows:
                 vals = _parse_floats(text.split(), ln, len(props))
                 verts.append([vals[i] for i in ix])
+                vertex_lines.append(ln)
                 if want_normals:
                     normals.append([vals[i] for i in inrm])
         elif name == "face":
@@ -269,14 +271,14 @@ def _read_ply(lines):
             raise UnsupportedElement(f"element {name!r} not supported",
                                      rows[0][0] if rows else lineno)
     return (np.array(verts, dtype=np.float64).reshape(-1, 3), faces,
-            np.array(normals, dtype=np.float64) if normals else None)
+            np.array(normals, dtype=np.float64) if normals else None, vertex_lines)
 
 
 def write_mesh(mesh: Mesh, path, format: str | None = None) -> None:
     """Write a mesh; re-reading reproduces vertices exactly and faces
     identically."""
     fmt = _infer_format(path, format, MESH_FORMATS)
-    _write_text(path, mesh_to_text(mesh, fmt).splitlines())
+    _write_text(path, mesh_to_text(mesh, fmt))
 
 
 def mesh_to_text(mesh: Mesh, format: str) -> str:
@@ -312,10 +314,8 @@ def points_from_text(text: str, format: str) -> PointCloud:
     """Parse a point cloud from file contents already in memory."""
     fmt = _infer_format("", format, POINT_FORMATS)
     if fmt == "ply":
-        verts, _, normals = _read_ply(text.splitlines())
-        if normals is not None:
-            normals = _normalize_normals(normals, lineno=None)
-        return PointCloud(verts, normals)
+        verts, _, normals, lines = _read_ply(text.splitlines())
+        return PointCloud(verts, None if normals is None else _normalize_normals(normals, lines))
     fields = _fields(text, 3)
     pts = None if fields is None else _floats(fields)
     if pts is not None:
@@ -324,8 +324,8 @@ def points_from_text(text: str, format: str) -> PointCloud:
 
 
 def _read_xyz_lines(lines) -> PointCloud:
-    pts: list[list[float]] = []
-    normals_list: list[list[float]] = []
+    rows: list[list[float]] = []
+    row_lines: list[int] = []
     for lineno, raw in enumerate(lines, start=1):
         line = raw.strip()
         if not line or line.startswith("#"):
@@ -333,29 +333,24 @@ def _read_xyz_lines(lines) -> PointCloud:
         fields = line.split()
         if len(fields) not in (3, 6):
             raise ParseError(f"expected 3 or 6 fields, got {len(fields)}", lineno)
-        vals = _parse_floats(fields, lineno, len(fields))
-        pts.append(vals[:3])
-        if len(fields) == 6:
-            if normals_list and len(normals_list) != len(pts) - 1:
-                raise ParseError("mixed lines with and without normals", lineno)
-            n = np.array(vals[3:])
-            norm = np.linalg.norm(n)
-            if norm < 1e-12:
-                raise ParseError("zero normal cannot be normalized", lineno)
-            if abs(norm - 1.0) > 1e-10:  # keep already-unit normals bit-exact
-                n = n / norm
-            normals_list.append(list(n))
-        elif normals_list:
+        rows.append(_parse_floats(fields, lineno, len(fields)))
+        row_lines.append(lineno)
+        if len(fields) != len(rows[0]):
             raise ParseError("mixed lines with and without normals", lineno)
-    normals = np.array(normals_list) if normals_list else None
-    return PointCloud(np.array(pts, dtype=np.float64).reshape(-1, 3), normals)
+    data = np.array(rows, dtype=np.float64).reshape(-1, len(rows[0]) if rows else 3)
+    normals = _normalize_normals(data[:, 3:], row_lines) if data.shape[1] == 6 else None
+    return PointCloud(data[:, :3], normals)
 
 
-def _normalize_normals(normals: np.ndarray, lineno) -> np.ndarray:
-    norms = np.linalg.norm(normals, axis=1)
-    if len(norms) and norms.min() < 1e-12:
-        raise ParseError("zero normal cannot be normalized", lineno)
-    fix = np.abs(norms - 1.0) > 1e-10  # keep already-unit normals bit-exact
+def _normalize_normals(normals: np.ndarray, lines: list[int]) -> np.ndarray:
+    """Unit rows in place, already-unit rows kept bit-exact; a ParseError at
+    the line of a row whose norm is below 1e-12 or overflows."""
+    with np.errstate(over="ignore"):
+        norms = np.linalg.norm(normals, axis=1)
+    bad = (norms < 1e-12) | np.isinf(norms)
+    if bad.any():
+        raise ParseError("normal cannot be normalized", lines[int(np.argmax(bad))])
+    fix = np.abs(norms - 1.0) > 1e-10
     normals[fix] = normals[fix] / norms[fix, None]
     return normals
 
@@ -363,7 +358,7 @@ def _normalize_normals(normals: np.ndarray, lineno) -> np.ndarray:
 def write_points(cloud: PointCloud, path, format: str | None = None) -> None:
     """Write a point cloud in XYZ or ASCII PLY form; exact round-trip."""
     fmt = _infer_format(path, format, POINT_FORMATS)
-    _write_text(path, points_to_text(cloud, fmt).splitlines())
+    _write_text(path, points_to_text(cloud, fmt))
 
 
 def points_to_text(cloud: PointCloud, format: str) -> str:
@@ -394,11 +389,9 @@ def points_to_text(cloud: PointCloud, format: str) -> str:
     return "\n".join(out) + ("\n" if out else "")
 
 
-def _write_text(path, lines: list[str]) -> None:
+def _write_text(path, text: str) -> None:
     try:
         with open(path, "w", encoding="ascii", newline="\n") as fh:
-            fh.write("\n".join(lines))
-            if lines:
-                fh.write("\n")
+            fh.write(text)
     except OSError as exc:
         raise IoError(f"cannot write {path}: {exc}") from exc

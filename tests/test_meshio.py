@@ -163,6 +163,22 @@ class TestReadPoints:
         with pytest.raises(ParseError):
             read_points(write(tmp_path, "p.xyz", "0 0 0 0 0 1\n1 1 1\n"))
 
+    def test_first_normal_after_plain_lines_rejected_at_its_line(self):
+        with pytest.raises(ParseError, match="mixed lines") as err:
+            meshio.points_from_text("1 1 1\n1 1 1 1 1 1\n", "xyz")
+        assert err.value.line == 2
+
+    @pytest.mark.parametrize("normal", ["1e154 1e154 1e154", "0 0 1e-13", "0 0 0"])
+    def test_normal_that_cannot_be_normalized_rejected_at_its_line(self, normal):
+        xyz = f"0 0 0 0 0 1\n1 1 1 {normal}\n"
+        ply = ("ply\nformat ascii 1.0\nelement vertex 2\nproperty double x\n"
+               "property double y\nproperty double z\nproperty double nx\n"
+               "property double ny\nproperty double nz\nend_header\n") + xyz
+        for text, fmt, line in ((xyz, "xyz", 2), (ply, "ply", 12)):
+            with pytest.raises(ParseError, match="normal cannot be normalized") as err:
+                meshio.points_from_text(text, fmt)
+            assert err.value.line == line
+
 
 # ---------------------------------------------------------------------------
 # The array-wide OBJ/XYZ path against the line parser
