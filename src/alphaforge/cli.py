@@ -110,7 +110,7 @@ def _weights_from_args(args) -> LossWeights:
     base = {"smooth": smooth_weights, "pretty": pretty_weights}[args.preset]()
     overrides = {}
     for name in ("lambda1", "lambda2", "lambda3", "lambda4", "lambda5",
-                 "lambda6", "mu", "nu"):
+                 "lambda6", "mu"):
         val = getattr(args, name, None)
         if val is not None:
             overrides[name] = val
@@ -400,7 +400,6 @@ def _build_parser() -> _Parser:
         p.add_argument(f"--{lam}", type=float, default=None,
                        help=f"override preset {lam}")
     p.add_argument("--mu", type=float, default=None)
-    p.add_argument("--nu", type=float, default=None)
     p.add_argument("--stages", type=int, default=2)
     p.add_argument("--iters", type=int, default=100)
     p.add_argument("--step", type=float, default=3e-5,

@@ -44,8 +44,7 @@ BRUTE_FORCE_LIMIT = 64
 
 @dataclass(frozen=True)
 class LossWeights:
-    """Term weights for the total loss, plus the log-Chamfer offset mu and
-    the reward radius nu."""
+    """Term weights for the total loss, plus the log-Chamfer offset mu."""
 
     lambda1: float = 1.0
     lambda2: float = 1.0
@@ -54,15 +53,14 @@ class LossWeights:
     lambda5: float = 0.0
     lambda6: float = 0.0
     mu: float = 1e-4
-    nu: float = 1e-4
 
     def __post_init__(self):
         lams = (self.lambda1, self.lambda2, self.lambda3,
                 self.lambda4, self.lambda5, self.lambda6)
         if any(not math.isfinite(l) or l < 0 for l in lams):
             raise ValueError("loss weights must be finite and >= 0")
-        if self.mu <= 0 or self.nu <= 0:
-            raise ValueError("mu and nu must be positive")
+        if self.mu <= 0:
+            raise ValueError("mu must be positive")
 
 
 def smooth_weights() -> LossWeights:

@@ -336,7 +336,6 @@ class TestTotalLoss:
         w = smooth_weights()
         assert (w.lambda2, w.lambda4, w.lambda3, w.lambda5, w.lambda6) == \
             (1.0, 0.15, 0.5, 1e-3, 1e-4)
-        assert w.nu == 1e-4
 
     def test_zero_weights_zero_gradient(self):
         w = LossWeights(lambda1=0, lambda2=0)
