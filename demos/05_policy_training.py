@@ -12,14 +12,12 @@ import numpy as np
 from alphaforge import (
     QPolicy,
     SyntheticSpec,
-    q_values,
-    reward,
-    state_descriptor,
+    greedy_tau,
+    score,
     synth,
+    tau_meshes,
     train_policy,
-    triangulate,
 )
-from alphaforge.errors import EmptyMesh
 
 ACTIONS = (0.3, 0.9)
 NU = 0.2
@@ -31,17 +29,6 @@ def instance(kind, seed):
                                    minor_radius=0.25))
     return synth(SyntheticSpec("sphere", n=80, fill="solid", seed=seed,
                                major_radius=0.8))
-
-
-def rewards_per_action(cloud, gt):
-    out = []
-    for tau in ACTIONS:
-        try:
-            out.append(reward(triangulate(cloud, tau), gt, nu=NU,
-                              n_samples=800, seed=999))
-        except EmptyMesh:
-            out.append(0.0)
-    return out
 
 
 dataset = [instance("torus", 100 + i) for i in range(8)]
@@ -58,9 +45,8 @@ hits = 0
 for kind, seed0 in (("torus", 5000), ("blob", 6000)):
     for k in range(5):
         cloud, gt = instance(kind, seed0 + k)
-        rs = rewards_per_action(cloud, gt)
-        pick = int(np.argmax(q_values(policy, state_descriptor(cloud))))
-        hits += pick == int(np.argmax(rs))
-        print(f"{kind:<8}{str([round(r, 2) for r in rs]):>22}"
-              f"{f'tau={ACTIONS[pick]}':>14}")
+        rs = [score(mesh, gt, NU, 800, 999) for mesh in tau_meshes(cloud, ACTIONS)]
+        pick = greedy_tau(policy, cloud)
+        hits += pick == ACTIONS[int(np.argmax(rs))]
+        print(f"{kind:<8}{str([round(r, 2) for r in rs]):>22}{f'tau={pick}':>14}")
 print(f"\npolicy matched the brute-force best threshold on {hits}/10 fresh clouds")

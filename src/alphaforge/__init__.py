@@ -61,12 +61,15 @@ from .metrics import (
 from .policy import (
     QPolicy,
     TrainLog,
+    greedy_tau,
     load_policy,
     q_values,
     reward,
     save_policy,
+    score,
     select_action,
     state_descriptor,
+    tau_meshes,
     train_policy,
     update,
 )
@@ -91,14 +94,14 @@ __all__ = [
     "boundary_edges", "boundary_meshes", "chamfer", "chamfer_grad", "circumsphere",
     "delaunay_complex", "edge_length_reg", "enclosed_volume", "errors",
     "euler_characteristic", "evaluate", "extract_boundary_faces", "f1_score",
-    "face_areas", "face_normals", "filter_tetrahedra", "icosphere",
+    "face_areas", "face_normals", "filter_tetrahedra", "greedy_tau", "icosphere",
     "icp_align", "laplacian_coords", "laplacian_reg", "load_policy",
     "log_chamfer", "log_chamfer_grad", "loss_plan", "nonmanifold_edges",
     "normal_consistency", "normal_cosine", "normal_loss", "pretty_weights",
     "q_values", "read_mesh", "read_points", "reference_mesh", "refine_mesh",
-    "reward", "sample_surface", "save_policy", "select_action",
+    "reward", "sample_surface", "save_policy", "score", "select_action",
     "smooth_weights", "state_descriptor", "subdivide", "synth",
-    "taubin_smooth", "total_loss", "total_loss_grad", "total_loss_with_grad",
+    "tau_meshes", "taubin_smooth", "total_loss", "total_loss_grad", "total_loss_with_grad",
     "trace_to_csv", "train_policy", "triangulate", "unique_edges", "update",
     "write_mesh", "write_points",
 ]

@@ -26,19 +26,18 @@ from pathlib import Path
 import numpy as np
 
 from . import meshio
-from .alphashape import TAU_PRESETS, boundary_meshes, triangulate
-from .delaunay import delaunay_complex
-from .errors import AlphaForgeError, ConfigError
+from .alphashape import TAU_PRESETS, triangulate
+from .errors import AlphaForgeError, ConfigError, GeometryError
 from .loss import LossWeights, pretty_weights, smooth_weights
 from .mesh import PointCloud, _edge_face_counts
 from .metrics import PROTOCOLS, evaluate
 from .policy import (
     QPolicy,
+    greedy_tau,
     load_policy,
     policy_to_json,
-    q_values,
-    reward,
-    state_descriptor,
+    score,
+    tau_meshes,
     train_policy,
 )
 from .refine import (
@@ -192,8 +191,7 @@ def _cmd_evaluate(args) -> int:
 
 
 def _cmd_train_policy(args) -> int:
-    records = _load_dataset(args.dataset)
-    dataset = [(cloud, mesh) for _, _, cloud, mesh in records]
+    dataset = [(cloud, mesh) for _, _, cloud, mesh in _load_dataset(args.dataset)]
     policy = QPolicy.fresh(_parse_taus(args.actions), epsilon=args.epsilon,
                            epsilon_decay=args.epsilon_decay, period=args.period)
     policy, log = train_policy(dataset, policy, episodes=args.episodes,
@@ -210,8 +208,9 @@ def _cmd_train_policy(args) -> int:
 def _cmd_reconstruct(args) -> int:
     cloud = _read_cloud(args.infile, args.in_format)
     if args.policy:
-        policy = load_policy(args.policy)
-        tau = policy.actions[int(np.argmax(q_values(policy, state_descriptor(cloud))))]
+        tau = greedy_tau(load_policy(args.policy), cloud)
+        if tau is None:
+            raise GeometryError(f"the policy cannot describe a {len(cloud)}-point cloud")
         print(f"reconstruct: policy chose tau={tau}", file=sys.stderr)
     elif args.tau is not None:
         tau = args.tau
@@ -240,34 +239,16 @@ def _cmd_reconstruct(args) -> int:
 
 
 def _ablate_instance(item, taus, policy, nu, n_samples, seed):
-    """One instance's rewards at each tau and at the policy's pick, all read
-    off one complex; any AlphaForgeError scores 0, including a cloud the
-    policy cannot describe."""
+    """One instance's scores by tau, all read off one complex, plus "policy"
+    for the policy's pick. A pick among the taus shares their cell (the same
+    mesh and seed); a cloud the policy cannot describe picks None, no mesh."""
     cls, name, cloud, gt = item
-    scored = list(taus)
-    pick = None
-    if policy is not None:
-        try:
-            pick = policy.actions[int(np.argmax(q_values(policy, state_descriptor(cloud))))]
-        except AlphaForgeError:
-            pass
-    if pick is not None and pick not in scored:  # else the tau cell has the same mesh and seed
-        scored.append(pick)
-    try:
-        meshes = boundary_meshes(delaunay_complex(cloud), scored)
-    except AlphaForgeError:
-        meshes = [None] * len(scored)
-    rewards = {}
-    for tau, mesh in zip(scored, meshes):
-        try:
-            rewards[tau] = 0.0 if mesh is None else reward(
-                mesh, gt, nu=nu, n_samples=n_samples, seed=seed)
-        except AlphaForgeError:
-            rewards[tau] = 0.0
-    row = {tau: rewards[tau] for tau in taus}
-    if policy is not None:
-        row["policy"] = 0.0 if pick is None else rewards[pick]
-    return cls, row
+    pick = None if policy is None else greedy_tau(policy, cloud)
+    cells = list(dict.fromkeys([*taus, pick]))
+    meshed = [tau for tau in cells if tau is not None]
+    meshes = dict(zip(meshed, tau_meshes(cloud, meshed)))
+    scores = {tau: score(meshes.get(tau), gt, nu, n_samples, seed) for tau in cells}
+    return cls, {**scores, "policy": scores[pick]}
 
 
 def _cmd_ablate(args) -> int:

@@ -18,7 +18,7 @@ from scipy.spatial import cKDTree
 
 from .alphashape import boundary_meshes
 from .delaunay import delaunay_complex
-from .errors import EmptyMesh, RewardOutOfRange, TooFewPoints
+from .errors import EmptyMesh, GeometryError, RewardOutOfRange, TooFewPoints
 from .mesh import Mesh, PointCloud
 from .metrics import f1_score
 from .sampling import REWARD_SAMPLES, sample_surface
@@ -155,6 +155,38 @@ def reward(pred: Mesh, gt: Mesh, nu: float = 1e-4,
     return f1 / 100.0
 
 
+def greedy_tau(policy: QPolicy, cloud: PointCloud) -> float | None:
+    """The threshold the value model ranks first for ``cloud`` (ties go to
+    the lowest index); None when the cloud cannot be described."""
+    try:
+        s = state_descriptor(cloud)
+    except GeometryError:
+        return None
+    return policy.actions[int(np.argmax(q_values(policy, s)))]
+
+
+def tau_meshes(cloud: PointCloud, taus) -> list[Mesh | None]:
+    """The alpha-shape boundary mesh at each tau, read off one complex;
+    None where the filter keeps nothing, and at every tau when the cloud
+    cannot be tetrahedralized."""
+    try:
+        complex_ = delaunay_complex(cloud)
+    except GeometryError:
+        return [None] * len(taus)
+    return boundary_meshes(complex_, taus)
+
+
+def score(mesh: Mesh | None, gt: Mesh, nu: float, n_samples: int, seed: int) -> float:
+    """One (cloud, tau) cell's ``reward``; 0 when there is no mesh or the
+    reward raises a GeometryError. Every other error propagates."""
+    if mesh is None:
+        return 0.0
+    try:
+        return reward(mesh, gt, nu=nu, n_samples=n_samples, seed=seed)
+    except GeometryError:
+        return 0.0
+
+
 def update(policy: QPolicy, s: np.ndarray, action: int, observed: float) -> QPolicy:
     """One RMS-adaptive regression step of q(s, action) toward the reward.
 
@@ -224,12 +256,10 @@ def train_policy(
             buffer.append((s, action, r))
             log.append(state_hash(s), action, r, policy.epsilon, not explore)
             step += 1
-            if len(buffer) >= policy.period:
+            if len(buffer) >= policy.period or step == episodes:
                 for bs, ba, br in buffer:
                     policy = update(policy, bs, ba, br)
                 buffer.clear()
-    for bs, ba, br in buffer:
-        policy = update(policy, bs, ba, br)
     return policy, log
 
 

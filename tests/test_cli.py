@@ -286,6 +286,20 @@ class TestReconstruct:
         assert "baseline" not in err
         assert "falling back" not in err
 
+    def test_policy_picks_tau_and_rejects_undescribable_cloud(self, tmp_path, capsys):
+        cloud, _ = synth(SyntheticSpec("sphere", n=200, fill="solid", seed=78))
+        policy_path = tmp_path / "policy.json"
+        save_policy(QPolicy.fresh((0.9, 0.3)), policy_path)  # zero weights pick 0.9
+        for n, want_code, want_err in ((200, 0, "policy chose tau=0.9"),
+                                       (6, 2, "cannot describe a 6-point cloud")):
+            path = tmp_path / f"c{n}.xyz"
+            write_points(PointCloud(cloud.points[:n]), path)
+            code, _, err = invoke(
+                ["reconstruct", "--in", str(path), "--policy", str(policy_path),
+                 "--stages", "1", "--iters", "1", "--out", str(tmp_path / "r.obj")], capsys)
+            assert code == want_code, err
+            assert want_err in err
+
     def test_reconstruct_needs_tau_or_policy(self, tmp_path, capsys):
         cloud, _ = synth(SyntheticSpec("sphere", n=200, fill="solid", seed=78))
         path = tmp_path / "c.xyz"

@@ -4,15 +4,19 @@ import numpy as np
 import pytest
 
 from alphaforge import (
+    Mesh,
     PointCloud,
     QPolicy,
     SyntheticSpec,
+    greedy_tau,
     icosphere,
     q_values,
     reward,
+    score,
     select_action,
     state_descriptor,
     synth,
+    tau_meshes,
     train_policy,
     triangulate,
     update,
@@ -144,9 +148,40 @@ class TestReward:
         assert reward(far, mesh, nu=1e-4, n_samples=500, seed=3) == 0.0
 
     def test_empty_mesh_raises(self):
-        from alphaforge import Mesh
         with pytest.raises(EmptyMesh):
             reward(Mesh(np.zeros((0, 3))), icosphere(0))
+
+
+def coplanar_cloud(n=40, seed=5):
+    xy = np.random.default_rng(seed).random((n, 2))
+    return PointCloud(np.column_stack([xy, np.zeros(n)]))
+
+
+class TestScoringPath:
+    def test_tau_meshes_match_triangulate_and_none_where_empty(self):
+        cloud, _ = synth(SyntheticSpec("sphere", n=120, fill="solid", seed=9,
+                                       major_radius=0.8))
+        small, large = tau_meshes(cloud, (0.05, 0.9))
+        assert small is None
+        want = triangulate(cloud, 0.9)
+        np.testing.assert_array_equal(large.vertices, want.vertices)
+        np.testing.assert_array_equal(large.faces, want.faces)
+
+    def test_tau_meshes_none_everywhere_for_coplanar_cloud(self):
+        assert tau_meshes(coplanar_cloud(), (0.3, 0.9)) == [None, None]
+
+    def test_score_is_reward_or_zero_on_geometry_errors(self):
+        mesh = icosphere(1)
+        assert score(mesh, mesh, 1e-4, 500, 3) == reward(mesh, mesh, 1e-4, 500, 3)
+        assert score(None, mesh, 1e-4, 500, 3) == 0.0
+        assert score(mesh, Mesh(np.zeros((0, 3))), 1e-4, 500, 3) == 0.0  # EmptyMesh
+
+    def test_greedy_tau_is_the_top_ranked_action(self):
+        theta = np.zeros((3, STATE_DIM))
+        theta[2, -1] = 1.0
+        policy = QPolicy((0.1, 0.2, 0.3), theta, np.zeros_like(theta))
+        assert greedy_tau(policy, sphere_cloud(n=100, seed=16)) == 0.3
+        assert greedy_tau(policy, sphere_cloud(n=8, seed=16)) is None  # no descriptor
 
 
 class TestUpdate:
