@@ -267,22 +267,19 @@ def _cmd_ablate(args) -> int:
         with ThreadPoolExecutor(max_workers=jobs) as pool:
             results = list(pool.map(work, records))  # input order preserved
 
-    classes = sorted({cls for cls, _ in results})
-    keys: list = list(taus) + (["policy"] if policy is not None else [])
-    labels = [f"tau={t}" for t in taus] + (["policy"] if policy is not None else [])
-    sums = {label: {c: [0.0, 0] for c in classes} for label in labels}
-    for cls, row in results:
-        for key, label in zip(keys, labels):
-            acc = sums[label][cls]
-            acc[0] += row[key]
-            acc[1] += 1
-    lines = ["model," + ",".join(classes)]
-    for label in labels:
-        cells = []
-        for c in classes:
-            total, count = sums[label][c]
-            cells.append(repr(100.0 * total / count) if count else "")
-        lines.append(f"{label}," + ",".join(cells))
+    by_class = {c: [row for cls, row in results if cls == c]
+                for c in sorted({cls for cls, _ in results})}
+    columns = [(f"tau={t}", t) for t in taus]
+    columns += [("policy", "policy")] if policy is not None else []
+    lines = ["model," + ",".join(by_class)]
+    for label, key in columns:
+        means = []
+        for rows in by_class.values():  # a per-class mean, summed in input order
+            total = 0.0
+            for row in rows:  # not sum(): it compensates from Python 3.12 on
+                total += row[key]
+            means.append(repr(100.0 * total / len(rows)))
+        lines.append(f"{label}," + ",".join(means))
     _emit("\n".join(lines) + "\n", args.out)
     return 0
 
