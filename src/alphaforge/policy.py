@@ -147,6 +147,8 @@ def reward(pred: Mesh, gt: Mesh, nu: float = 1e-4,
            n_samples: int = REWARD_SAMPLES, seed: int = 0) -> float:
     """Mesh-fidelity reward: F1 at radius nu between equal-seed surface
     samplings of the two meshes, on a 0..1 scale."""
+    if n_samples < 1:
+        raise ValueError("n_samples must be >= 1")
     if pred.num_faces == 0 or gt.num_faces == 0:
         raise EmptyMesh("reward needs non-empty meshes")
     p = sample_surface(pred, n_samples, seed)

@@ -237,6 +237,16 @@ class TestPolicyCommands:
         blob_at_pick = rows[1].split(",")[1]
         assert with_policy == plain + f"policy,{blob_at_pick},0.0\n"
 
+    def test_no_samples_is_an_error_not_a_zero_score(self, tmp_path, capsys):
+        root = make_dataset(tmp_path, n_per_class=1)
+        common = ["--dataset", str(root), "--nu", "0.2", "--n-samples", "0",
+                  "--out", str(tmp_path / "out")]
+        for argv in (["ablate", "--taus", "0.3"] + common,
+                     ["train-policy", "--actions", "0.3", "--episodes", "2"] + common):
+            code, _, err = invoke(argv, capsys)
+            assert code == 2
+            assert err == "error: n_samples must be >= 1\n"
+
     def test_jobs_env_default(self, monkeypatch):
         from alphaforge.cli import _build_parser
         monkeypatch.setenv("ALPHAFORGE_JOBS", "7")

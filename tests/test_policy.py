@@ -151,6 +151,12 @@ class TestReward:
         with pytest.raises(EmptyMesh):
             reward(Mesh(np.zeros((0, 3))), icosphere(0))
 
+    def test_no_samples_is_a_usage_error_not_a_score(self):
+        mesh = icosphere(1)
+        for call in (reward, score):
+            with pytest.raises(ValueError, match="n_samples"):
+                call(mesh, mesh, 1e-4, 0, 3)
+
 
 def coplanar_cloud(n=40, seed=5):
     xy = np.random.default_rng(seed).random((n, 2))
