@@ -219,10 +219,10 @@ def train_policy(
     """Train on (cloud, ground-truth mesh) pairs for ``episodes`` transitions.
 
     Each transition: build the descriptor, epsilon-greedily pick a threshold,
-    take the cloud's alpha-shape mesh at it, score the result with the F1
-    reward (an empty filtered complex scores 0), and buffer the transition.
-    Every ``period`` transitions the buffer is replayed once through the
-    update rule and cleared. The dataset order is reshuffled every pass.
+    take the cloud's alpha-shape mesh at it, ``score`` it, and buffer the
+    transition. Every ``period`` transitions the buffer is replayed once
+    through the update rule and cleared. The dataset order is reshuffled
+    every pass. A cloud the descriptor cannot describe is an error.
 
     A cloud is tetrahedralized once, at its first visit, and its meshes for
     every action are read off that one complex; only the meshes are kept.
@@ -246,15 +246,11 @@ def train_policy(
             explore = rng.random() < policy.epsilon
             action = int(rng.integers(policy.n_actions)) if explore else int(np.argmax(qv))
             if i not in meshes:
-                meshes[i] = boundary_meshes(delaunay_complex(cloud), policy.actions)
+                meshes[i] = tau_meshes(cloud, policy.actions)
             mesh = meshes[i][action]
-            r = 0.0
-            if mesh is not None:  # the reward seed is drawn only for a mesh
-                try:
-                    r = reward(mesh, gt, nu=nu, n_samples=n_samples,
-                               seed=int(rng.integers(2**62)))
-                except EmptyMesh:  # an empty ground-truth mesh
-                    pass
+            # the reward seed is drawn only for a mesh
+            r = score(mesh, gt, nu, n_samples,
+                      0 if mesh is None else int(rng.integers(2**62)))
             buffer.append((s, action, r))
             log.append(state_hash(s), action, r, policy.epsilon, not explore)
             step += 1

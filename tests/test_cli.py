@@ -237,6 +237,17 @@ class TestPolicyCommands:
         blob_at_pick = rows[1].split(",")[1]
         assert with_policy == plain + f"policy,{blob_at_pick},0.0\n"
 
+    def test_train_policy_scores_coplanar_cloud_zero(self, tmp_path, capsys):
+        """Like ablate, train-policy scores a cloud it cannot tetrahedralize 0."""
+        root, _ = self.dataset_with_flat_cloud(tmp_path, capsys)
+        log_path = tmp_path / "train.csv"
+        code, _, err = invoke(
+            ["train-policy", "--dataset", str(root), "--actions", "0.3,0.9",
+             "--episodes", "10", "--seed", "2", "--nu", "0.2", "--n-samples", "300",
+             "--out", str(tmp_path / "p.json"), "--log", str(log_path)], capsys)
+        assert code == 0, err
+        assert len(log_path.read_text().splitlines()) == 11
+
     def test_no_samples_is_an_error_not_a_zero_score(self, tmp_path, capsys):
         root = make_dataset(tmp_path, n_per_class=1)
         common = ["--dataset", str(root), "--nu", "0.2", "--n-samples", "0",

@@ -22,7 +22,13 @@ from alphaforge import (
     update,
 )
 from alphaforge.errors import EmptyMesh, RewardOutOfRange, TooFewPoints
-from alphaforge.policy import STATE_DIM, load_policy, policy_to_json, save_policy
+from alphaforge.policy import (
+    STATE_DIM,
+    load_policy,
+    policy_to_json,
+    save_policy,
+    state_hash,
+)
 
 
 PINNED_LOG = """\
@@ -304,6 +310,20 @@ class TestTrainPolicy:
         assert log.to_csv() == PINNED_LOG
         digest = hashlib.sha256(policy_to_json(policy).encode()).hexdigest()
         assert digest == "8e60430743895cfb2e0012b642f06e53b15551725cd08bd47b3f7f9459b836ce"
+
+    def test_coplanar_cloud_scores_zero(self):
+        """A cloud Qhull cannot tetrahedralize scores 0 at every action,
+        like any other cell that fails on its geometry."""
+        flat = coplanar_cloud()
+        _, gt = synth(SyntheticSpec("box", n=10))
+        dataset = self.three_cloud_dataset()[:1] + [(flat, gt)]
+        policy = QPolicy.fresh((0.3, 0.9), epsilon=0.9)
+        policy, log = train_policy(dataset, policy, episodes=8, seed=3,
+                                   nu=0.2, n_samples=300)
+        flat_hash = state_hash(state_descriptor(flat))
+        flat_rewards = [r["reward"] for r in log.records if r["state_hash"] == flat_hash]
+        assert flat_rewards and all(r == 0.0 for r in flat_rewards)
+        assert any(r["reward"] > 0 for r in log.records if r["state_hash"] != flat_hash)
 
     def test_argmax_invariant_to_constant_shift(self):
         rng = np.random.default_rng(13)
