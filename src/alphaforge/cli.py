@@ -29,7 +29,7 @@ from . import meshio
 from .alphashape import TAU_PRESETS, triangulate
 from .errors import AlphaForgeError, ConfigError, GeometryError
 from .loss import LossWeights, pretty_weights, smooth_weights
-from .mesh import PointCloud, _edge_face_counts
+from .mesh import PointCloud, _edge_table
 from .metrics import PROTOCOLS, evaluate
 from .policy import (
     QPolicy,
@@ -63,6 +63,8 @@ class _UsageError(Exception):
 
 
 class _Parser(argparse.ArgumentParser):
+    commands: dict[str, "_Parser"]  # the top-level parser's subcommand parsers
+
     def error(self, message):
         raise _UsageError(f"{message}\n{self.format_usage()}")
 
@@ -87,22 +89,26 @@ def _emit(text: str, out: str) -> None:
             fh.write(text)
 
 
-def _apply_config(parser: _Parser, args: argparse.Namespace) -> argparse.Namespace:
-    """Overlay a JSON config document; unknown keys are usage errors and
-    explicit command-line flags win over config values."""
+def _apply_config(parser: _Parser, argv: list[str] | None,
+                  args: argparse.Namespace) -> argparse.Namespace:
+    """Parse argv again with a JSON config document's values as the
+    subcommand's defaults, so explicit command-line flags win over config
+    values; unknown keys are usage errors."""
     if not getattr(args, "config", None):
         return args
     with open(args.config, encoding="utf-8") as fh:
         doc = json.load(fh)
     if not isinstance(doc, dict):
         raise _UsageError("config document must be a JSON object")
-    known = set(vars(args))
+    known = set(vars(args)) - {"command", "func"}
+    defaults = {}
     for key, value in doc.items():
         dest = key.replace("-", "_")
         if dest not in known:
             raise _UsageError(f"unknown config key {key!r}")
-        setattr(args, dest, value)
-    return args
+        defaults[dest] = value
+    parser.commands[args.command].set_defaults(**defaults)
+    return parser.parse_args(argv)
 
 
 def _weights_from_args(args) -> LossWeights:
@@ -165,7 +171,7 @@ def _cmd_synth(args) -> int:
 def _cmd_triangulate(args) -> int:
     cloud = _read_cloud(args.infile, args.in_format)
     mesh = triangulate(cloud, args.tau)
-    edges, faces_per_edge = _edge_face_counts(mesh)
+    edges, _, faces_per_edge = _edge_table(mesh.faces)
     print(f"triangulate: {mesh.num_vertices} vertices, {mesh.num_faces} faces, "
           f"chi={mesh.num_vertices - len(edges) + mesh.num_faces}, "
           f"boundary_edges={np.count_nonzero(faces_per_edge == 1)}, "
@@ -292,6 +298,7 @@ def _build_parser() -> _Parser:
     parser = _Parser(prog="alphaforge", description=__doc__,
                      formatter_class=argparse.RawDescriptionHelpFormatter)
     sub = parser.add_subparsers(dest="command", required=True)
+    parser.commands = sub.choices
 
     def common(p):
         p.add_argument("--seed", type=int, default=0,
@@ -411,7 +418,7 @@ def run(argv: list[str] | None = None) -> int:
     parser = _build_parser()
     try:
         args = parser.parse_args(argv)
-        args = _apply_config(parser, args)
+        args = _apply_config(parser, argv, args)
         return args.func(args)
     except _UsageError as exc:
         print(f"usage error: {exc}", file=sys.stderr)

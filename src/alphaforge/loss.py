@@ -3,8 +3,8 @@ regularizers, edge-length penalty, and their analytic vertex gradients.
 
 Every term comes in a (value, gradient) pair whose gradient is validated
 against central finite differences in the test suite. Nearest-neighbor
-assignments are held fixed when differentiating (subgradient at ties,
-lowest index winning).
+assignments are held fixed when differentiating (a subgradient where a
+point is equidistant from two neighbors).
 
 The total loss is evaluated against a :class:`LossPlan` (see
 :func:`loss_plan`), which holds what stays fixed while only the vertices
@@ -34,12 +34,18 @@ from .errors import (
     NoEdges,
     VertexCountMismatch,
 )
-from .mesh import Mesh, PointCloud, _unique_rows, face_cross_products, unique_edges
-from .sampling import sample_surface_with_faces
+from .mesh import (
+    Mesh,
+    PointCloud,
+    _edge_table,
+    _unique_rows,
+    face_cross_products,
+    unique_edges,
+)
+from .sampling import _draw, _place
 
 LN10 = math.log(10.0)
 COT_CLAMP = 50.0
-BRUTE_FORCE_LIMIT = 64
 
 
 @dataclass(frozen=True)
@@ -89,23 +95,13 @@ class LossBreakdown:
 def nearest_neighbors(a: np.ndarray, b: np.ndarray,
                       tree: cKDTree | None = None) -> tuple[np.ndarray, np.ndarray]:
     """Index into b of the nearest neighbor for each row of a, plus squared
-    distances. Exact; brute force below 64 target points (ties resolved to
-    the lowest index), kd-tree above. ``tree``, a kd-tree already built over
-    b, is queried instead of building one."""
-    if len(b) < BRUTE_FORCE_LIMIT:
-        d2 = ((a[:, None, :] - b[None, :, :]) ** 2).sum(axis=2)
-        idx = np.argmin(d2, axis=1)
-        return idx, d2[np.arange(len(a)), idx]
+    distances, by an exact kd-tree query; a row equidistant from several
+    points of b gets any one of them. ``tree``, a kd-tree already built
+    over b, is queried instead of building one."""
     if tree is None:
         tree = cKDTree(b)
     dist, idx = tree.query(a, k=1)
     return idx, dist**2
-
-
-def _tree(b: np.ndarray) -> cKDTree | None:
-    """kd-tree over b for repeated ``nearest_neighbors`` queries, or None
-    below ``BRUTE_FORCE_LIMIT`` points, where queries are brute force."""
-    return cKDTree(b) if len(b) >= BRUTE_FORCE_LIMIT else None
 
 
 class _Match(NamedTuple):
@@ -218,13 +214,10 @@ class _EdgeSlots(NamedTuple):
 
 
 def _edge_slots(faces: np.ndarray) -> _EdgeSlots:
-    f = faces
-    slot_i = np.concatenate([f[:, 1], f[:, 2], f[:, 0]])
-    slot_j = np.concatenate([f[:, 2], f[:, 0], f[:, 1]])
-    slot_k = np.concatenate([f[:, 0], f[:, 1], f[:, 2]])
-    key = np.sort(np.stack([slot_i, slot_j], axis=1), axis=1)
-    edges, inverse, _ = _unique_rows(key)
-    return _EdgeSlots(edges, slot_i, slot_j, slot_k, inverse)
+    edges, opposite, _ = _edge_table(faces)
+    f = faces.T
+    return _EdgeSlots(edges, f[[1, 2, 0]].ravel(), f[[2, 0, 1]].ravel(), f.ravel(),
+                      opposite.ravel())
 
 
 def _cotangents(v: np.ndarray, slots: _EdgeSlots):
@@ -326,20 +319,15 @@ def _laplacian_reg_and_grad(v: np.ndarray, slots: _EdgeSlots, lo_target: np.ndar
 def _adjacent_face_pairs(faces: np.ndarray) -> np.ndarray:
     """Unordered pairs of faces sharing an edge, as an (m, 2) array in
     lexicographic order."""
-    f = faces
-    if not len(f):
-        return np.zeros((0, 2), dtype=np.int64)
-    e = np.sort(np.concatenate([f[:, [0, 1]], f[:, [1, 2]], f[:, [2, 0]]]), axis=1)
-    face_of = np.tile(np.arange(len(f), dtype=np.int64), 3)
-    order = np.lexsort((e[:, 1], e[:, 0]))
-    e, face_of = e[order], face_of[order]
+    _, opposite, counts = _edge_table(faces)
+    order = np.argsort(opposite.ravel())
+    edge = opposite.ravel()[order]
+    face_of = np.tile(np.arange(len(faces), dtype=np.int64), 3)[order]
     # the faces of one edge are contiguous after the sort: pair each slot
-    # with the slot `gap` places later while any such pair shares an edge
+    # with the slot `gap` places later, for gaps up to the largest edge degree
     pairs = [np.zeros((0, 2), dtype=np.int64)]
-    for gap in range(1, len(e)):
-        same = np.all(e[gap:] == e[:-gap], axis=1)
-        if not same.any():
-            break
+    for gap in range(1, counts.max(initial=0)):
+        same = edge[gap:] == edge[:-gap]
         pairs.append(np.stack([face_of[:-gap][same], face_of[gap:][same]], axis=1))
     return _unique_rows(np.sort(np.concatenate(pairs), axis=1))[0]
 
@@ -429,11 +417,9 @@ class LossPlan:
 
     Built by :func:`loss_plan` for one face connectivity (one refinement
     stage). Fields a weight setting does not need are None: the sampling
-    map and target kd-tree without data terms (and the tree below
-    ``BRUTE_FORCE_LIMIT`` target points, where queries are brute force),
-    the edge slots without Laplacian or edge-length terms, the face pairs
-    without normal consistency, the target Laplacian without a Laplacian
-    term.
+    map and target kd-tree without data terms, the edge slots without
+    Laplacian or edge-length terms, the face pairs without normal
+    consistency, the target Laplacian without a Laplacian term.
     """
 
     weights: LossWeights
@@ -466,13 +452,15 @@ def loss_plan(
     """
     tree = face_idx = bary = sample_faces = None
     if w.lambda1 > 0 or w.lambda2 > 0 or w.lambda6 > 0:
-        _, face_idx, bary = sample_surface_with_faces(m, n_samples, seed)
+        if n_samples < 1:
+            raise ValueError("n_samples must be >= 1")
+        face_idx, bary = _draw(face_cross_products(m), n_samples, seed)
         sample_faces = m.faces[face_idx]
         if len(p_gt) == 0:
             raise EmptyCloud("target cloud is empty")
         if w.lambda6 > 0 and not p_gt.has_normals:
             raise MissingNormals("normal loss needs normals on both clouds")
-        tree = _tree(p_gt.points)
+        tree = cKDTree(p_gt.points)
     lo_target = None
     if w.lambda3 > 0:
         if m_t is None:
@@ -542,8 +530,7 @@ def _evaluate(m: Mesh, plan: LossPlan, want_grad: bool):
 
     if plan.face_idx is not None:
         f, bary = plan.sample_faces, plan.bary
-        pos = (bary[:, 0, None] * v[f[:, 0]] + bary[:, 1, None] * v[f[:, 1]]
-               + bary[:, 2, None] * v[f[:, 2]])
+        pos = _place(v, f, bary)
         qq = plan.target.points
         match = _match(pos, qq, plan.tree)
 

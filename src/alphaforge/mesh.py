@@ -154,9 +154,19 @@ def _unique_rows(rows: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     return srt[starts], inverse, np.diff(np.append(starts, n))
 
 
+def _edge_table(faces: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Edge table of an (f, 3) face array: the distinct unordered edges as
+    an (e, 2) array in lexicographic order; a (3, f) array whose row k
+    indexes, for every face, the edge opposite the face's corner k; and the
+    number of faces on each edge."""
+    pairs = np.stack([faces[:, [1, 2]], faces[:, [2, 0]], faces[:, [0, 1]]])
+    edges, inverse, counts = _unique_rows(np.sort(pairs.reshape(-1, 2), axis=1))
+    return edges, inverse.reshape(3, -1), counts
+
+
 def unique_edges(mesh: Mesh) -> np.ndarray:
     """Unordered vertex-index pairs appearing in any face, as an (e, 2) array."""
-    return _edge_face_counts(mesh)[0]
+    return _edge_table(mesh.faces)[0]
 
 
 def euler_characteristic(mesh: Mesh) -> int:
@@ -164,26 +174,15 @@ def euler_characteristic(mesh: Mesh) -> int:
     return mesh.num_vertices - len(unique_edges(mesh)) + mesh.num_faces
 
 
-def _edge_face_counts(mesh: Mesh) -> tuple[np.ndarray, np.ndarray]:
-    """Unordered edges, as an (e, 2) array in lexicographic order, and the
-    number of faces on each."""
-    if not len(mesh.faces):
-        return np.zeros((0, 2), dtype=np.int64), np.zeros(0, dtype=np.int64)
-    f = mesh.faces
-    e = np.sort(np.concatenate([f[:, [0, 1]], f[:, [1, 2]], f[:, [2, 0]]]), axis=1)
-    edges, _, counts = _unique_rows(e)
-    return edges, counts
-
-
 def boundary_edges(mesh: Mesh) -> np.ndarray:
     """Unordered edges incident to exactly one face; empty iff the mesh is closed."""
-    edges, counts = _edge_face_counts(mesh)
+    edges, _, counts = _edge_table(mesh.faces)
     return edges[counts == 1]
 
 
 def nonmanifold_edges(mesh: Mesh) -> np.ndarray:
     """Unordered edges incident to more than two faces."""
-    edges, counts = _edge_face_counts(mesh)
+    edges, _, counts = _edge_table(mesh.faces)
     return edges[counts > 2]
 
 

@@ -18,6 +18,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 
 import numpy as np
+from scipy.spatial import cKDTree
 
 from .errors import DegenerateConfiguration, EmptyCloud, EmptyMesh, MissingNormals
 from .loss import (
@@ -26,7 +27,6 @@ from .loss import (
     _match,
     _normal_cosines,
     _require_clouds,
-    _tree,
     nearest_neighbors,
 )
 from .mesh import Mesh, PointCloud
@@ -174,13 +174,13 @@ def icp_align(
     Raises DegenerateConfiguration when P's spread is rank-deficient
     (e.g. collinear points), for which the rotation is not identifiable.
     """
-    return _icp(p, q, _tree(q.points), max_iters, tol, history)
+    return _icp(p, q, cKDTree(q.points), max_iters, tol, history)
 
 
 def _icp(p: PointCloud, q: PointCloud, tree, max_iters: int = 50,
          tol: float = 1e-10, history: list | None = None) -> tuple[RigidTransform, float]:
-    """``icp_align`` against ``tree``, the kd-tree ``loss._tree`` built over
-    q's points (None for a small q), which the caller may query again."""
+    """``icp_align`` against ``tree``, a kd-tree built over q's points,
+    which the caller may query again."""
     if len(p) == 0 or len(q) == 0:
         raise EmptyCloud("icp_align needs non-empty clouds")
     pts = p.points
@@ -250,7 +250,7 @@ def evaluate(
     pred_cloud = sample_surface(pred_s, n_samples, seed)
     gt_cloud = sample_surface(gt_s, n_samples, seed)
 
-    tree = _tree(gt_cloud.points)
+    tree = cKDTree(gt_cloud.points)
     if protocol == "tmnet":
         transform, cd = _icp(pred_cloud, gt_cloud, tree)
         pred_cloud = transform.apply_to_cloud(pred_cloud)

@@ -20,7 +20,7 @@ import numpy as np
 
 from .errors import ConfigError, NonFinite
 from .loss import LossBreakdown, LossWeights, loss_plan, total_loss_with_grad
-from .mesh import Mesh, PointCloud, _unique_rows, unique_edges
+from .mesh import Mesh, PointCloud, _edge_table, unique_edges
 
 # tanh(OFFSET_CLIP) < 1 - 1e-12, keeping the displacement bound strict even
 # if the optimizer drives an offset to saturation.
@@ -95,16 +95,10 @@ def subdivide(mesh: Mesh) -> Mesh:
     """Midpoint subdivision: one new vertex per unique edge, each face
     replaced by four. Meshes with identical connectivity subdivide to
     identical vertex indexing (edges are ranked lexicographically)."""
-    f = mesh.faces
-    if not len(f):
-        return Mesh(mesh.vertices, f)
-    # the edges (a, b), (b, c), (c, a) of every face, ranked among the
-    # lexicographically sorted unique edges
-    key = np.sort(np.stack([f, np.roll(f, -1, axis=1)], axis=2), axis=2)
-    edges, rank, _ = _unique_rows(key.reshape(-1, 2))
+    edges, opposite, _ = _edge_table(mesh.faces)
     midpoints = 0.5 * (mesh.vertices[edges[:, 0]] + mesh.vertices[edges[:, 1]])
-    a, b, c = f.T
-    mab, mbc, mca = (mesh.num_vertices + rank.reshape(-1, 3)).T
+    a, b, c = mesh.faces.T
+    mbc, mca, mab = mesh.num_vertices + opposite
     new_faces = np.stack([a, mab, mca, mab, b, mbc, mca, mbc, c, mab, mbc, mca], axis=1)
     return Mesh(np.concatenate([mesh.vertices, midpoints]), new_faces.reshape(-1, 3))
 

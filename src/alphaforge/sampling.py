@@ -29,60 +29,40 @@ def sample_surface(mesh: Mesh, n: int, seed: int) -> PointCloud:
     face's unit normal. The stream comes from a counter-based Philox
     generator, so results are reproducible for a fixed (mesh, n, seed).
     """
-    if n < 0:
-        raise ValueError("n must be >= 0")
     cross = face_cross_products(mesh)
-    areas = 0.5 * np.linalg.norm(cross, axis=1)
-    total = areas.sum()
-    if not len(mesh.faces) or total < MIN_TOTAL_AREA:
-        raise NoSurface(f"total mesh area {total} below {MIN_TOTAL_AREA}")
-    if n == 0:
-        return PointCloud(np.zeros((0, 3)), np.zeros((0, 3)))
-    face_idx, r1, r2 = _draw(areas, n, seed)
-    return _realize(mesh, cross, areas, face_idx, r1, r2)
-
-
-def _draw(areas: np.ndarray, n: int, seed: int):
-    """Face indices and barycentric uniforms for n samples."""
-    rng = np.random.Generator(np.random.Philox(seed))
-    cumulative = np.cumsum(areas)
-    u = rng.random(n) * cumulative[-1]
-    face_idx = np.searchsorted(cumulative, u, side="right")
-    face_idx = np.minimum(face_idx, len(areas) - 1)
-    r1 = rng.random(n)
-    r2 = rng.random(n)
-    return face_idx, r1, r2
-
-
-def _realize(mesh, cross, areas, face_idx, r1, r2) -> PointCloud:
-    v = mesh.vertices
-    f = mesh.faces[face_idx]
-    s = np.sqrt(r1)[:, None]
-    b0 = 1.0 - s
-    b1 = s * (1.0 - r2[:, None])
-    b2 = s * r2[:, None]
-    pos = b0 * v[f[:, 0]] + b1 * v[f[:, 1]] + b2 * v[f[:, 2]]
-    normals = cross[face_idx] / (2.0 * areas[face_idx])[:, None]
+    face_idx, bary = _draw(cross, n, seed)
+    pos = _place(mesh.vertices, mesh.faces[face_idx], bary)
+    normals = cross[face_idx]
+    normals = normals / np.linalg.norm(normals, axis=1, keepdims=True)
     # renormalize to keep the unit invariant tight after the division
     normals = normals / np.linalg.norm(normals, axis=1, keepdims=True)
     return PointCloud(pos, normals)
 
 
-def sample_surface_with_faces(mesh: Mesh, n: int, seed: int):
-    """Like sample_surface but also returns (face_idx, barycentric) arrays.
+def _draw(cross: np.ndarray, n: int, seed: int) -> tuple[np.ndarray, np.ndarray]:
+    """Source face and (n, 3) barycentric coordinates of n area-uniform
+    samples of the faces whose ``face_cross_products`` are ``cross``, as
+    ``sample_surface`` draws them.
 
-    Used by gradient code that must chain sample positions back to the
-    vertices of their source faces (assignment and barycentric coordinates
-    held fixed).
+    Raises ValueError for n < 0 and NoSurface when the faces have no area.
     """
-    if n <= 0:
-        raise ValueError("n must be >= 1")
-    cross = face_cross_products(mesh)
+    if n < 0:
+        raise ValueError("n must be >= 0")
     areas = 0.5 * np.linalg.norm(cross, axis=1)
-    if not len(mesh.faces) or areas.sum() < MIN_TOTAL_AREA:
-        raise NoSurface("mesh has no sampleable area")
-    face_idx, r1, r2 = _draw(areas, n, seed)
-    cloud = _realize(mesh, cross, areas, face_idx, r1, r2)
-    s = np.sqrt(r1)
-    bary = np.stack([1.0 - s, s * (1.0 - r2), s * r2], axis=1)
-    return cloud, face_idx, bary
+    total = areas.sum()
+    if not len(cross) or total < MIN_TOTAL_AREA:
+        raise NoSurface(f"total mesh area {total} below {MIN_TOTAL_AREA}")
+    rng = np.random.Generator(np.random.Philox(seed))
+    cumulative = np.cumsum(areas)
+    u = rng.random(n) * cumulative[-1]
+    face_idx = np.minimum(np.searchsorted(cumulative, u, side="right"), len(areas) - 1)
+    s = np.sqrt(rng.random(n))
+    r2 = rng.random(n)
+    return face_idx, np.stack([1.0 - s, s * (1.0 - r2), s * r2], axis=1)
+
+
+def _place(v: np.ndarray, f: np.ndarray, bary: np.ndarray) -> np.ndarray:
+    """Points at barycentric coordinates ``bary`` (n, 3) of the triangles
+    whose vertex indices into ``v`` are the rows of ``f`` (n, 3)."""
+    return (bary[:, 0, None] * v[f[:, 0]] + bary[:, 1, None] * v[f[:, 1]]
+            + bary[:, 2, None] * v[f[:, 2]])

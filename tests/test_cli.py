@@ -71,6 +71,27 @@ class TestExitCodes:
         assert code == 1
         assert "no-such-key" in err
 
+    def test_config_key_of_no_flag_is_usage_error(self, tmp_path, capsys):
+        """``func`` names the subcommand's handler in the parsed namespace,
+        not a flag."""
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps({"func": 1}))
+        code, _, err = invoke(
+            ["synth", "--shape", "sphere", "--config", str(cfg)], capsys)
+        assert code == 1
+        assert "func" in err
+
+    def test_flags_win_over_config(self, tmp_path, capsys):
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps({"n": 10}))
+        base = ["synth", "--shape", "sphere", "--config", str(cfg)]
+        code, with_flag, _ = invoke(base + ["--n", "5"], capsys)
+        assert code == 0
+        assert len(with_flag.splitlines()) == 5
+        code, config_only, _ = invoke(base, capsys)
+        assert code == 0
+        assert len(config_only.splitlines()) == 10
+
 
 class TestSynthTriangulate:
     def test_pipeline_files(self, tmp_path, capsys):

@@ -2,6 +2,9 @@ from dataclasses import astuple
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+from scipy.spatial import cKDTree
 
 from alphaforge import (
     LossWeights,
@@ -33,6 +36,7 @@ from alphaforge.errors import (
     NoEdges,
     VertexCountMismatch,
 )
+from alphaforge.loss import nearest_neighbors
 from conftest import random_rotation
 
 
@@ -51,6 +55,35 @@ def fd_cloud_grad(fn, p, q, h=1e-6):
             g[i, d] = (fn(cloud(plus, p.normals), q)
                        - fn(cloud(minus, p.normals), q)) / (2 * h)
     return g
+
+
+def argmin_nearest(a, b):
+    """Oracle: nearest row of b for each row of a by an argmin over every
+    pair, with the squared distances."""
+    d2 = ((a[:, None, :] - b[None, :, :]) ** 2).sum(axis=2)
+    idx = np.argmin(d2, axis=1)
+    return idx, d2[np.arange(len(a)), idx]
+
+
+class TestNearestNeighbors:
+    @settings(max_examples=100, deadline=None)
+    @given(seed=st.integers(0, 2**32 - 1), n_a=st.integers(1, 60),
+           n_b=st.integers(1, 100), on_grid=st.booleans())
+    def test_matches_argmin_oracle(self, seed, n_a, n_b, on_grid):
+        """Targets of 1 to 100 points; on a half-unit grid, many queries are
+        equidistant from several targets or coincide with one, and any
+        nearest target is a valid answer."""
+        rng = np.random.default_rng(seed)
+        a = rng.normal(size=(n_a, 3))
+        b = rng.normal(size=(n_b, 3))
+        if on_grid:
+            a, b = np.round(2 * a) / 2, np.round(2 * b) / 2
+        _, want = argmin_nearest(a, b)
+        for tree in (None, cKDTree(b)):
+            idx, d2 = nearest_neighbors(a, b, tree=tree)
+            np.testing.assert_allclose(d2, want, rtol=1e-12, atol=0)
+            np.testing.assert_allclose(((a - b[idx]) ** 2).sum(axis=1), want,
+                                       rtol=1e-12, atol=0)
 
 
 class TestChamfer:

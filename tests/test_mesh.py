@@ -17,7 +17,7 @@ from alphaforge import (
     subdivide,
 )
 from alphaforge.errors import DegenerateFace, InvalidMesh
-from alphaforge.mesh import _unique_rows
+from alphaforge.mesh import _edge_table, _unique_rows
 from conftest import random_rotation
 
 
@@ -190,3 +190,41 @@ class TestUniqueRows:
     ], ids=["empty", "single", "all-equal", "3-columns-past-2**21", "2-columns-past-2**31"])
     def test_edge_cases(self, rows):
         assert_unique_rows_match_numpy(rows.astype(np.int64))
+
+
+def assert_edge_table_matches_numpy(faces):
+    edges, opposite, counts = _edge_table(faces)
+    # the edge opposite corner k of a face joins its other two corners
+    pairs = np.stack([faces[:, [1, 2]], faces[:, [2, 0]], faces[:, [0, 1]]])
+    pairs = np.sort(pairs, axis=2)
+    want_edges, want_inverse, want_counts = np.unique(
+        pairs.reshape(-1, 2), axis=0, return_inverse=True, return_counts=True)
+    np.testing.assert_array_equal(edges, want_edges)
+    np.testing.assert_array_equal(opposite, want_inverse.reshape(3, len(faces)))
+    np.testing.assert_array_equal(counts, want_counts)
+    for k in range(3):
+        np.testing.assert_array_equal(edges[opposite[k]], pairs[k])
+
+
+class TestEdgeTable:
+    @settings(max_examples=200, deadline=None)
+    @given(seed=st.integers(0, 2**32 - 1), n_vertices=st.integers(3, 12),
+           n_faces=st.integers(0, 40))
+    def test_matches_numpy_unique(self, seed, n_vertices, n_faces):
+        rng = np.random.default_rng(seed)
+        faces = np.array([rng.choice(n_vertices, 3, replace=False)
+                          for _ in range(n_faces)], dtype=np.int64).reshape(-1, 3)
+        assert_edge_table_matches_numpy(faces)
+
+    @pytest.mark.parametrize("faces", [
+        np.zeros((0, 3), dtype=np.int64),
+        np.array([[0, 1, 2], [1, 0, 3], [0, 1, 4], [4, 1, 5]]),
+        reference_mesh(SyntheticSpec("torus")).faces,
+    ], ids=["empty", "nonmanifold-fan", "torus"])
+    def test_cases(self, faces):
+        assert_edge_table_matches_numpy(faces)
+
+    def test_nonmanifold_fan_counts(self):
+        edges, _, counts = _edge_table(np.array([[0, 1, 2], [1, 0, 3], [0, 1, 4]]))
+        assert edges[counts == 3].tolist() == [[0, 1]]
+        assert (counts[np.any(edges != [0, 1], axis=1)] == 1).all()

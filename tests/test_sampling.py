@@ -1,7 +1,18 @@
+import hashlib
+
 import numpy as np
 import pytest
 
-from alphaforge import Mesh, face_normals, sample_surface
+from alphaforge import (
+    LossWeights,
+    Mesh,
+    SyntheticSpec,
+    face_normals,
+    icosphere,
+    loss_plan,
+    reference_mesh,
+    sample_surface,
+)
 from alphaforge.errors import NoSurface
 
 UNIT_SQUARE = Mesh(
@@ -73,3 +84,31 @@ def test_no_surface_raises():
                       np.array([[0, 1, 2]]))
     with pytest.raises(NoSurface):
         sample_surface(degenerate, 10, seed=0)
+
+
+def sha256(arr):
+    return hashlib.sha256(np.ascontiguousarray(arr).tobytes()).hexdigest()
+
+
+@pytest.mark.parametrize("mesh, points, normals", [
+    (icosphere(2),
+     "9ab6c0d88dca650db84804c1894d1fa892614e122578433d8d466dcb1e6ec06c",
+     "08be6f0830a6ee5dad0492ca3a3098038d61b5ba9ab16ef34001a3e96236d60a"),
+    (reference_mesh(SyntheticSpec("torus")),
+     "639d8e6baf648f836575faa304c59aaad14d589416afec6f047fdabdf2789a03",
+     "28a015f311bb39647769ed187d3d15bfe46da87d4e1861b998f1565ff86e2ac8"),
+], ids=["icosphere", "torus"])
+def test_samples_pinned(mesh, points, normals):
+    cloud = sample_surface(mesh, 1000, seed=3)
+    assert (sha256(cloud.points), sha256(cloud.normals)) == (points, normals)
+
+
+def test_loss_plan_samples_equal_sample_surface():
+    """The loss's sampling map places its samples where ``sample_surface``
+    does, bit for bit."""
+    mesh = reference_mesh(SyntheticSpec("torus"))
+    target = sample_surface(icosphere(2), 300, seed=1)
+    plan = loss_plan(mesh, target, None, LossWeights(), 1000, seed=3)
+    v, f = mesh.vertices, plan.sample_faces
+    positions = sum(plan.bary[:, k, None] * v[f[:, k]] for k in range(3))
+    assert np.array_equal(positions, sample_surface(mesh, 1000, seed=3).points)
