@@ -1,9 +1,10 @@
 """Tour of the loss terms and their gradients.
 
-Every term comes with an analytic vertex gradient; the demo checks one
-against central finite differences and shows the property that motivates
-the log Chamfer data term: its gradient grows as a match gets closer, so
-far-away points move gently while near matches get pulled tight.
+Every term comes with an analytic vertex gradient; the demo checks the
+total's against central finite differences on one loss plan (the
+frozen-sample objective refinement descends) and shows the property that
+motivates the log Chamfer data term: its gradient grows as a match gets
+closer, so far-away points move gently while near matches get pulled tight.
 """
 
 import numpy as np
@@ -14,10 +15,10 @@ from alphaforge import (
     chamfer_grad,
     icosphere,
     log_chamfer_grad,
+    loss_plan,
     sample_surface,
     smooth_weights,
     total_loss,
-    total_loss_grad,
 )
 
 print("log-Chamfer gradient magnitude per matched pair (mu = 1e-4):")
@@ -35,21 +36,21 @@ noisy = clean.with_vertices(clean.vertices + 0.04 * rng.normal(size=clean.vertic
 gt = sample_surface(icosphere(2), 600, seed=3)
 
 weights = smooth_weights()
-breakdown = total_loss(noisy, gt, clean, weights, n_samples=500, seed=4)
+plan = loss_plan(noisy, gt, clean, weights, n_samples=500, seed=4)
+breakdown, grad = total_loss(noisy, plan)
 print("\nloss breakdown on a noisy icosphere (smooth preset):")
 for field in ("logcmd", "cmd", "laplacian_reg", "edge_len",
               "normal_consistency", "normal_loss", "total"):
     print(f"  {field:<20}{getattr(breakdown, field):>12.5f}")
 
-grad = total_loss_grad(noisy, gt, clean, weights, n_samples=500, seed=4)
 h = 1e-6
 i, axis = 7, 1
 vp = noisy.vertices.copy()
 vp[i, axis] += h
 vm = noisy.vertices.copy()
 vm[i, axis] -= h
-fd = (total_loss(noisy.with_vertices(vp), gt, clean, weights, 500, 4).total
-      - total_loss(noisy.with_vertices(vm), gt, clean, weights, 500, 4).total) / (2 * h)
+fd = (total_loss(noisy.with_vertices(vp), plan)[0].total
+      - total_loss(noisy.with_vertices(vm), plan)[0].total) / (2 * h)
 print(f"\nanalytic d(total)/d(vertex {i}, axis {axis}) = {grad[i, axis]:.6f}")
 print(f"central finite difference              = {fd:.6f}")
 

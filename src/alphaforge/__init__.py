@@ -34,8 +34,6 @@ from .loss import (
     pretty_weights,
     smooth_weights,
     total_loss,
-    total_loss_grad,
-    total_loss_with_grad,
 )
 from .mesh import (
     Mesh,
@@ -101,7 +99,7 @@ __all__ = [
     "q_values", "read_mesh", "read_points", "reference_mesh", "refine_mesh",
     "reward", "sample_surface", "save_policy", "score", "select_action",
     "smooth_weights", "state_descriptor", "subdivide", "synth",
-    "tau_meshes", "taubin_smooth", "total_loss", "total_loss_grad", "total_loss_with_grad",
+    "tau_meshes", "taubin_smooth", "total_loss",
     "trace_to_csv", "train_policy", "triangulate", "unique_edges", "update",
     "write_mesh", "write_points",
 ]

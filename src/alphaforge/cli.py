@@ -262,16 +262,12 @@ def _cmd_ablate(args) -> int:
     taus = _parse_taus(args.taus)
     policy = load_policy(args.policy) if args.policy else None
     seed = args.seed + SEED_EVAL
-    jobs = max(1, args.jobs)
 
     def work(item):
         return _ablate_instance(item, taus, policy, args.nu, args.n_samples, seed)
 
-    if jobs == 1:
-        results = [work(item) for item in records]
-    else:
-        with ThreadPoolExecutor(max_workers=jobs) as pool:
-            results = list(pool.map(work, records))  # input order preserved
+    with ThreadPoolExecutor(max_workers=max(1, args.jobs)) as pool:
+        results = list(pool.map(work, records))  # input order preserved
 
     by_class = {c: [row for cls, row in results if cls == c]
                 for c in sorted({cls for cls, _ in results})}

@@ -6,11 +6,12 @@ against central finite differences in the test suite. Nearest-neighbor
 assignments are held fixed when differentiating (a subgradient where a
 point is equidistant from two neighbors).
 
-The total loss is evaluated against a :class:`LossPlan` (see
-:func:`loss_plan`), which holds what stays fixed while only the vertices
-move, as within one refinement stage: the target cloud and its kd-tree,
-the frozen sampling map (face and barycentric coordinates per sample), the
-stage topology (unique edges, cotangent slots, adjacent face pairs) and the
+The total loss and its gradient come from one entry point,
+``total_loss(m, plan)``. The :class:`LossPlan` (built by
+:func:`loss_plan`) holds what stays fixed while only the vertices move, as
+within one refinement stage: the target cloud and its kd-tree, the frozen
+sampling map (face and barycentric coordinates per sample), the stage
+topology (unique edges, cotangent slots, adjacent face pairs) and the
 baseline's Laplacian coordinates. One evaluation makes one two-way
 nearest-neighbor correspondence between the samples and the target, which
 the log-Chamfer, Chamfer and normal-loss terms and their gradients all
@@ -277,8 +278,7 @@ def laplacian_reg(m: Mesh, m_t: Mesh) -> float:
     return float((diff**2).sum(axis=1).mean())
 
 
-def _laplacian_reg_and_grad(v: np.ndarray, slots: _EdgeSlots, lo_target: np.ndarray,
-                            want_grad: bool):
+def _laplacian_reg_and_grad(v: np.ndarray, slots: _EdgeSlots, lo_target: np.ndarray):
     """Value and d/dv of mean_i |LO_v(i) - lo_target(i)|^2."""
     (u, w, cross, s, d), weights, clamped = _cotangents(v, slots)
     edges = slots.edges
@@ -286,8 +286,6 @@ def _laplacian_reg_and_grad(v: np.ndarray, slots: _EdgeSlots, lo_target: np.ndar
     g = lo - lo_target
     nv = len(v)
     value = float((g**2).sum(axis=1).mean())
-    if not want_grad:
-        return value, None
 
     grad = np.zeros_like(v)
     i, j = edges[:, 0], edges[:, 1]
@@ -353,20 +351,16 @@ def _scatter_normal_grad(v: np.ndarray, faces: np.ndarray, grad_n: np.ndarray,
 
 def normal_consistency(m: Mesh) -> float:
     """Sum over adjacent face pairs of 1 - cos(n1, n2); 0 when no pairs."""
-    value, _ = _normal_consistency_and_grad(
-        m.vertices, m.faces, _adjacent_face_pairs(m.faces), face_cross_products(m),
-        want_grad=False)
-    return value
+    return _normal_consistency_and_grad(
+        m.vertices, m.faces, _adjacent_face_pairs(m.faces), face_cross_products(m))[0]
 
 
-def _normal_consistency_and_grad(v, faces, pairs, cross, want_grad: bool):
+def _normal_consistency_and_grad(v, faces, pairs, cross):
     if not len(pairs):
         return 0.0, np.zeros_like(v)
     n, s = _unit_normals(cross)
     n1, n2 = n[pairs[:, 0]], n[pairs[:, 1]]
     value = float((1.0 - np.einsum("ij,ij->i", n1, n2)).sum())
-    if not want_grad:
-        return value, None
     grad_n = np.zeros_like(n)
     np.add.at(grad_n, pairs[:, 0], -n2)
     np.add.at(grad_n, pairs[:, 1], -n1)
@@ -389,17 +383,14 @@ def _normal_loss_vertex_grad(v, faces, cross, face_idx, gt_n, cos_fwd, cos_rev, 
 
 def edge_length_reg(m: Mesh) -> float:
     """Mean squared length over the mesh's unique edges."""
-    value, _ = _edge_length_and_grad(m.vertices, unique_edges(m), want_grad=False)
-    return value
+    return _edge_length_and_grad(m.vertices, unique_edges(m))[0]
 
 
-def _edge_length_and_grad(v: np.ndarray, edges: np.ndarray, want_grad: bool = True):
+def _edge_length_and_grad(v: np.ndarray, edges: np.ndarray):
     if not len(edges):
         raise NoEdges("mesh has no edges")
     d = v[edges[:, 0]] - v[edges[:, 1]]
     value = float((d**2).sum(axis=1).mean())
-    if not want_grad:
-        return value, None
     grad = np.zeros_like(v)
     scale = 2.0 / len(edges)
     np.add.at(grad, edges[:, 0], scale * d)
@@ -475,51 +466,12 @@ def loss_plan(
                     slots, pairs, lo_target)
 
 
-def total_loss(
-    m: Mesh,
-    p_gt: PointCloud,
-    m_t: Mesh | None,
-    w: LossWeights,
-    n_samples: int,
-    seed: int,
-) -> LossBreakdown:
-    """Weighted sum of every active term; zero-weight terms are skipped and
-    their preconditions waived. Data terms compare an n_samples surface
-    sampling of m (deterministic in seed) against p_gt."""
-    plan = loss_plan(m, p_gt, m_t, w, n_samples, seed)
-    breakdown, _ = _evaluate(m, plan, want_grad=False)
-    return breakdown
-
-
-def total_loss_grad(
-    m: Mesh,
-    p_gt: PointCloud,
-    m_t: Mesh | None,
-    w: LossWeights,
-    n_samples: int,
-    seed: int,
-) -> np.ndarray:
-    """Analytic d(total)/d(vertex) for every vertex of m.
-
-    Sample positions are chained through the barycentric sampling map with
-    face assignments, barycentric coordinates, and nearest-neighbor matches
-    held fixed; the normal-loss term is chained through the face normals.
-    """
-    _, grad = _evaluate(m, loss_plan(m, p_gt, m_t, w, n_samples, seed), want_grad=True)
-    return grad
-
-
-def total_loss_with_grad(m: Mesh, plan: LossPlan) -> tuple[LossBreakdown, np.ndarray]:
-    """Breakdown and gradient at m in one pass (used by the refinement loop).
-
-    m must have the plan's faces. The plan's sampling map is frozen, so
-    successive evaluations form a continuous objective in the vertices:
-    samples ride their faces as the vertices move.
-    """
-    return _evaluate(m, plan, want_grad=True)
-
-
-def _evaluate(m: Mesh, plan: LossPlan, want_grad: bool):
+def total_loss(m: Mesh, plan: LossPlan) -> tuple[LossBreakdown, np.ndarray]:
+    """Weighted sum of every active term at m, and its analytic gradient
+    d(total)/d(vertex). m must have the plan's faces. Samples ride their
+    faces through the plan's frozen sampling map and nearest-neighbor
+    matches are held fixed; the normal-loss term is chained through the
+    face normals. Zero-weight terms are skipped."""
     if not np.array_equal(m.faces, plan.faces):
         raise ValueError("mesh faces differ from the faces the loss plan was built for")
     w = plan.weights
@@ -540,33 +492,26 @@ def _evaluate(m: Mesh, plan: LossPlan, want_grad: bool):
 
         if w.lambda1 > 0:
             logcmd = _log_chamfer_value(match, w.mu)
-            if want_grad:
-                chain_to_vertices(w.lambda1 * _log_chamfer_grad(pos, qq, match, w.mu))
+            chain_to_vertices(w.lambda1 * _log_chamfer_grad(pos, qq, match, w.mu))
         if w.lambda2 > 0:
             cmd = _chamfer_value(match)
-            if want_grad:
-                chain_to_vertices(w.lambda2 * _chamfer_grad(pos, qq, match))
+            chain_to_vertices(w.lambda2 * _chamfer_grad(pos, qq, match))
         if w.lambda6 > 0:
             sample_normals, _ = _unit_normals(cross[plan.face_idx])
             gt_n = plan.target.normals
             nl, cos_fwd, cos_rev = _normal_cosines(sample_normals, gt_n, match)
-            if want_grad:
-                grad += w.lambda6 * _normal_loss_vertex_grad(
-                    v, m.faces, cross, plan.face_idx, gt_n, cos_fwd, cos_rev, match)
+            grad += w.lambda6 * _normal_loss_vertex_grad(
+                v, m.faces, cross, plan.face_idx, gt_n, cos_fwd, cos_rev, match)
 
     if w.lambda3 > 0:
-        lap, lap_grad = _laplacian_reg_and_grad(v, plan.slots, plan.lo_target, want_grad)
-        if want_grad:
-            grad += w.lambda3 * lap_grad
+        lap, lap_grad = _laplacian_reg_and_grad(v, plan.slots, plan.lo_target)
+        grad += w.lambda3 * lap_grad
     if w.lambda4 > 0:
-        el, el_grad = _edge_length_and_grad(v, plan.slots.edges, want_grad)
-        if want_grad:
-            grad += w.lambda4 * el_grad
+        el, el_grad = _edge_length_and_grad(v, plan.slots.edges)
+        grad += w.lambda4 * el_grad
     if w.lambda5 > 0:
-        nc, nc_grad = _normal_consistency_and_grad(v, m.faces, plan.face_pairs, cross,
-                                                   want_grad)
-        if want_grad:
-            grad += w.lambda5 * nc_grad
+        nc, nc_grad = _normal_consistency_and_grad(v, m.faces, plan.face_pairs, cross)
+        grad += w.lambda5 * nc_grad
 
     total = (w.lambda1 * logcmd + w.lambda2 * cmd + w.lambda3 * lap
              + w.lambda4 * el + w.lambda5 * nc + w.lambda6 * nl)

@@ -136,11 +136,13 @@ def q_values(policy: QPolicy, s: np.ndarray) -> np.ndarray:
     return policy.theta @ np.asarray(s, dtype=np.float64)
 
 
-def select_action(policy: QPolicy, s: np.ndarray, rng: np.random.Generator) -> int:
-    """Epsilon-greedy choice; greedy ties resolve to the lowest index."""
+def select_action(policy: QPolicy, s: np.ndarray,
+                  rng: np.random.Generator) -> tuple[int, bool]:
+    """Epsilon-greedy choice and whether it was the greedy one; greedy ties
+    resolve to the lowest index."""
     if rng.random() < policy.epsilon:
-        return int(rng.integers(policy.n_actions))
-    return int(np.argmax(q_values(policy, s)))
+        return int(rng.integers(policy.n_actions)), False
+    return int(np.argmax(q_values(policy, s))), True
 
 
 def reward(pred: Mesh, gt: Mesh, nu: float = 1e-4,
@@ -242,9 +244,7 @@ def train_policy(
                 break
             cloud, gt = dataset[i]
             s = descriptors[i]
-            qv = q_values(policy, s)
-            explore = rng.random() < policy.epsilon
-            action = int(rng.integers(policy.n_actions)) if explore else int(np.argmax(qv))
+            action, greedy = select_action(policy, s, rng)
             if i not in meshes:
                 meshes[i] = tau_meshes(cloud, policy.actions)
             mesh = meshes[i][action]
@@ -252,7 +252,7 @@ def train_policy(
             r = score(mesh, gt, nu, n_samples,
                       0 if mesh is None else int(rng.integers(2**62)))
             buffer.append((s, action, r))
-            log.append(state_hash(s), action, r, policy.epsilon, not explore)
+            log.append(state_hash(s), action, r, policy.epsilon, greedy)
             step += 1
             if len(buffer) >= policy.period or step == episodes:
                 for bs, ba, br in buffer:
@@ -282,12 +282,24 @@ def save_policy(policy: QPolicy, path) -> None:
 
 
 def load_policy(path) -> QPolicy:
+    """The policy in a ``save_policy`` document; ValueError names what is
+    wrong with a malformed one."""
     with open(path, encoding="ascii") as fh:
         doc = json.load(fh)
+    if not isinstance(doc, dict):
+        raise ValueError(f"policy document is a JSON {type(doc).__name__}, not an object")
     if doc.get("version") != 1:
         raise ValueError(f"unsupported policy version {doc.get('version')!r}")
-    n = len(doc["actions"])
-    theta = np.array(doc["theta"], dtype=np.float64).reshape(n, STATE_DIM)
-    cache = np.array(doc["optimizer_state"], dtype=np.float64).reshape(n, STATE_DIM)
-    return QPolicy(tuple(doc["actions"]), theta, cache, doc["epsilon"],
-                   doc["epsilon_decay"], doc["period"])
+    try:
+        n = len(doc["actions"])
+        for key in ("epsilon", "epsilon_decay", "period"):
+            if not isinstance(doc[key], (int, float)):
+                raise ValueError(f"policy {key} must be a number, not {doc[key]!r}")
+        theta = np.array(doc["theta"], dtype=np.float64).reshape(n, STATE_DIM)
+        cache = np.array(doc["optimizer_state"], dtype=np.float64).reshape(n, STATE_DIM)
+        return QPolicy(tuple(doc["actions"]), theta, cache, doc["epsilon"],
+                       doc["epsilon_decay"], doc["period"])
+    except KeyError as exc:
+        raise ValueError(f"policy document lacks {exc}") from exc
+    except TypeError as exc:
+        raise ValueError(f"malformed policy document: {exc}") from exc

@@ -19,7 +19,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .errors import ConfigError, NonFinite
-from .loss import LossBreakdown, LossWeights, loss_plan, total_loss_with_grad
+from .loss import LossBreakdown, LossWeights, loss_plan, total_loss
 from .mesh import Mesh, PointCloud, _edge_table, unique_edges
 
 # tanh(OFFSET_CLIP) < 1 - 1e-12, keeping the displacement bound strict even
@@ -117,7 +117,8 @@ def refine_mesh(
     the stage. Face connectivity never changes within a stage; with
     ``subdivide_between_stages`` both mesh and baseline are midpoint
     subdivided between stages. Each stage builds one loss plan
-    (:func:`alphaforge.loss.loss_plan`): its sampling map, drawn with the
+    (:func:`alphaforge.loss.loss_plan`), and each iteration evaluates
+    ``total_loss(m, plan)``. The plan's sampling map, drawn with the
     stage's fixed seed, the target's kd-tree, the stage topology and the
     baseline's Laplacian coordinates stay fixed over the stage's
     iterations, so each stage descends a deterministic objective that is
@@ -139,7 +140,7 @@ def refine_mesh(
         for _ in range(cfg.iters_per_stage):
             disp = np.tanh(offsets)
             current = mesh.with_vertices(anchor + disp)
-            breakdown, grad = total_loss_with_grad(current, plan)
+            breakdown, grad = total_loss(current, plan)
             if not math.isfinite(breakdown.total) or not np.isfinite(grad).all():
                 raise NonFinite("loss or gradient became non-finite; reduce step_size")
             trace.append(breakdown)

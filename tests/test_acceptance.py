@@ -27,6 +27,7 @@ from alphaforge import (
     icosphere,
     icp_align,
     log_chamfer_grad,
+    loss_plan,
     q_values,
     read_mesh,
     read_points,
@@ -38,7 +39,6 @@ from alphaforge import (
     synth,
     taubin_smooth,
     total_loss,
-    total_loss_grad,
     train_policy,
     triangulate,
     unique_edges,
@@ -113,15 +113,15 @@ def _fd_cloud(fn, p, q, h=1e-6):
     return g
 
 
-def _fd_mesh(mesh, gt, base, w, h=1e-6):
+def _fd_mesh(mesh, plan, h=1e-6):
     g = np.zeros_like(mesh.vertices)
     for i in range(mesh.num_vertices):
         for d in range(3):
             vp, vm = mesh.vertices.copy(), mesh.vertices.copy()
             vp[i, d] += h
             vm[i, d] -= h
-            fp = total_loss(mesh.with_vertices(vp), gt, base, w, 1, 0).total
-            fm = total_loss(mesh.with_vertices(vm), gt, base, w, 1, 0).total
+            fp = total_loss(mesh.with_vertices(vp), plan)[0].total
+            fm = total_loss(mesh.with_vertices(vm), plan)[0].total
             g[i, d] = (fp - fm) / (2 * h)
     return g
 
@@ -156,8 +156,9 @@ def test_criterion_3_gradient_fidelity():
             rng = np.random.default_rng(2000 + seed)
             mesh = base_mesh.with_vertices(
                 base_mesh.vertices + 0.05 * rng.normal(size=(12, 3)))
-            g = total_loss_grad(mesh, gt, base_mesh, w, 1, 0)
-            gfd = _fd_mesh(mesh, gt, base_mesh, w)
+            plan = loss_plan(mesh, gt, base_mesh, w, 1, 0)
+            _, g = total_loss(mesh, plan)
+            gfd = _fd_mesh(mesh, plan)
             ok &= np.linalg.norm(g - gfd) <= 1e-4 * np.linalg.norm(gfd)
 
     # log-CMD per-pair gradient magnitude strictly decreasing in distance

@@ -1,6 +1,7 @@
 import json
 
 import numpy as np
+import pytest
 
 from alphaforge import (
     Mesh,
@@ -15,7 +16,7 @@ from alphaforge import (
     write_points,
 )
 from alphaforge.cli import run
-from alphaforge.policy import QPolicy, load_policy, save_policy
+from alphaforge.policy import QPolicy, load_policy, policy_to_json, save_policy
 
 
 def invoke(argv, capsys):
@@ -91,6 +92,26 @@ class TestExitCodes:
         code, config_only, _ = invoke(base, capsys)
         assert code == 0
         assert len(config_only.splitlines()) == 10
+
+    @pytest.mark.parametrize("command", ["reconstruct", "ablate"])
+    @pytest.mark.parametrize("doc, problem", [
+        pytest.param({"version": 1}, "lacks 'actions'", id="no-actions"),
+        pytest.param([1, 2], "a JSON list, not an object", id="list"),
+        pytest.param({**json.loads(policy_to_json(QPolicy.fresh((0.3, 0.9)))), "epsilon": "x"},
+                     "epsilon must be a number, not 'x'", id="string-epsilon"),
+    ])
+    def test_malformed_policy_is_two(self, tmp_path, capsys, command, doc, problem):
+        cloud, gt = synth(SyntheticSpec("sphere", n=90, fill="solid", seed=600))
+        write_points(cloud, tmp_path / "blob__0.xyz")
+        write_mesh(gt, tmp_path / "blob__0.obj")
+        policy_path = tmp_path / "policy.json"
+        policy_path.write_text(json.dumps(doc))
+        source = (["--in", str(tmp_path / "blob__0.xyz")] if command == "reconstruct"
+                  else ["--dataset", str(tmp_path)])
+        code, _, err = invoke([command, *source, "--policy", str(policy_path),
+                               "--out", str(tmp_path / "out")], capsys)
+        assert code == 2
+        assert err.startswith("error: ") and problem in err
 
 
 class TestSynthTriangulate:

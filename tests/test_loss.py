@@ -1,3 +1,4 @@
+import hashlib
 from dataclasses import astuple
 
 import numpy as np
@@ -26,8 +27,6 @@ from alphaforge import (
     smooth_weights,
     subdivide,
     total_loss,
-    total_loss_grad,
-    total_loss_with_grad,
 )
 from alphaforge.errors import (
     EmptyCloud,
@@ -339,16 +338,19 @@ class TestTotalLoss:
             self.mesh.vertices + 0.03 * rng.normal(size=self.mesh.vertices.shape))
         self.gt = sample_surface(icosphere(2), 400, seed=7)
 
+    def evaluate(self, w, base=None):
+        return total_loss(self.noisy, loss_plan(self.noisy, self.gt, base, w, 300, seed=5))
+
     def test_cmd_only_equals_sampled_chamfer(self):
         w = LossWeights(lambda1=0, lambda2=1)
-        breakdown = total_loss(self.noisy, self.gt, None, w, 300, seed=5)
+        breakdown, _ = self.evaluate(w)
         samples = sample_surface(self.noisy, 300, seed=5)
         assert breakdown.total == pytest.approx(chamfer(samples, self.gt), rel=1e-12)
         assert breakdown.logcmd == 0.0
 
     def test_total_is_weighted_sum_of_terms(self):
         w = smooth_weights()
-        b = total_loss(self.noisy, self.gt, self.mesh, w, 300, seed=5)
+        b, _ = self.evaluate(w, self.mesh)
         expected = (w.lambda1 * b.logcmd + w.lambda2 * b.cmd
                     + w.lambda3 * b.laplacian_reg + w.lambda4 * b.edge_len
                     + w.lambda5 * b.normal_consistency + w.lambda6 * b.normal_loss)
@@ -372,12 +374,14 @@ class TestTotalLoss:
 
     def test_zero_weights_zero_gradient(self):
         w = LossWeights(lambda1=0, lambda2=0)
-        g = total_loss_grad(self.noisy, self.gt, None, w, 300, seed=5)
+        _, g = self.evaluate(w)
         np.testing.assert_array_equal(g, 0.0)
 
 
 class TestTotalLossGrad:
-    def fd(self, mesh, gt, base, w, n, seed, h=1e-6):
+    def fd(self, mesh, plan, h=1e-6):
+        """Central differences of the plan's frozen-sample objective, the
+        one refinement descends."""
         g = np.zeros_like(mesh.vertices)
         for i in range(mesh.num_vertices):
             for d in range(3):
@@ -385,8 +389,8 @@ class TestTotalLossGrad:
                 vp[i, d] += h
                 vm = mesh.vertices.copy()
                 vm[i, d] -= h
-                fp = total_loss(mesh.with_vertices(vp), gt, base, w, n, seed).total
-                fm = total_loss(mesh.with_vertices(vm), gt, base, w, n, seed).total
+                fp = total_loss(mesh.with_vertices(vp), plan)[0].total
+                fm = total_loss(mesh.with_vertices(vm), plan)[0].total
                 g[i, d] = (fp - fm) / (2 * h)
         return g
 
@@ -396,8 +400,9 @@ class TestTotalLossGrad:
                     np.array([[0, 1, 2], [3, 4, 5], [6, 7, 8], [1, 2, 9]]))
         gt = cloud(rng.random((30, 3)))
         w = LossWeights(lambda1=0, lambda2=1)
-        g = total_loss_grad(mesh, gt, None, w, 200, seed=3)
-        gfd = self.fd(mesh, gt, None, w, 200, seed=3)
+        plan = loss_plan(mesh, gt, None, w, 200, seed=3)
+        _, g = total_loss(mesh, plan)
+        gfd = self.fd(mesh, plan)
         assert np.linalg.norm(g - gfd) / np.linalg.norm(gfd) < 1e-4
 
     def test_full_smooth_weights(self):
@@ -406,8 +411,9 @@ class TestTotalLossGrad:
         noisy = mesh.with_vertices(mesh.vertices + 0.05 * rng.normal(size=(12, 3)))
         gt = sample_surface(icosphere(1), 200, seed=9)
         w = smooth_weights()
-        g = total_loss_grad(noisy, gt, mesh, w, 150, seed=4)
-        gfd = self.fd(noisy, gt, mesh, w, 150, seed=4)
+        plan = loss_plan(noisy, gt, mesh, w, 150, seed=4)
+        _, g = total_loss(noisy, plan)
+        gfd = self.fd(noisy, plan)
         assert np.linalg.norm(g - gfd) / np.linalg.norm(gfd) < 1e-3
 
 
@@ -452,25 +458,29 @@ class TestLossPlan:
         self.w = LossWeights(lambda1=1.0, lambda2=1.0, lambda3=0.5, lambda4=0.15,
                              lambda5=1e-3, lambda6=0.2)
 
-    def test_plan_path_is_byte_identical_to_one_shot_entry_points(self):
+    def test_breakdown_and_gradient_pinned(self):
+        """Every term active; the values and gradient bytes are those of the
+        plan path before the one-shot entry points were folded into it."""
         plan = loss_plan(self.mesh, self.gt, self.base, self.w, 400, seed=62)
-        breakdown, grad = total_loss_with_grad(self.mesh, plan)
-        one_shot = total_loss(self.mesh, self.gt, self.base, self.w, 400, seed=62)
-        assert all(v != 0 for v in astuple(breakdown))  # every term is active
-        assert np.array_equal(astuple(breakdown), astuple(one_shot))
-        assert np.array_equal(
-            grad, total_loss_grad(self.mesh, self.gt, self.base, self.w, 400, seed=62))
+        breakdown, grad = total_loss(self.mesh, plan)
+        assert astuple(breakdown) == (
+            -1986.0162157799175, 0.01907376868037102, 0.010730117822074413,
+            0.09436544963502083, 19.0358401700869, 0.028506653632467606,
+            -1985.9528849639844)
+        assert grad.dtype == np.float64 and grad.shape == (162, 3)
+        assert hashlib.sha256(grad.tobytes()).hexdigest() == (
+            "1f11200ac9add9569b6e335db9d1e672e2330a6df313053c27feeb5e51d7441e")
 
     def test_plan_is_reusable_across_vertex_moves(self):
         plan = loss_plan(self.mesh, self.gt, self.base, self.w, 400, seed=62)
-        first = total_loss_with_grad(self.mesh, plan)
+        first = total_loss(self.mesh, plan)
         moved = self.mesh.with_vertices(self.mesh.vertices * 1.01)
-        assert total_loss_with_grad(moved, plan)[0] != first[0]
-        again = total_loss_with_grad(self.mesh, plan)
+        assert total_loss(moved, plan)[0] != first[0]
+        again = total_loss(self.mesh, plan)
         assert again[0] == first[0]
         assert np.array_equal(again[1], first[1])
 
     def test_other_connectivity_rejected(self):
         plan = loss_plan(self.mesh, self.gt, self.base, self.w, 400, seed=62)
         with pytest.raises(ValueError):
-            total_loss_with_grad(subdivide(self.mesh), plan)
+            total_loss(subdivide(self.mesh), plan)

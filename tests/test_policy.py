@@ -127,20 +127,20 @@ class TestSelectAction:
         s = np.zeros(STATE_DIM)
         s[-1] = 1.0
         rng = np.random.Generator(np.random.Philox(0))
-        assert all(select_action(policy, s, rng) == 1 for _ in range(50))
+        assert all(select_action(policy, s, rng) == (1, True) for _ in range(50))
 
     def test_uniform_when_epsilon_one(self):
         policy = QPolicy.fresh((0.1, 0.2, 0.3), epsilon=1.0)
         s = np.zeros(STATE_DIM)
         rng = np.random.Generator(np.random.Philox(1))
-        counts = np.bincount([select_action(policy, s, rng) for _ in range(30_000)],
+        counts = np.bincount([select_action(policy, s, rng)[0] for _ in range(30_000)],
                              minlength=3) / 30_000
         assert np.abs(counts - 1 / 3).max() < 0.01
 
     def test_tie_takes_lowest_index(self):
         policy = QPolicy.fresh((0.1, 0.2), epsilon=0.0)
         rng = np.random.Generator(np.random.Philox(2))
-        assert select_action(policy, np.ones(STATE_DIM), rng) == 0
+        assert select_action(policy, np.ones(STATE_DIM), rng) == (0, True)
 
 
 class TestReward:
@@ -239,7 +239,7 @@ class TestBanditSanity:
         s[-1] = 1.0
         rng = np.random.Generator(np.random.Philox(11))
         for _ in range(10_000):
-            a = select_action(policy, s, rng)
+            a, _ = select_action(policy, s, rng)
             r = float(np.clip(means[a] + 0.05 * rng.normal(), 0.0, 1.0))
             policy = update(policy, s, a, r)
         greedy = int(np.argmax(q_values(policy, s)))
