@@ -126,8 +126,10 @@ def delaunay_complex(points: PointCloud | np.ndarray) -> DelaunayComplex:
         raise DegenerateInput("all points coplanar within predicate tolerance")
     try:
         tri = _SciPyDelaunay(pts)
-    except QhullError as exc:  # pragma: no cover - pre-checks catch the common cases
-        raise DegenerateInput(f"tetrahedralization failed: {exc}") from exc
+    except QhullError as exc:
+        # Qhull's report runs to dozens of lines; the first names the failure.
+        first_line = str(exc).partition("\n")[0]
+        raise DegenerateInput(f"tetrahedralization failed: {first_line}") from exc
     # Sort each row's vertices and carry the neighbour across each slot along.
     slots = np.argsort(tri.simplices, axis=1)
     simplices = np.take_along_axis(tri.simplices, slots, axis=1).astype(np.int64)

@@ -105,6 +105,52 @@ def nearest_neighbors(a: np.ndarray, b: np.ndarray,
     return idx, dist**2
 
 
+class _StickyNeighbors:
+    """Nearest neighbors in ``tree`` of a cloud of n points that moves
+    between calls; each call returns what ``tree.query(a, k=1)`` would,
+    but queries the tree only for the points whose neighbor may have
+    changed.
+
+    A point queried at an anchor position whose nearest and second-nearest
+    tree points lie at d1 and d2 keeps its neighbor while it stays within
+    (d2 - d1) / 2 of the anchor: by the triangle inequality every other
+    tree point stays farther. The margin taken off the gap covers the
+    rounding of the tree's distances, so the kept neighbor is strictly the
+    nearest in the tree's own arithmetic. A point tied with its runner-up
+    (gap 0) never gets a certificate and takes its neighbor from a k=1
+    query, so the tree breaks the tie.
+    """
+
+    _RELATIVE_MARGIN = 1e-12  # far above the few ulps a distance can be off
+    _ABSOLUTE_MARGIN = 1e-150  # covers distances built from subnormal squares
+
+    def __init__(self, tree: cKDTree, n: int):
+        self.tree = tree
+        self.anchor = np.zeros((n, tree.m))
+        self.idx = np.zeros(n, dtype=np.intp)
+        self.reach = np.full(n, -np.inf)  # nothing certified before the first call
+
+    def __call__(self, a: np.ndarray) -> np.ndarray:
+        moved = np.sqrt(((a - self.anchor) ** 2).sum(axis=1))
+        stale = np.flatnonzero(~(moved < self.reach))
+        if len(stale):
+            pts = a[stale]
+            dist, idx = self.tree.query(pts, k=2)
+            d1, gap = dist[:, 0], dist[:, 1] - dist[:, 0]
+            tied = gap == 0.0
+            if tied.any():
+                idx[tied, 0] = self.tree.query(pts[tied], k=1)[1]
+            # The margin scales with d1 + d2 = 2 d1 + gap and the coordinates;
+            # written so, a lone target point (d2 = inf) stays certified.
+            rel = self._RELATIVE_MARGIN
+            slack = ((1.0 - rel) * gap - rel * (2.0 * d1 + np.abs(pts).max(axis=1))
+                     - self._ABSOLUTE_MARGIN)
+            self.anchor[stale] = pts
+            self.idx[stale] = idx[:, 0]
+            self.reach[stale] = 0.5 * slack
+        return self.idx.copy()
+
+
 class _Match(NamedTuple):
     """Two-way nearest-neighbor correspondence between clouds P and Q."""
 

@@ -10,7 +10,10 @@ The metrics read the loss module's two-way nearest-neighbor correspondence
 evaluation makes one correspondence, from which the Chamfer, the F1 at
 every radius and the normal cosine are all read. One kd-tree over the
 ground-truth samples serves that correspondence and, under tmnet, every
-ICP iteration.
+ICP iteration. ICP re-queries only the points whose certificate has lapsed
+(``loss._StickyNeighbors``): a point keeps its neighbor while it stays
+closer to where it was last queried than half the gap to its runner-up,
+so each iteration matches exactly as a query of every point would.
 """
 
 from __future__ import annotations
@@ -27,7 +30,7 @@ from .loss import (
     _match,
     _normal_cosines,
     _require_clouds,
-    nearest_neighbors,
+    _StickyNeighbors,
 )
 from .mesh import Mesh, PointCloud
 from .sampling import METRIC_SAMPLES, sample_surface
@@ -191,18 +194,19 @@ def _icp(p: PointCloud, q: PointCloud, tree, max_iters: int = 50,
 
     transform = RigidTransform.identity()
     aligned = pts.copy()
+    neighbors = _StickyNeighbors(tree, len(pts))
     prev_mse = np.inf
     for _ in range(max_iters):
-        idx, d2 = nearest_neighbors(aligned, q.points, tree=tree)
-        if d2.max() == 0.0:
+        matched = q.points[neighbors(aligned)]
+        if ((aligned - matched) ** 2).sum(axis=1).max() == 0.0:
             # exact correspondence: a further fit would only add roundoff
             if history is not None:
                 history.append(0.0)
             break
-        step = _best_rigid_fit(aligned, q.points[idx])
+        step = _best_rigid_fit(aligned, matched)
         aligned = step.apply(aligned)
         transform = step.compose_after(transform)
-        mse = float(((aligned - q.points[idx]) ** 2).sum(axis=1).mean())
+        mse = float(((aligned - matched) ** 2).sum(axis=1).mean())
         if history is not None:
             history.append(mse)
         if prev_mse - mse < tol:

@@ -82,6 +82,8 @@ class QPolicy:
             raise ValueError("need at least one positive threshold action")
         if not 0.0 <= self.epsilon <= 1.0:
             raise ValueError("epsilon must lie in [0, 1]")
+        if not 0.0 <= self.epsilon_decay <= 1.0:
+            raise ValueError("epsilon_decay must lie in [0, 1]")
         if self.period < 1:
             raise ValueError("period must be >= 1")
         theta = np.asarray(self.theta, dtype=np.float64)

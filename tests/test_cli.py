@@ -113,6 +113,21 @@ class TestExitCodes:
         assert code == 2
         assert err.startswith("error: ") and problem in err
 
+    @pytest.mark.parametrize("decay", ["5", "-1"])
+    def test_epsilon_decay_outside_unit_interval_is_two(self, tmp_path, capsys,
+                                                        monkeypatch, decay):
+        episodes = []
+        monkeypatch.setattr("alphaforge.cli.train_policy",
+                            lambda *args, **kwargs: episodes.append(args))
+        root = make_dataset(tmp_path, n_per_class=1)
+        code, _, err = invoke(
+            ["train-policy", "--dataset", str(root), "--actions", "0.3,0.9",
+             "--epsilon-decay", decay, "--out", str(tmp_path / "p.json")], capsys)
+        assert code == 2
+        assert err == "error: epsilon_decay must lie in [0, 1]\n"
+        assert episodes == []
+        assert not (tmp_path / "p.json").exists()
+
 
 class TestSynthTriangulate:
     def test_pipeline_files(self, tmp_path, capsys):

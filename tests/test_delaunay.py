@@ -5,9 +5,9 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
-from scipy.spatial import ConvexHull, Delaunay
+from scipy.spatial import ConvexHull, Delaunay, QhullError
 
-from alphaforge import PointCloud, circumsphere, delaunay_complex
+from alphaforge import PointCloud, SyntheticSpec, circumsphere, delaunay_complex, synth
 from alphaforge.errors import DegenerateInput, DegenerateTetrahedron, TooFewPoints
 
 REGULAR_TETRA = np.array([
@@ -112,6 +112,19 @@ class TestDelaunayComplex:
         pts = np.c_[np.random.default_rng(0).random((10, 2)), np.zeros(10)]
         with pytest.raises(DegenerateInput):
             delaunay_complex(PointCloud(pts))
+
+    def test_qhull_failure_reports_its_first_line(self):
+        """At 1e55 the pre-check passes and Qhull fails with a report of
+        dozens of lines; the error keeps the first and chains the rest.
+        (Scales of 1e110 and above crash SciPy's Qhull, so none is tried.)"""
+        cloud, _ = synth(SyntheticSpec("torus", n=2000, seed=2, fill="solid"))
+        with pytest.raises(DegenerateInput) as info:
+            delaunay_complex(cloud.points * 1e55)
+        message = str(info.value)
+        assert message.startswith("tetrahedralization failed: QH6154 ")
+        assert "\n" not in message
+        assert isinstance(info.value.__cause__, QhullError)
+        assert len(str(info.value.__cause__).splitlines()) > 10
 
     def test_too_few_points(self):
         with pytest.raises(TooFewPoints):

@@ -35,7 +35,7 @@ from alphaforge.errors import (
     NoEdges,
     VertexCountMismatch,
 )
-from alphaforge.loss import nearest_neighbors
+from alphaforge.loss import _StickyNeighbors, nearest_neighbors
 from conftest import random_rotation
 
 
@@ -83,6 +83,58 @@ class TestNearestNeighbors:
             np.testing.assert_allclose(d2, want, rtol=1e-12, atol=0)
             np.testing.assert_allclose(((a - b[idx]) ** 2).sum(axis=1), want,
                                        rtol=1e-12, atol=0)
+
+
+class TestStickyNeighbors:
+    @settings(max_examples=150, deadline=None)
+    @given(seed=st.integers(0, 2**32 - 1), n_a=st.integers(1, 60),
+           n_b=st.integers(1, 40), n_dup=st.integers(0, 10),
+           on_grid=st.booleans(),
+           moves=st.lists(st.sampled_from(["ulp", 0.0, 1e-9, 1e-5, 1e-2, 0.3, 3.0]),
+                          min_size=1, max_size=8))
+    def test_matches_a_fresh_query_after_every_move(self, seed, n_a, n_b, n_dup,
+                                                    on_grid, moves):
+        """Targets with forced duplicates (gap 0); half the queries on or
+        just off the bisector plane of a target pair (near-ties); then steps
+        that move a random subset of the queries by a few ulps or by small
+        to large amounts. Every step returns the indices a fresh k=1 query
+        of the same tree returns."""
+        rng = np.random.default_rng(seed)
+        b = rng.normal(size=(n_b, 3))
+        b[rng.integers(0, n_b, n_dup)] = b[rng.integers(0, n_b, n_dup)]
+        a = rng.normal(size=(n_a, 3))
+        if on_grid:
+            a, b = np.round(2 * a) / 2, np.round(2 * b) / 2
+        i, j = rng.integers(0, n_b, (2, n_a))
+        axis = b[j] - b[i]
+        length2 = np.maximum((axis**2).sum(axis=1), 1e-300)  # i == j gives a zero axis
+        along = ((a - (b[i] + b[j]) / 2) * axis).sum(axis=1) / length2
+        offset = rng.choice([0.0, 1e-15, -1e-15, 1e-9, -1e-9], n_a)
+        tie = rng.random(n_a) < 0.5
+        a[tie] -= ((along - offset)[:, None] * axis)[tie]
+        tree = cKDTree(b)
+        sticky = _StickyNeighbors(tree, n_a)
+        for move in [0.0, *moves]:
+            scale = np.spacing(np.abs(a)) * rng.integers(0, 3, a.shape) if move == "ulp" else move
+            moving = rng.random(n_a) < 0.7
+            a = a + scale * moving[:, None] * rng.normal(size=a.shape)
+            np.testing.assert_array_equal(sticky(a), tree.query(a, k=1)[1])
+
+    def test_rounding_margin_on_the_bisector(self):
+        """2000 queries on the bisector plane of two targets, moved by a few
+        ulps at a time: the tree's distances differ by rounding only, and a
+        certificate without a margin for it keeps a neighbor the tree no
+        longer returns."""
+        rng = np.random.default_rng(0)
+        b = rng.normal(size=(2, 3))
+        axis = b[1] - b[0]
+        a = rng.normal(size=(2000, 3))
+        a -= ((a - b.mean(axis=0)) @ axis / (axis @ axis))[:, None] * axis
+        tree = cKDTree(b)
+        sticky = _StickyNeighbors(tree, len(a))
+        for _ in range(4):
+            np.testing.assert_array_equal(sticky(a), tree.query(a, k=1)[1])
+            a = a + rng.normal(size=a.shape) * np.spacing(np.abs(a)) * rng.integers(0, 3, a.shape)
 
 
 class TestChamfer:

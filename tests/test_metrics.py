@@ -1,5 +1,10 @@
+import hashlib
+
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
+from scipy.spatial import cKDTree
 
 from alphaforge import (
     PointCloud,
@@ -16,7 +21,8 @@ from alphaforge import (
     synth,
 )
 from alphaforge.errors import DegenerateConfiguration, EmptyCloud, MissingNormals
-from alphaforge.metrics import PROTOCOLS
+from alphaforge.metrics import PROTOCOLS, _best_rigid_fit, _icp
+from conftest import random_rotation
 
 
 def rot_z(deg):
@@ -133,6 +139,119 @@ class TestIcp:
         icp_align(p, q, max_iters=max_iters, tol=-np.inf, history=history)
         assert len(history) == max_iters
         assert len(kdtree_builds) == 2
+
+
+def torus_icp_clouds():
+    """2000 samples per side of the torus reference and of a stretched,
+    rotated and shifted copy, which ICP takes 25 iterations to align."""
+    gt = reference_mesh(SyntheticSpec("torus"))
+    a = np.deg2rad(5.0)
+    rot_x = np.array([[1, 0, 0], [0, np.cos(a), -np.sin(a)], [0, np.sin(a), np.cos(a)]])
+    pred = gt.with_vertices(gt.vertices * [1.04, 0.97, 1.02] @ (rot_z(12.0) @ rot_x).T
+                            + [0.05, -0.03, 0.02])
+    return sample_surface(pred, 2000, seed=4), sample_surface(gt, 2000, seed=4)
+
+
+def sha256(arr):
+    return hashlib.sha256(np.ascontiguousarray(arr).tobytes()).hexdigest()
+
+
+def plain_icp(p, q, max_iters=50, tol=1e-10):
+    """Oracle: the ICP loop with a fresh k=1 query of every point at every
+    iteration."""
+    tree = cKDTree(q)
+    transform, aligned, prev_mse, history = RigidTransform.identity(), p.copy(), np.inf, []
+    for _ in range(max_iters):
+        dist, idx = tree.query(aligned, k=1)
+        if dist.max() == 0.0:
+            history.append(0.0)
+            break
+        step = _best_rigid_fit(aligned, q[idx])
+        aligned = step.apply(aligned)
+        transform = step.compose_after(transform)
+        history.append(float(((aligned - q[idx]) ** 2).sum(axis=1).mean()))
+        if prev_mse - history[-1] < tol:
+            break
+        prev_mse = history[-1]
+    return transform, history
+
+
+class CountingTree:
+    """A kd-tree that records, for each query, the ICP iteration it came
+    from (the length of ``history`` so far) and the number of rows. ICP's
+    last query is its final Chamfer's, after the last iteration."""
+
+    def __init__(self, points, history):
+        self.tree = cKDTree(points)
+        self.m = self.tree.m
+        self.history = history
+        self.rows = []
+
+    def query(self, x, k=1):
+        self.rows.append((len(self.history), len(x)))
+        return self.tree.query(x, k=k)
+
+
+class TestIcpRequeries:
+    def test_torus_alignment_pinned(self):
+        """Rotation, translation, Chamfer and MSE history recorded when ICP
+        queried every point at every iteration."""
+        p, q = torus_icp_clouds()
+        history = []
+        transform, cd = icp_align(p, q, history=history)
+        assert sha256(transform.rotation) == (
+            "d72e901d7abea8f618efd45521a5fbb1ba8c5f3afb3cf3ab8a5bd963ab9c6b6a")
+        assert sha256(transform.translation) == (
+            "35dcd05dc89d1a8777d0d817a69a575bd2404d5de6e3fa4651dfffb79fbd0361")
+        assert cd == float.fromhex("0x1.92d1650b6b1a0p-8")
+        assert len(history) == 25
+        assert sha256(np.array(history)) == (
+            "b40dfbfd2366add34fe6c10647c8b2072015c40b3f15437bee6010120cee493c")
+
+    def test_later_iterations_query_fewer_rows(self):
+        p, q = torus_icp_clouds()
+        history = []
+        tree = CountingTree(q.points, history)
+        _icp(p, q, tree, history=history)
+        assert tree.rows[-1] == (len(history), len(p))
+        loop = tree.rows[:-1]
+        per_iteration = np.bincount([it for it, _ in loop], weights=[n for _, n in loop])
+        assert len(per_iteration) == len(history) == 25
+        assert per_iteration[0] == len(p)
+        assert (per_iteration[1:] < len(p)).all()
+
+    def test_identical_clouds_stop_at_the_first_query(self):
+        p = PointCloud(np.random.default_rng(5).random((40, 3)))
+        history = []
+        tree = CountingTree(p.points, history)
+        transform, cd = _icp(p, p, tree, history=history)
+        assert history == [0.0]
+        assert tree.rows == [(0, 40), (1, 40)]
+        np.testing.assert_array_equal(transform.rotation, np.eye(3))
+        assert cd == 0.0
+
+    @settings(max_examples=60, deadline=None)
+    @given(seed=st.integers(0, 2**32 - 1), n_p=st.integers(3, 40), n_q=st.integers(1, 30),
+           max_iters=st.integers(1, 30))
+    @example(seed=1, n_p=12, n_q=1, max_iters=50)
+    @example(seed=2, n_p=12, n_q=2, max_iters=50)
+    def test_matches_fresh_queries(self, seed, n_p, n_q, max_iters):
+        """Bit for bit the loop that queries every point at every iteration,
+        also against targets of 2 points and of 1, where the k=2 query finds
+        no runner-up (distance inf, index n_q)."""
+        rng = np.random.default_rng(seed)
+        p = rng.normal(size=(n_p, 3))
+        q = rng.normal(size=(n_q, 3)) @ random_rotation(rng).T + 0.1 * rng.normal(size=3)
+        history = []
+        try:
+            transform, _ = icp_align(PointCloud(p), PointCloud(q), max_iters=max_iters,
+                                     history=history)
+        except DegenerateConfiguration:
+            return
+        want, want_history = plain_icp(p, q, max_iters=max_iters)
+        assert sha256(transform.rotation) == sha256(want.rotation)
+        assert sha256(transform.translation) == sha256(want.translation)
+        assert history == want_history
 
 
 class TestProtocolScaling:

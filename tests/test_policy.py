@@ -1,4 +1,5 @@
 import hashlib
+import json
 
 import numpy as np
 import pytest
@@ -223,6 +224,15 @@ class TestUpdate:
         updated = update(policy, np.zeros(STATE_DIM), 0, 0.0)
         assert updated.epsilon == 0.01
 
+    @pytest.mark.parametrize("decay", [5.0, -1.0, float("nan")])
+    def test_epsilon_decay_outside_unit_interval_rejected(self, decay):
+        with pytest.raises(ValueError, match=r"epsilon_decay must lie in \[0, 1\]"):
+            QPolicy.fresh((0.1,), epsilon_decay=decay)
+
+    @pytest.mark.parametrize("decay", [0.0, 1.0])
+    def test_epsilon_decay_bounds_accepted(self, decay):
+        assert QPolicy.fresh((0.1,), epsilon_decay=decay).epsilon_decay == decay
+
     def test_reward_out_of_range(self):
         policy = QPolicy.fresh((0.1,))
         with pytest.raises(RewardOutOfRange):
@@ -355,3 +365,11 @@ class TestSerialization:
         assert loaded.epsilon == policy.epsilon
         assert loaded.epsilon_decay == policy.epsilon_decay
         assert loaded.period == policy.period
+
+    @pytest.mark.parametrize("decay", [5.0, -1.0])
+    def test_load_rejects_epsilon_decay_outside_unit_interval(self, tmp_path, decay):
+        doc = json.loads(policy_to_json(QPolicy.fresh((0.1, 0.2))))
+        path = tmp_path / "policy.json"
+        path.write_text(json.dumps({**doc, "epsilon_decay": decay}))
+        with pytest.raises(ValueError, match=r"epsilon_decay must lie in \[0, 1\]"):
+            load_policy(path)
