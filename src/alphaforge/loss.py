@@ -12,11 +12,14 @@ The total loss and its gradient come from one entry point,
 within one refinement stage: the target cloud and its kd-tree, the frozen
 sampling map (face and barycentric coordinates per sample), the stage
 topology (unique edges, cotangent slots, adjacent face pairs) and the
-baseline's Laplacian coordinates. One evaluation makes one two-way
+baseline's Laplacian coordinates, plus the samples' forward certificates
+(:class:`_StickyNeighbors`). One evaluation makes one two-way
 nearest-neighbor correspondence between the samples and the target, which
 the log-Chamfer, Chamfer and normal-loss terms and their gradients all
-read. The per-cloud functions (``chamfer``, ``log_chamfer_grad``, ...)
-compute a correspondence and call the same term helpers.
+read; samples -> target re-queries only the samples whose certificate has
+lapsed, so the correspondence is bit for bit that of two full queries.
+The per-cloud functions (``chamfer``, ``log_chamfer_grad``, ...) compute a
+correspondence and call the same term helpers.
 """
 
 from __future__ import annotations
@@ -38,6 +41,7 @@ from .errors import (
 from .mesh import (
     Mesh,
     PointCloud,
+    _cross,
     _edge_table,
     _unique_rows,
     face_cross_products,
@@ -151,6 +155,30 @@ class _StickyNeighbors:
         return self.idx.copy()
 
 
+def _scatter(n: int, terms, initial: np.ndarray | None = None) -> np.ndarray:
+    """What scattering vals at rows idx with ``np.add``'s ``ufunc.at``, for
+    each (idx, vals) of terms in turn, leaves in out, an (n, ...) array
+    starting as initial (zeros when None), bit for bit, by one np.bincount
+    per column. bincount adds each row's values in order from +0.0, as that
+    scatter does on zeros; an initial array goes first. A row starting at
+    -0.0 that gains only -0.0 stays -0.0 under the scatter, not under
+    bincount, so it gets its sign back."""
+    if initial is not None:
+        terms = [(np.arange(n), initial), *terms]
+    idx = np.concatenate([i for i, _ in terms])
+    vals = np.concatenate([v for _, v in terms])
+
+    def sums(weights):  # as floats, also for no entries, where bincount gives ints
+        cols = [np.bincount(idx, col, n) for col in (weights.T if weights.ndim > 1 else [weights])]
+        return np.stack(cols, axis=-1).reshape((n,) + weights.shape[1:]).astype(np.float64)
+
+    out = sums(vals)
+    if initial is not None and np.signbit(initial[initial == 0]).any():
+        gains = sums((vals != 0) | ~np.signbit(vals))
+        out[(initial == 0) & np.signbit(initial) & (gains == 0)] = -0.0
+    return out
+
+
 class _Match(NamedTuple):
     """Two-way nearest-neighbor correspondence between clouds P and Q."""
 
@@ -183,9 +211,9 @@ def _chamfer_value(m: _Match) -> float:
 
 
 def _chamfer_grad(pp: np.ndarray, qq: np.ndarray, m: _Match) -> np.ndarray:
-    grad = (2.0 / len(pp)) * (pp - qq[m.idx_pq])
-    np.add.at(grad, m.idx_qp, (2.0 / len(qq)) * (pp[m.idx_qp] - qq))
-    return grad
+    grad = (2.0 / len(pp)) * (pp - np.take(qq, m.idx_pq, axis=0))
+    rev = (2.0 / len(qq)) * (np.take(pp, m.idx_qp, axis=0) - qq)
+    return _scatter(len(pp), [(m.idx_qp, rev)], initial=grad)
 
 
 def _log_chamfer_value(m: _Match, mu: float) -> float:
@@ -193,16 +221,16 @@ def _log_chamfer_value(m: _Match, mu: float) -> float:
 
 
 def _log_chamfer_grad(pp: np.ndarray, qq: np.ndarray, m: _Match, mu: float) -> np.ndarray:
-    grad = 2.0 * (pp - qq[m.idx_pq]) / ((m.d2_pq + mu) * LN10)[:, None]
-    np.add.at(grad, m.idx_qp, 2.0 * (pp[m.idx_qp] - qq) / ((m.d2_qp + mu) * LN10)[:, None])
-    return grad
+    grad = 2.0 * (pp - np.take(qq, m.idx_pq, axis=0)) / ((m.d2_pq + mu) * LN10)[:, None]
+    rev = 2.0 * (np.take(pp, m.idx_qp, axis=0) - qq) / ((m.d2_qp + mu) * LN10)[:, None]
+    return _scatter(len(pp), [(m.idx_qp, rev)], initial=grad)
 
 
 def _normal_cosines(pn: np.ndarray, qn: np.ndarray, m: _Match):
     """Pooled mean of 1 - |cos| over both match directions, plus the
     forward and reverse cosines."""
-    cos_fwd = np.einsum("ij,ij->i", pn, qn[m.idx_pq])
-    cos_rev = np.einsum("ij,ij->i", pn[m.idx_qp], qn)
+    cos_fwd = np.einsum("ij,ij->i", pn, np.take(qn, m.idx_pq, axis=0))
+    cos_rev = np.einsum("ij,ij->i", np.take(pn, m.idx_qp, axis=0), qn)
     total = (1.0 - np.abs(cos_fwd)).sum() + (1.0 - np.abs(cos_rev)).sum()
     return float(total / (len(pn) + len(qn))), cos_fwd, cos_rev
 
@@ -270,25 +298,22 @@ def _edge_slots(faces: np.ndarray) -> _EdgeSlots:
 def _cotangents(v: np.ndarray, slots: _EdgeSlots):
     """Per slot: corner vectors u, w, their cross product, |cross| and
     u.w (so cot = d / s), plus the clamped edge weights and clamp mask."""
-    u = v[slots.i] - v[slots.k]
-    w = v[slots.j] - v[slots.k]
-    cross = np.cross(u, w)
+    vk = np.take(v, slots.k, axis=0)
+    u = np.take(v, slots.i, axis=0) - vk
+    w = np.take(v, slots.j, axis=0) - vk
+    cross = _cross(u, w)
     s = np.linalg.norm(cross, axis=1)
     s = np.maximum(s, 1e-300)  # degenerate corners produce huge cots, clamped below
     d = np.einsum("ij,ij->i", u, w)
-    raw = np.zeros(len(slots.edges))
-    np.add.at(raw, slots.edge, 0.5 * (d / s))
+    raw = _scatter(len(slots.edges), [(slots.edge, 0.5 * (d / s))])
     weights = np.clip(raw, -COT_CLAMP, COT_CLAMP)
     return (u, w, cross, s, d), weights, raw != weights
 
 
 def _laplacian_from_edges(v: np.ndarray, edges: np.ndarray, weights: np.ndarray) -> np.ndarray:
-    lo = np.zeros_like(v)
     i, j = edges[:, 0], edges[:, 1]
-    wd = weights[:, None] * (v[i] - v[j])
-    np.add.at(lo, i, wd)
-    np.add.at(lo, j, -wd)
-    return lo
+    wd = weights[:, None] * (np.take(v, i, axis=0) - np.take(v, j, axis=0))
+    return _scatter(len(v), [(i, wd), (j, -wd)])
 
 
 def laplacian_coords(mesh: Mesh) -> np.ndarray:
@@ -333,26 +358,25 @@ def _laplacian_reg_and_grad(v: np.ndarray, slots: _EdgeSlots, lo_target: np.ndar
     nv = len(v)
     value = float((g**2).sum(axis=1).mean())
 
-    grad = np.zeros_like(v)
     i, j = edges[:, 0], edges[:, 1]
     # position part: LO(i) depends on v_i and its neighbors
     coeff = (2.0 / nv) * weights[:, None]
-    gi_gj = g[i] - g[j]
-    np.add.at(grad, i, coeff * gi_gj)
-    np.add.at(grad, j, -coeff * gi_gj)
+    gi_gj = np.take(g, i, axis=0) - np.take(g, j, axis=0)
 
     # weight part: c_e = (2/V) (g_i - g_j) . (v_i - v_j), zero where clamped
-    c_e = (2.0 / nv) * np.einsum("ij,ij->i", gi_gj, v[i] - v[j])
+    vi_vj = np.take(v, i, axis=0) - np.take(v, j, axis=0)
+    c_e = (2.0 / nv) * np.einsum("ij,ij->i", gi_gj, vi_vj)
     c_e = np.where(clamped, 0.0, c_e)
-    c_slot = 0.5 * c_e[slots.edge]  # each cot enters w_e with factor 1/2
+    c_slot = 0.5 * np.take(c_e, slots.edge)  # each cot enters w_e with factor 1/2
 
     s1 = s[:, None]
     ds3 = (d / s**3)[:, None]
-    dcot_du = w / s1 - ds3 * np.cross(w, cross)
-    dcot_dw = u / s1 - ds3 * np.cross(cross, u)
-    np.add.at(grad, slots.i, c_slot[:, None] * dcot_du)
-    np.add.at(grad, slots.j, c_slot[:, None] * dcot_dw)
-    np.add.at(grad, slots.k, -c_slot[:, None] * (dcot_du + dcot_dw))
+    dcot_du = w / s1 - ds3 * _cross(w, cross)
+    dcot_dw = u / s1 - ds3 * _cross(cross, u)
+    grad = _scatter(nv, [(i, coeff * gi_gj), (j, -coeff * gi_gj),
+                         (slots.i, c_slot[:, None] * dcot_du),
+                         (slots.j, c_slot[:, None] * dcot_dw),
+                         (slots.k, -c_slot[:, None] * (dcot_du + dcot_dw))])
     return value, grad
 
 
@@ -386,13 +410,10 @@ def _scatter_normal_grad(v: np.ndarray, faces: np.ndarray, grad_n: np.ndarray,
                          n: np.ndarray, s: np.ndarray):
     """Chain per-face gradients w.r.t. unit normals back to vertices."""
     big_g = (grad_n - n * np.einsum("ij,ij->i", n, grad_n)[:, None]) / s[:, None]
-    f = faces
-    a, b, c = v[f[:, 0]], v[f[:, 1]], v[f[:, 2]]
-    grad = np.zeros_like(v)
-    np.add.at(grad, f[:, 0], np.cross(b - c, big_g))
-    np.add.at(grad, f[:, 1], np.cross(c - a, big_g))
-    np.add.at(grad, f[:, 2], np.cross(a - b, big_g))
-    return grad
+    a, b, c = (np.take(v, corner, axis=0) for corner in faces.T)
+    return _scatter(len(v), [(faces[:, 0], _cross(b - c, big_g)),
+                             (faces[:, 1], _cross(c - a, big_g)),
+                             (faces[:, 2], _cross(a - b, big_g))])
 
 
 def normal_consistency(m: Mesh) -> float:
@@ -405,11 +426,9 @@ def _normal_consistency_and_grad(v, faces, pairs, cross):
     if not len(pairs):
         return 0.0, np.zeros_like(v)
     n, s = _unit_normals(cross)
-    n1, n2 = n[pairs[:, 0]], n[pairs[:, 1]]
+    n1, n2 = (np.take(n, side, axis=0) for side in pairs.T)
     value = float((1.0 - np.einsum("ij,ij->i", n1, n2)).sum())
-    grad_n = np.zeros_like(n)
-    np.add.at(grad_n, pairs[:, 0], -n2)
-    np.add.at(grad_n, pairs[:, 1], -n1)
+    grad_n = _scatter(len(n), [(pairs[:, 0], -n2), (pairs[:, 1], -n1)])
     return value, _scatter_normal_grad(v, faces, grad_n, n, s)
 
 
@@ -419,11 +438,9 @@ def _normal_loss_vertex_grad(v, faces, cross, face_idx, gt_n, cos_fwd, cos_rev, 
     chain through the unit-normal map."""
     n, s = _unit_normals(cross)
     denom = len(face_idx) + len(gt_n)
-    grad_n = np.zeros_like(n)
-    np.add.at(grad_n, face_idx,
-              -np.sign(cos_fwd)[:, None] * gt_n[m.idx_pq] / denom)
-    np.add.at(grad_n, face_idx[m.idx_qp],
-              -np.sign(cos_rev)[:, None] * gt_n / denom)
+    grad_n = _scatter(len(n), [
+        (face_idx, -np.sign(cos_fwd)[:, None] * np.take(gt_n, m.idx_pq, axis=0) / denom),
+        (np.take(face_idx, m.idx_qp), -np.sign(cos_rev)[:, None] * gt_n / denom)])
     return _scatter_normal_grad(v, faces, grad_n, n, s)
 
 
@@ -435,13 +452,10 @@ def edge_length_reg(m: Mesh) -> float:
 def _edge_length_and_grad(v: np.ndarray, edges: np.ndarray):
     if not len(edges):
         raise NoEdges("mesh has no edges")
-    d = v[edges[:, 0]] - v[edges[:, 1]]
+    d = np.take(v, edges[:, 0], axis=0) - np.take(v, edges[:, 1], axis=0)
     value = float((d**2).sum(axis=1).mean())
-    grad = np.zeros_like(v)
     scale = 2.0 / len(edges)
-    np.add.at(grad, edges[:, 0], scale * d)
-    np.add.at(grad, edges[:, 1], -scale * d)
-    return value, grad
+    return value, _scatter(len(v), [(edges[:, 0], scale * d), (edges[:, 1], -scale * d)])
 
 
 # ---------------------------------------------------------------------------
@@ -454,15 +468,17 @@ class LossPlan:
 
     Built by :func:`loss_plan` for one face connectivity (one refinement
     stage). Fields a weight setting does not need are None: the sampling
-    map and target kd-tree without data terms, the edge slots without
-    Laplacian or edge-length terms, the face pairs without normal
-    consistency, the target Laplacian without a Laplacian term.
+    map and the target's certified neighbors without data terms, the edge
+    slots without Laplacian or edge-length terms, the face pairs without
+    normal consistency, the target Laplacian without a Laplacian term.
+    Each evaluation updates the certificates in ``neighbors``, which never
+    changes a result, so a plan is not to be shared between threads.
     """
 
     weights: LossWeights
     faces: np.ndarray
     target: PointCloud
-    tree: cKDTree | None
+    neighbors: _StickyNeighbors | None  # samples -> target, over its kd-tree
     face_idx: np.ndarray | None      # (n,) source face of each sample
     bary: np.ndarray | None          # (n, 3) barycentric coordinates
     sample_faces: np.ndarray | None  # (n, 3) faces[face_idx]
@@ -482,12 +498,13 @@ def loss_plan(
     """Plan for the total loss of meshes with m's connectivity.
 
     Draws the sampling map (n_samples area-uniform samples of m,
-    deterministic in seed) when a data term is active, builds the target's
-    kd-tree, the edge slots and face pairs the active regularizers need,
-    and the Laplacian coordinates of the baseline m_t. Zero-weight terms
-    are skipped and their preconditions waived.
+    deterministic in seed) and the samples' certificates over the target's
+    kd-tree when a data term is active, builds the edge slots and face
+    pairs the active regularizers need, and the Laplacian coordinates of
+    the baseline m_t. Zero-weight terms are skipped and their preconditions
+    waived.
     """
-    tree = face_idx = bary = sample_faces = None
+    neighbors = face_idx = bary = sample_faces = None
     if w.lambda1 > 0 or w.lambda2 > 0 or w.lambda6 > 0:
         if n_samples < 1:
             raise ValueError("n_samples must be >= 1")
@@ -497,7 +514,7 @@ def loss_plan(
             raise EmptyCloud("target cloud is empty")
         if w.lambda6 > 0 and not p_gt.has_normals:
             raise MissingNormals("normal loss needs normals on both clouds")
-        tree = cKDTree(p_gt.points)
+        neighbors = _StickyNeighbors(cKDTree(p_gt.points), n_samples)
     lo_target = None
     if w.lambda3 > 0:
         if m_t is None:
@@ -508,8 +525,20 @@ def loss_plan(
         lo_target = laplacian_coords(m_t)
     slots = _edge_slots(m.faces) if w.lambda3 > 0 or w.lambda4 > 0 else None
     pairs = _adjacent_face_pairs(m.faces) if w.lambda5 > 0 else None
-    return LossPlan(w, m.faces, p_gt, tree, face_idx, bary, sample_faces,
+    return LossPlan(w, m.faces, p_gt, neighbors, face_idx, bary, sample_faces,
                     slots, pairs, lo_target)
+
+
+def _certified_match(pos: np.ndarray, plan: LossPlan) -> _Match:
+    """``_match`` of the samples at pos with the plan's target, bit for bit:
+    samples -> target from the plan's certified neighbors, target ->
+    samples by one full query."""
+    qq = plan.target.points
+    idx_pq = plan.neighbors(pos)
+    # the tree's own squared distances: it sums the squared coordinate
+    # differences in order and returns the square root
+    d2_pq = np.sqrt(((pos - np.take(qq, idx_pq, axis=0)) ** 2).sum(axis=1)) ** 2
+    return _Match(idx_pq, d2_pq, *nearest_neighbors(qq, pos))
 
 
 def total_loss(m: Mesh, plan: LossPlan) -> tuple[LossBreakdown, np.ndarray]:
@@ -530,20 +559,22 @@ def total_loss(m: Mesh, plan: LossPlan) -> tuple[LossBreakdown, np.ndarray]:
         f, bary = plan.sample_faces, plan.bary
         pos = _place(v, f, bary)
         qq = plan.target.points
-        match = _match(pos, qq, plan.tree)
+        match = _certified_match(pos, plan)
 
         def chain_to_vertices(grad_pts):
-            for corner in range(3):
-                np.add.at(grad, f[:, corner], bary[:, corner, None] * grad_pts)
+            return [(f[:, corner], bary[:, corner, None] * grad_pts) for corner in range(3)]
 
+        data = []
         if w.lambda1 > 0:
             logcmd = _log_chamfer_value(match, w.mu)
-            chain_to_vertices(w.lambda1 * _log_chamfer_grad(pos, qq, match, w.mu))
+            data += chain_to_vertices(w.lambda1 * _log_chamfer_grad(pos, qq, match, w.mu))
         if w.lambda2 > 0:
             cmd = _chamfer_value(match)
-            chain_to_vertices(w.lambda2 * _chamfer_grad(pos, qq, match))
+            data += chain_to_vertices(w.lambda2 * _chamfer_grad(pos, qq, match))
+        if data:
+            grad = _scatter(len(v), data)
         if w.lambda6 > 0:
-            sample_normals, _ = _unit_normals(cross[plan.face_idx])
+            sample_normals, _ = _unit_normals(np.take(cross, plan.face_idx, axis=0))
             gt_n = plan.target.normals
             nl, cos_fwd, cos_rev = _normal_cosines(sample_normals, gt_n, match)
             grad += w.lambda6 * _normal_loss_vertex_grad(

@@ -19,7 +19,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .errors import ConfigError, NonFinite
-from .loss import LossBreakdown, LossWeights, loss_plan, total_loss
+from .loss import LossBreakdown, LossWeights, _scatter, loss_plan, total_loss
 from .mesh import Mesh, PointCloud, _edge_table, unique_edges
 
 # tanh(OFFSET_CLIP) < 1 - 1e-12, keeping the displacement bound strict even
@@ -66,13 +66,10 @@ class RefineConfig:
 def _umbrella(vertices: np.ndarray, edges: np.ndarray) -> np.ndarray:
     """Uniform-weight umbrella operator: neighbor mean minus vertex
     (zero for isolated vertices)."""
-    sums = np.zeros_like(vertices)
-    deg = np.zeros(len(vertices))
+    n = len(vertices)
     i, j = edges[:, 0], edges[:, 1]
-    np.add.at(sums, i, vertices[j])
-    np.add.at(sums, j, vertices[i])
-    np.add.at(deg, i, 1.0)
-    np.add.at(deg, j, 1.0)
+    sums = _scatter(n, [(i, np.take(vertices, j, axis=0)), (j, np.take(vertices, i, axis=0))])
+    deg = np.bincount(edges.ravel(), minlength=n)
     delta = np.zeros_like(vertices)
     has = deg > 0
     delta[has] = sums[has] / deg[has, None] - vertices[has]

@@ -64,5 +64,5 @@ def _draw(cross: np.ndarray, n: int, seed: int) -> tuple[np.ndarray, np.ndarray]
 def _place(v: np.ndarray, f: np.ndarray, bary: np.ndarray) -> np.ndarray:
     """Points at barycentric coordinates ``bary`` (n, 3) of the triangles
     whose vertex indices into ``v`` are the rows of ``f`` (n, 3)."""
-    return (bary[:, 0, None] * v[f[:, 0]] + bary[:, 1, None] * v[f[:, 1]]
-            + bary[:, 2, None] * v[f[:, 2]])
+    a, b, c = (np.take(v, corner, axis=0) for corner in f.T)
+    return bary[:, 0, None] * a + bary[:, 1, None] * b + bary[:, 2, None] * c

@@ -1,3 +1,4 @@
+import hashlib
 import json
 
 import numpy as np
@@ -384,6 +385,28 @@ class TestReconstruct:
         write_points(cloud, path)
         code, _, _ = invoke(["reconstruct", "--in", str(path)], capsys)
         assert code == 1
+
+    @pytest.mark.parametrize("subdivide, obj_sha, csv_sha", [
+        (False, "89ff4ea19566b3596fa557d00e075ed453c9f13fbb01438f5b8ad842485a5daf",
+         "39338856cd621ef9d5abaa32f7a9dedea075c8078dbc3569cfa84aba3ba7feec"),
+        (True, "ad3f577d656e6d4c66ab2d85fb37bc11a1029008ff7c221e3ae576492416c80c",
+         "3f53fc4c2c6d2612a4946910f6ccaaf09f66dc4cbab93b968fdcaa0917e367a0"),
+    ])
+    def test_outputs_pinned(self, tmp_path, capsys, subdivide, obj_sha, csv_sha):
+        """SHA-256 of the refined OBJ and the loss trace, recorded when every
+        refinement iteration queried the kd-tree for every sample and
+        scattered its gradients with np.add.at."""
+        cloud, _ = synth(SyntheticSpec("torus", n=1000, fill="solid", seed=81))
+        cloud_path = tmp_path / "c.xyz"
+        write_points(cloud, cloud_path)
+        out_path, trace_path = tmp_path / "r.obj", tmp_path / "t.csv"
+        code, _, err = invoke(
+            ["reconstruct", "--in", str(cloud_path), "--tau", "0.3", "--preset", "smooth",
+             "--stages", "2", "--iters", "5", *(["--subdivide"] if subdivide else []),
+             "--out", str(out_path), "--trace", str(trace_path)], capsys)
+        assert code == 0, err
+        assert hashlib.sha256(out_path.read_bytes()).hexdigest() == obj_sha
+        assert hashlib.sha256(trace_path.read_bytes()).hexdigest() == csv_sha
 
     def test_reconstruct_deterministic(self, tmp_path, capsys):
         cloud, _ = synth(SyntheticSpec("sphere", n=500, fill="solid", seed=79))

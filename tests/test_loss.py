@@ -1,9 +1,10 @@
 import hashlib
 from dataclasses import astuple
+from unittest import mock
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 from scipy.spatial import cKDTree
 
@@ -35,7 +36,8 @@ from alphaforge.errors import (
     NoEdges,
     VertexCountMismatch,
 )
-from alphaforge.loss import _StickyNeighbors, nearest_neighbors
+import alphaforge.loss
+from alphaforge.loss import _match, _scatter, _StickyNeighbors, nearest_neighbors
 from conftest import random_rotation
 
 
@@ -536,3 +538,120 @@ class TestLossPlan:
         plan = loss_plan(self.mesh, self.gt, self.base, self.w, 400, seed=62)
         with pytest.raises(ValueError):
             total_loss(subdivide(self.mesh), plan)
+
+
+# values whose sums round, cancel exactly, or are signed zeros
+SCATTER_VALUES = st.sampled_from([0.0, -0.0, 1.0, -1.0, 0.1, -0.3, 1e-300, -1e-300,
+                                  1e300, -1e300, 3.0, 2.0**-52])
+
+
+class TestScatter:
+    @settings(max_examples=200, deadline=None)
+    @given(data=st.data(), n=st.integers(1, 12), width=st.sampled_from([None, 3]),
+           n_terms=st.integers(1, 3), with_initial=st.booleans())
+    def test_matches_add_at(self, data, n, width, n_terms, with_initial):
+        """Terms of 0 to 30 repeated indices each, 1-D or (n, 3) values,
+        onto zeros or onto an initial array with -0.0 rows, some of which no
+        index touches and some of which gain only -0.0."""
+        shape = (n,) if width is None else (n, width)
+        elements = st.lists(SCATTER_VALUES, min_size=int(np.prod(shape)),
+                            max_size=int(np.prod(shape)))
+        terms = []
+        for _ in range(n_terms):
+            idx = np.array(data.draw(st.lists(st.integers(0, n - 1), max_size=30)),
+                           dtype=np.intp)
+            count = len(idx) * (1 if width is None else width)
+            vals = np.array(data.draw(st.lists(SCATTER_VALUES, min_size=count,
+                                               max_size=count)), dtype=float)
+            terms.append((idx, vals.reshape((len(idx),) + shape[1:])))
+        initial = None
+        want = np.zeros(shape)
+        if with_initial:
+            initial = np.array(data.draw(elements), dtype=float).reshape(shape)
+            initial[0] = -0.0
+            want = initial.copy()
+        for idx, vals in terms:
+            np.add.at(want, idx, vals)
+        got = _scatter(n, terms, initial=initial)
+        assert got.shape == want.shape and got.dtype == want.dtype
+        assert got.tobytes() == want.tobytes()
+        if initial is not None:
+            assert initial[0].tobytes() == np.full(shape[1:], -0.0).tobytes()
+
+    def test_empty_index_keeps_the_initial_bits(self):
+        initial = np.array([[-0.0, 1.5, 0.0], [2.0, -0.0, -3.0]])
+        got = _scatter(2, [(np.zeros(0, dtype=np.intp), np.zeros((0, 3)))], initial=initial)
+        assert got.tobytes() == initial.tobytes()
+        assert _scatter(4, [(np.zeros(0, dtype=np.intp), np.zeros(0))]).tobytes() == (
+            np.zeros(4).tobytes())
+
+
+def descent_mesh_and_target(seed, n_target, n_dup):
+    """A noisy icosphere and a target of n_target points near the unit
+    sphere with unit normals, n_dup of them overwritten by copies of others
+    (gap 0 for a sample nearest to a duplicated point)."""
+    rng = np.random.default_rng(seed)
+    base = icosphere(1)
+    mesh = base.with_vertices(base.vertices + 0.05 * rng.normal(size=base.vertices.shape))
+    pts = rng.normal(size=(n_target, 3))
+    pts /= np.linalg.norm(pts, axis=1, keepdims=True)
+    pts *= rng.uniform(0.8, 1.2, (n_target, 1))
+    pts[rng.integers(0, n_target, n_dup)] = pts[rng.integers(0, n_target, n_dup)]
+    normals = rng.normal(size=(n_target, 3))
+    normals /= np.linalg.norm(normals, axis=1, keepdims=True)
+    return base, mesh, PointCloud(pts, normals), rng
+
+
+class TestCertifiedMatch:
+    W = LossWeights(lambda1=1.0, lambda2=1.0, lambda3=0.5, lambda4=0.15,
+                    lambda5=1e-3, lambda6=0.2)
+
+    @settings(max_examples=40, deadline=None)
+    @given(seed=st.integers(0, 2**32 - 1), n_target=st.integers(1, 40),
+           n_dup=st.integers(0, 10), n_samples=st.integers(1, 80),
+           steps=st.lists(st.sampled_from([0.0, 1e-9, 1e-4, 1e-2, 0.3, "jump"]),
+                          min_size=1, max_size=6))
+    @example(seed=1, n_target=1, n_dup=0, n_samples=50, steps=[1e-2, "jump", 0.3])
+    @example(seed=2, n_target=2, n_dup=0, n_samples=50, steps=[1e-2, "jump", 0.3])
+    @example(seed=3, n_target=20, n_dup=10, n_samples=80, steps=[1e-4, 1e-2, "jump"])
+    def test_plan_path_matches_a_fresh_match_every_step(self, seed, n_target, n_dup,
+                                                          n_samples, steps):
+        """Descent steps from tiny to large (a "jump" translates the mesh by
+        more than the target's diameter, so every certificate lapses). At
+        every step the plan path gives the breakdown and gradient bytes of a
+        loop that calls ``_match`` against the plan's tree, and its forward
+        distances are the tree's own squared distances."""
+        base, mesh, target, rng = descent_mesh_and_target(seed, n_target, n_dup)
+        plan = loss_plan(mesh, target, base, self.W, n_samples, seed=7)
+        reference = loss_plan(mesh, target, base, self.W, n_samples, seed=7)
+        tree = plan.neighbors.tree
+        certified = alphaforge.loss._certified_match
+        matches = []
+
+        def recording(pos, plan_):
+            matches.append((pos, certified(pos, plan_)))
+            return matches[-1][1]
+
+        def fresh(pos, plan_):
+            return _match(pos, plan_.target.points, tree)
+
+        diameter = np.ptp(target.points, axis=0).max()
+        v = mesh.vertices
+        for step in [0.0, *steps]:
+            if step == "jump":
+                v = v + (diameter + 1.0) * np.array([0.6, 0.0, 0.8])
+            m = mesh.with_vertices(v)
+            with mock.patch.object(alphaforge.loss, "_certified_match", recording):
+                breakdown, grad = total_loss(m, plan)
+            with mock.patch.object(alphaforge.loss, "_certified_match", fresh):
+                want_breakdown, want_grad = total_loss(m, reference)
+            assert astuple(breakdown) == astuple(want_breakdown)
+            assert grad.tobytes() == want_grad.tobytes()
+            pos, got = matches[-1]
+            dist, idx = tree.query(pos, k=1)
+            np.testing.assert_array_equal(got.idx_pq, idx)
+            assert got.d2_pq.tobytes() == (dist**2).tobytes()
+            if step == "jump" and len(np.unique(target.points, axis=0)) > 1:
+                assert np.array_equal(plan.neighbors.anchor, pos)  # all re-queried
+            if step != "jump":
+                v = v - step * grad / max(np.abs(grad).max(), 1e-300)

@@ -17,7 +17,7 @@ from alphaforge import (
     subdivide,
 )
 from alphaforge.errors import DegenerateFace, InvalidMesh
-from alphaforge.mesh import _edge_table, _unique_rows
+from alphaforge.mesh import _cross, _edge_table, _unique_rows
 from conftest import random_rotation
 
 
@@ -228,3 +228,15 @@ class TestEdgeTable:
         edges, _, counts = _edge_table(np.array([[0, 1, 2], [1, 0, 3], [0, 1, 4]]))
         assert edges[counts == 3].tolist() == [[0, 1]]
         assert (counts[np.any(edges != [0, 1], axis=1)] == 1).all()
+
+
+class TestCross:
+    @settings(max_examples=200, deadline=None)
+    @given(pair=st.integers(0, 12).flatmap(lambda n: st.tuples(*[hnp.arrays(
+        np.float64, (n, 3), elements=st.one_of(
+            st.sampled_from([0.0, -0.0, 1.0, -1.0]),
+            st.floats(-1e200, 1e200, allow_subnormal=True)))] * 2)))
+    def test_matches_numpy_cross(self, pair):
+        a, b = pair
+        with np.errstate(all="ignore"):
+            assert _cross(a, b).tobytes() == np.cross(a, b).tobytes()

@@ -2,6 +2,7 @@ from dataclasses import replace
 
 import numpy as np
 import pytest
+from scipy.spatial import cKDTree
 
 import alphaforge.loss
 from alphaforge import (
@@ -183,24 +184,40 @@ class TestRefineMesh:
             refine_mesh(noisy, gt, None, cfg, seed=7)
 
     @pytest.mark.parametrize("with_normals", [False, True])
-    def test_two_nearest_neighbor_queries_per_iteration(self, monkeypatch, with_normals):
+    def test_forward_queries_only_uncertified_samples(self, monkeypatch, with_normals):
+        """Per iteration, the samples->target rows the plan's kd-tree is
+        queried with, and the target->samples rows of the one reverse
+        query. Each stage's first iteration queries every sample; later
+        ones re-query only the samples whose certificate lapsed."""
         noisy, gt, baseline = self.make_fixture()
         weights = smooth_weights()
         if not with_normals:
             gt = PointCloud(gt.points)
             weights = replace(weights, lambda6=0.0)
-        calls = []
-        original = alphaforge.loss.nearest_neighbors
+        queries = []  # (tree, rows) per kd-tree query
 
-        def counting(*args, **kwargs):
-            calls.append(len(args[0]))
-            return original(*args, **kwargs)
+        class CountingTree(cKDTree):
+            def query(self, x, k=1):
+                queries.append((self, len(x)))
+                return super().query(x, k=k)
 
-        monkeypatch.setattr(alphaforge.loss, "nearest_neighbors", counting)
-        cfg = RefineConfig(stages=2, iters_per_stage=3, step_size=3e-5, weights=weights)
+        monkeypatch.setattr(alphaforge.loss, "cKDTree", CountingTree)
+        cfg = RefineConfig(stages=2, iters_per_stage=5, step_size=3e-5, weights=weights)
         _, trace = refine_mesh(noisy, gt, baseline, cfg, seed=9)
-        assert len(trace) == 6
-        assert len(calls) == 2 * 6
+        per_iteration, forward = [], 0  # (forward rows, reverse rows)
+        for tree, rows in queries:
+            if np.array_equal(tree.data, gt.points):
+                forward += rows
+            else:  # the reverse query, over this iteration's samples, ends it
+                per_iteration.append((forward, rows))
+                forward = 0
+        assert forward == 0
+        assert len(per_iteration) == len(trace) == 10
+        n = len(gt)  # refine_mesh draws one sample per target point
+        assert [rows for _, rows in per_iteration] == [n] * 10
+        forward_rows = [rows for rows, _ in per_iteration]
+        assert forward_rows[0] == forward_rows[5] == n
+        assert all(rows < n for rows in forward_rows[1:5] + forward_rows[6:])
 
     def test_trace_csv_shape(self):
         noisy, gt, baseline = self.make_fixture()
