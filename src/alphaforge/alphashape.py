@@ -18,7 +18,7 @@ import numpy as np
 
 from .delaunay import DelaunayComplex, delaunay_complex
 from .errors import EmptyMesh, EmptySelection
-from .mesh import Mesh, PointCloud
+from .mesh import Mesh, PointCloud, _cross
 
 # Threshold presets (filtering action sets). "smooth" is the 3-action set,
 # "pretty" the wide 24-action ladder restricted to its positive entries.
@@ -69,7 +69,7 @@ def extract_boundary_faces(
 
     pts = complex_.points.points
     a, b, c = pts[bfaces[:, 0]], pts[bfaces[:, 1]], pts[bfaces[:, 2]]
-    outward = np.einsum("ij,ij->i", np.cross(b - a, c - a), pts[bopp] - a)
+    outward = np.einsum("ij,ij->i", _cross(b - a, c - a), pts[bopp] - a)
     flip = outward > 0
     bfaces[flip] = bfaces[flip][:, [0, 2, 1]]
 

@@ -28,7 +28,7 @@ import numpy as np
 from . import meshio
 from .alphashape import TAU_PRESETS, triangulate
 from .errors import AlphaForgeError, ConfigError, GeometryError
-from .loss import LossWeights, pretty_weights, smooth_weights
+from .loss import pretty_weights, smooth_weights
 from .mesh import PointCloud, _edge_table
 from .metrics import PROTOCOLS, evaluate
 from .policy import (
@@ -109,17 +109,6 @@ def _apply_config(parser: _Parser, argv: list[str] | None,
         defaults[dest] = value
     parser.commands[args.command].set_defaults(**defaults)
     return parser.parse_args(argv)
-
-
-def _weights_from_args(args) -> LossWeights:
-    base = {"smooth": smooth_weights, "pretty": pretty_weights}[args.preset]()
-    overrides = {}
-    for name in ("lambda1", "lambda2", "lambda3", "lambda4", "lambda5",
-                 "lambda6", "mu"):
-        val = getattr(args, name, None)
-        if val is not None:
-            overrides[name] = val
-    return replace(base, **overrides) if overrides else base
 
 
 def _load_dataset(root: str):
@@ -223,7 +212,7 @@ def _cmd_reconstruct(args) -> int:
     else:
         raise _UsageError("reconstruct needs --tau or --policy")
 
-    weights = _weights_from_args(args)
+    weights = {"smooth": smooth_weights, "pretty": pretty_weights}[args.preset]()
     initial = triangulate(cloud, tau)
     baseline = None
     if weights.lambda3 > 0:
@@ -377,10 +366,6 @@ def _build_parser() -> _Parser:
     p.add_argument("--policy", default=None, help="policy JSON choosing tau")
     p.add_argument("--preset", choices=("smooth", "pretty"), default="smooth",
                    help="loss-weight preset")
-    for lam in ("lambda1", "lambda2", "lambda3", "lambda4", "lambda5", "lambda6"):
-        p.add_argument(f"--{lam}", type=float, default=None,
-                       help=f"override preset {lam}")
-    p.add_argument("--mu", type=float, default=None)
     p.add_argument("--stages", type=int, default=2)
     p.add_argument("--iters", type=int, default=100)
     p.add_argument("--step", type=float, default=3e-5,

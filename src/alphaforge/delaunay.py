@@ -1,4 +1,9 @@
-"""3D Delaunay tetrahedralization with per-tetrahedron circumspheres."""
+"""3D Delaunay tetrahedralization with per-tetrahedron circumspheres.
+
+Qhull and the circumspheres see the cloud scaled by an exact power of two
+to a largest |coordinate| in [0.5, 1), so the complex is the same at every
+scale in the supported range: a largest |coordinate| in [2^-300, 2^300).
+"""
 
 from __future__ import annotations
 
@@ -9,11 +14,19 @@ from scipy.spatial import Delaunay as _SciPyDelaunay
 from scipy.spatial import QhullError
 
 from .errors import DegenerateInput, DegenerateTetrahedron, TooFewPoints
-from .mesh import PointCloud, _lex_order
+from .mesh import PointCloud, _cross, _lex_order
 
 # Affine-independence predicate: |det| of the edge matrix must exceed this
 # factor times (max edge length)^3, else the quadruple is treated as coplanar.
 ORIENTATION_TOL = 1e-12
+
+# A cloud whose second singular value (centred) is at most this factor times
+# its first is collinear; SciPy's Qhull can crash within about 3e-12 of a line.
+COLLINEAR_TOL = 1e-6
+
+# Supported largest |coordinate|: [2^MIN_EXPONENT, 2^MAX_EXPONENT). Beyond
+# it, extract_boundary_faces' orientation triple products leave float range.
+MIN_EXPONENT, MAX_EXPONENT = -300, 300
 
 
 @dataclass(frozen=True)
@@ -69,7 +82,7 @@ def _batch_circumspheres(pts: np.ndarray, simplices: np.ndarray):
     """
     p0 = pts[simplices[:, 0]]
     a, b, c = (pts[simplices[:, k]] - p0 for k in (1, 2, 3))
-    bc, ca, ab = np.cross(b, c), np.cross(c, a), np.cross(a, b)
+    bc, ca, ab = _cross(b, c), _cross(c, a), _cross(a, b)
     sq = [np.einsum("ij,ij->i", e, e) for e in (a, b, c)]
     scale = np.sqrt(np.maximum(np.maximum(sq[0], sq[1]), sq[2]))
     det = np.einsum("ij,ij->i", a, bc)
@@ -82,63 +95,61 @@ def _batch_circumspheres(pts: np.ndarray, simplices: np.ndarray):
     return centers, radii, ok
 
 
-def _spread_quadruple_determinant(pts: np.ndarray) -> float:
-    """|det| of the best-spread quadruple, relative to its edge scale.
-
-    Greedy: farthest point from the first, then farthest from that line,
-    then farthest from that plane. Returns 0 for flat inputs.
-    """
-    a = pts[0]
-    d = np.linalg.norm(pts - a, axis=1)
-    b = pts[np.argmax(d)]
-    ab = b - a
-    nab = np.linalg.norm(ab)
-    if nab == 0.0:
-        return 0.0
-    cross = np.cross(pts - a, ab)
-    c = pts[np.argmax(np.linalg.norm(cross, axis=1))]
-    n = np.cross(ab, c - a)
-    nn = np.linalg.norm(n)
-    if nn == 0.0:
-        return 0.0
-    h = np.abs((pts - a) @ n) / nn
-    dpt = pts[np.argmax(h)]
-    A = np.stack([b - a, c - a, dpt - a])
-    scale = np.linalg.norm(A, axis=1).max()
-    return abs(np.linalg.det(A)) / scale**3
-
-
 def delaunay_complex(points: PointCloud | np.ndarray) -> DelaunayComplex:
     """Delaunay tetrahedralization of the cloud (normals ignored).
 
-    Deterministic for a fixed input ordering. Simplices failing the
-    affine-independence predicate (flat slivers from cospherical tie-breaking)
-    carry no defined circumsphere and are dropped; they have zero volume
-    within tolerance, so the hull-volume identity is unaffected.
+    Deterministic for a fixed input ordering. The cloud is tetrahedralized
+    scaled by 2^-k, where 2^k is the least power of two above its largest
+    |coordinate|; the centres and radii are scaled back by 2^k. ``points``
+    is the caller's cloud. Simplices failing the affine-independence
+    predicate (flat slivers from cospherical tie-breaking) carry no defined
+    circumsphere and are dropped; they have zero volume within tolerance,
+    so the hull-volume identity is unaffected.
 
-    Raises TooFewPoints (< 4 points) or DegenerateInput (all coplanar).
+    Raises:
+        TooFewPoints: fewer than 4 points.
+        DegenerateInput: the largest |coordinate| is outside
+            [2^-300, 2^300); the cloud is collinear within
+            ``COLLINEAR_TOL``; Qhull rejects the cloud (coplanar points,
+            say), with the first line of its report, or leaves its point at
+            infinity in a simplex; or every tetrahedron fails the
+            affine-independence predicate.
     """
     cloud = points if isinstance(points, PointCloud) else PointCloud(points)
     pts = cloud.points
     if len(pts) < 4:
         raise TooFewPoints(f"need at least 4 points, got {len(pts)}")
-    if _spread_quadruple_determinant(pts) <= ORIENTATION_TOL:
-        raise DegenerateInput("all points coplanar within predicate tolerance")
+    largest = np.abs(pts).max()
+    k = int(np.frexp(largest)[1])
+    if not MIN_EXPONENT < k <= MAX_EXPONENT:
+        raise DegenerateInput(f"largest |coordinate| {largest:.3g} is outside the "
+                              f"supported range [2^{MIN_EXPONENT}, 2^{MAX_EXPONENT})")
+    unit = np.ldexp(pts, -k)
+    spread = np.linalg.svd(unit - unit.mean(axis=0), compute_uv=False)
+    if spread[1] <= COLLINEAR_TOL * spread[0]:
+        raise DegenerateInput(f"all points collinear within {COLLINEAR_TOL:g} "
+                              "of the cloud's extent")
     try:
-        tri = _SciPyDelaunay(pts)
+        tri = _SciPyDelaunay(unit)
     except QhullError as exc:
         # Qhull's report runs to dozens of lines; the first names the failure.
         first_line = str(exc).partition("\n")[0]
         raise DegenerateInput(f"tetrahedralization failed: {first_line}") from exc
+    if (tri.simplices >= len(pts)).any():
+        # Qhull's point at infinity (option Qz, index n) stays in a flat cloud.
+        raise DegenerateInput("tetrahedralization failed: a simplex has Qhull's "
+                              "point at infinity as a vertex")
     # Sort each row's vertices and carry the neighbour across each slot along.
     slots = np.argsort(tri.simplices, axis=1)
     simplices = np.take_along_axis(tri.simplices, slots, axis=1).astype(np.int64)
     neighbors = np.take_along_axis(tri.neighbors, slots, axis=1)
     rows = _lex_order(simplices)
     simplices, neighbors = simplices[rows], neighbors[rows]
-    centers, radii, ok = _batch_circumspheres(pts, simplices)
+    centers, radii, ok = _batch_circumspheres(unit, simplices)
+    if not ok.any():
+        raise DegenerateInput("every tetrahedron is flat within predicate tolerance")
     # Qhull id -> kept row id; the extra last entry maps Qhull's -1 to -1.
     renumber = np.full(len(rows) + 1, -1, dtype=np.int64)
     renumber[rows[ok]] = np.arange(np.count_nonzero(ok))
-    return DelaunayComplex(cloud, simplices[ok], centers[ok], radii[ok],
-                           renumber[neighbors[ok]])
+    return DelaunayComplex(cloud, simplices[ok], np.ldexp(centers[ok], k),
+                           np.ldexp(radii[ok], k), renumber[neighbors[ok]])

@@ -22,7 +22,8 @@ class TooFewPoints(GeometryError):
 
 
 class DegenerateInput(GeometryError):
-    """Point set is flat (all points coplanar within predicate tolerance)."""
+    """Point set is flat (coplanar, collinear, or every tetrahedron flat
+    within predicate tolerance) or outside the supported coordinate range."""
 
 
 class DegenerateTetrahedron(GeometryError):

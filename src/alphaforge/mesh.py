@@ -225,4 +225,4 @@ def enclosed_volume(mesh: Mesh) -> float:
     f = mesh.faces
     if not len(f):
         return 0.0
-    return float(np.einsum("ij,ij->i", v[f[:, 0]], np.cross(v[f[:, 1]], v[f[:, 2]])).sum() / 6.0)
+    return float(np.einsum("ij,ij->i", v[f[:, 0]], _cross(v[f[:, 1]], v[f[:, 2]])).sum() / 6.0)

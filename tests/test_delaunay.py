@@ -114,12 +114,11 @@ class TestDelaunayComplex:
             delaunay_complex(PointCloud(pts))
 
     def test_qhull_failure_reports_its_first_line(self):
-        """At 1e55 the pre-check passes and Qhull fails with a report of
-        dozens of lines; the error keeps the first and chains the rest.
-        (Scales of 1e110 and above crash SciPy's Qhull, so none is tried.)"""
+        """An exactly coplanar cloud reaches Qhull, which fails with a report
+        of dozens of lines; the error keeps the first and chains the rest."""
         cloud, _ = synth(SyntheticSpec("torus", n=2000, seed=2, fill="solid"))
         with pytest.raises(DegenerateInput) as info:
-            delaunay_complex(cloud.points * 1e55)
+            delaunay_complex(cloud.points * [1.0, 1.0, 0.0])
         message = str(info.value)
         assert message.startswith("tetrahedralization failed: QH6154 ")
         assert "\n" not in message
