@@ -76,12 +76,18 @@ def circumsphere(p0, p1, p2, p3) -> tuple[np.ndarray, float]:
 def _batch_circumspheres(pts: np.ndarray, simplices: np.ndarray):
     """Vectorized circumspheres; returns (centers, radii, valid_mask).
 
-    With edge vectors a, b, c from the first vertex, the determinant is
-    a . (b x c) and, by Cramer's rule, the centre sits at
-    (|a|^2 b x c + |b|^2 c x a + |c|^2 a x b) / (2 det) from that vertex.
+    Each row's corners are taken in the lexicographic order of their
+    coordinates, so a tetrahedron gets the same bits however the cloud is
+    numbered. With edge vectors a, b, c from the least corner, the
+    determinant is a . (b x c) and, by Cramer's rule, the centre sits at
+    (|a|^2 b x c + |b|^2 c x a + |c|^2 a x b) / (2 det) from that corner.
     """
-    p0 = pts[simplices[:, 0]]
-    a, b, c = (pts[simplices[:, k]] - p0 for k in (1, 2, 3))
+    by_rank = np.lexsort(pts.T[::-1])
+    rank = np.empty(len(pts), dtype=np.int64)
+    rank[by_rank] = np.arange(len(pts))
+    corners = by_rank[np.sort(rank[simplices], axis=1)]
+    p0 = pts[corners[:, 0]]
+    a, b, c = (pts[corners[:, k]] - p0 for k in (1, 2, 3))
     bc, ca, ab = _cross(b, c), _cross(c, a), _cross(a, b)
     sq = [np.einsum("ij,ij->i", e, e) for e in (a, b, c)]
     scale = np.sqrt(np.maximum(np.maximum(sq[0], sq[1]), sq[2]))

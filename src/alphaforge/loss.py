@@ -13,10 +13,11 @@ within one refinement stage: the target cloud and its kd-tree, the frozen
 sampling map (face and barycentric coordinates per sample), the stage
 topology (unique edges, cotangent slots, adjacent face pairs) and the
 baseline's Laplacian coordinates, plus the samples' forward certificates
-(:class:`_StickyNeighbors`). One evaluation makes one two-way
+(:class:`_StickyNeighbors`) and the target's candidate samples
+(:class:`_NeighborList`). One evaluation makes one two-way
 nearest-neighbor correspondence between the samples and the target, which
 the log-Chamfer, Chamfer and normal-loss terms and their gradients all
-read; samples -> target re-queries only the samples whose certificate has
+read; each direction re-queries only the rows whose certificate has
 lapsed, so the correspondence is bit for bit that of two full queries.
 The per-cloud functions (``chamfer``, ``log_chamfer_grad``, ...) compute a
 correspondence and call the same term helpers.
@@ -109,6 +110,49 @@ def nearest_neighbors(a: np.ndarray, b: np.ndarray,
     return idx, dist**2
 
 
+# Rounding margin of the certificates below: far above the few ulps a
+# distance can be off, relative to the distances and the coordinates, plus
+# an absolute floor for distances built from subnormal squares.
+_RELATIVE_MARGIN = 1e-12
+_ABSOLUTE_MARGIN = 1e-150
+
+# Candidates per target of refinement's target -> samples certificate.
+REVERSE_CANDIDATES = 8
+
+
+def _tree_sq_distances(diff: np.ndarray) -> np.ndarray:
+    """Squared norms of coordinate differences held along diff's first
+    axis, as the kd-tree computes them before taking the square root: the
+    squares added in coordinate order."""
+    squares = diff * diff
+    total = squares[0].copy()
+    for axis in squares[1:]:
+        total += axis
+    return total
+
+
+def _slack(d1: np.ndarray, d2: np.ndarray, extent: np.ndarray) -> np.ndarray:
+    """d2 - d1 less the rounding margin, which scales with d1 + d2 and each
+    row's extent, the largest |coordinate| of its query point; written so,
+    d2 = inf (no runner-up) gives inf."""
+    rel = _RELATIVE_MARGIN
+    return (1.0 - rel) * (d2 - d1) - rel * (2.0 * d1 + extent) - _ABSOLUTE_MARGIN
+
+
+def _query(tree: cKDTree, pts: np.ndarray, k: int):
+    """``tree.query(pts, k)`` as (len(pts), k) arrays of distances and
+    indices, plus each row's nearest index. A row whose two nearest tie
+    takes its nearest from a k=1 query, so the tree breaks the tie."""
+    dist, idx = tree.query(pts, k=k)
+    dist, idx = dist.reshape(len(pts), k), idx.reshape(len(pts), k)
+    nearest = idx[:, 0].copy()
+    if k > 1:
+        tied = dist[:, 0] == dist[:, 1]
+        if tied.any():
+            nearest[tied] = tree.query(pts[tied], k=1)[1]
+    return dist, idx, nearest
+
+
 class _StickyNeighbors:
     """Nearest neighbors in ``tree`` of a cloud of n points that moves
     between calls; each call returns what ``tree.query(a, k=1)`` would,
@@ -118,15 +162,12 @@ class _StickyNeighbors:
     A point queried at an anchor position whose nearest and second-nearest
     tree points lie at d1 and d2 keeps its neighbor while it stays within
     (d2 - d1) / 2 of the anchor: by the triangle inequality every other
-    tree point stays farther. The margin taken off the gap covers the
-    rounding of the tree's distances, so the kept neighbor is strictly the
-    nearest in the tree's own arithmetic. A point tied with its runner-up
-    (gap 0) never gets a certificate and takes its neighbor from a k=1
-    query, so the tree breaks the tie.
+    tree point stays farther. The margin taken off the gap (``_slack``)
+    covers the rounding of the tree's distances, so the kept neighbor is
+    strictly the nearest in the tree's own arithmetic. A point tied with
+    its runner-up (gap 0) never gets a certificate and takes its neighbor
+    from a k=1 query, so the tree breaks the tie.
     """
-
-    _RELATIVE_MARGIN = 1e-12  # far above the few ulps a distance can be off
-    _ABSOLUTE_MARGIN = 1e-150  # covers distances built from subnormal squares
 
     def __init__(self, tree: cKDTree, n: int):
         self.tree = tree
@@ -139,20 +180,69 @@ class _StickyNeighbors:
         stale = np.flatnonzero(~(moved < self.reach))
         if len(stale):
             pts = a[stale]
-            dist, idx = self.tree.query(pts, k=2)
-            d1, gap = dist[:, 0], dist[:, 1] - dist[:, 0]
-            tied = gap == 0.0
-            if tied.any():
-                idx[tied, 0] = self.tree.query(pts[tied], k=1)[1]
-            # The margin scales with d1 + d2 = 2 d1 + gap and the coordinates;
-            # written so, a lone target point (d2 = inf) stays certified.
-            rel = self._RELATIVE_MARGIN
-            slack = ((1.0 - rel) * gap - rel * (2.0 * d1 + np.abs(pts).max(axis=1))
-                     - self._ABSOLUTE_MARGIN)
+            dist, _, nearest = _query(self.tree, pts, 2)
             self.anchor[stale] = pts
-            self.idx[stale] = idx[:, 0]
-            self.reach[stale] = 0.5 * slack
+            self.idx[stale] = nearest
+            self.reach[stale] = 0.5 * _slack(dist[:, 0], dist[:, 1], np.abs(pts).max(axis=1))
         return self.idx.copy()
+
+
+class _NeighborList:
+    """Nearest neighbors among a moving cloud of samples for each of m
+    fixed targets; each call returns the indices and squared distances
+    that ``cKDTree(samples).query(targets, k=1)`` would (``dist**2``, bit
+    for bit), but builds a tree and queries it only for the targets whose
+    neighbor may have changed.
+
+    A query keeps each target's K nearest samples as its candidates
+    (Verlet's neighbor list), with K = min(``REVERSE_CANDIDATES``,
+    n_samples), and the K-th distance dK. At a later call, let M be the
+    largest movement of any sample since that query and d1 the least of
+    the target's exact distances to its candidates. While d1 + M stays
+    under dK less the margin of ``_slack``, every other sample is strictly
+    farther, so a candidate at d1 that no other candidate ties is the
+    nearest in the tree's own arithmetic. The other targets are
+    re-queried with k=K, under ``_query``'s tie rule. The samples of a
+    query are kept while some target's candidates come from it.
+    """
+
+    def __init__(self, targets: np.ndarray, n_samples: int):
+        self.targets = targets
+        self.coords = np.ascontiguousarray(targets.T)[:, :, None]  # (3, m, 1)
+        self.extent = np.abs(targets).max(axis=1)
+        self.k = min(REVERSE_CANDIDATES, n_samples)
+        self.candidates = np.zeros((len(targets), self.k), dtype=np.intp)
+        self.kth = np.zeros(len(targets))
+        self.queried = np.full(len(targets), -1)  # call of each target's last query
+        self.snapshots: dict[int, np.ndarray] = {}  # call -> samples at its query
+        self.calls = 0
+
+    def __call__(self, samples: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+        q = self.targets
+        moved = np.full(len(q), np.inf)  # never queried: nothing certified
+        for call, snapshot in self.snapshots.items():
+            step = samples - snapshot
+            moved[self.queried == call] = np.sqrt(np.einsum("ij,ij->i", step, step).max())
+        diff = np.take(np.ascontiguousarray(samples.T), self.candidates, axis=1)
+        diff -= self.coords
+        sq = _tree_sq_distances(diff)  # (m, K)
+        best = sq.argmin(axis=1)[:, None]
+        least = np.take_along_axis(sq, best, axis=1)
+        d1 = np.sqrt(least[:, 0])
+        idx = np.take_along_axis(self.candidates, best, axis=1)[:, 0]
+        alone = np.count_nonzero(sq == least, axis=1) == 1
+        stale = np.flatnonzero(~(alone & (moved < _slack(d1, self.kth, self.extent))))
+        if len(stale):
+            dist, cand, nearest = _query(cKDTree(samples), q[stale], self.k)
+            idx[stale], d1[stale] = nearest, dist[:, 0]
+            self.candidates[stale] = cand
+            self.kth[stale] = dist[:, -1] if self.k < len(samples) else np.inf
+            self.queried[stale] = self.calls
+            live = set(np.unique(self.queried).tolist())
+            self.snapshots = {c: s for c, s in self.snapshots.items() if c in live}
+            self.snapshots[self.calls] = samples.copy()
+        self.calls += 1
+        return idx, d1**2
 
 
 def _scatter(n: int, terms, initial: np.ndarray | None = None) -> np.ndarray:
@@ -468,17 +558,19 @@ class LossPlan:
 
     Built by :func:`loss_plan` for one face connectivity (one refinement
     stage). Fields a weight setting does not need are None: the sampling
-    map and the target's certified neighbors without data terms, the edge
+    map and both certificates of the match without data terms, the edge
     slots without Laplacian or edge-length terms, the face pairs without
     normal consistency, the target Laplacian without a Laplacian term.
-    Each evaluation updates the certificates in ``neighbors``, which never
-    changes a result, so a plan is not to be shared between threads.
+    Each evaluation updates the certificates in ``neighbors`` and
+    ``reverse``, which never changes a result, so a plan is not to be
+    shared between threads.
     """
 
     weights: LossWeights
     faces: np.ndarray
     target: PointCloud
     neighbors: _StickyNeighbors | None  # samples -> target, over its kd-tree
+    reverse: _NeighborList | None       # target -> samples
     face_idx: np.ndarray | None      # (n,) source face of each sample
     bary: np.ndarray | None          # (n, 3) barycentric coordinates
     sample_faces: np.ndarray | None  # (n, 3) faces[face_idx]
@@ -498,13 +590,14 @@ def loss_plan(
     """Plan for the total loss of meshes with m's connectivity.
 
     Draws the sampling map (n_samples area-uniform samples of m,
-    deterministic in seed) and the samples' certificates over the target's
-    kd-tree when a data term is active, builds the edge slots and face
+    deterministic in seed) and sets up the match's certificates (the
+    samples' over the target's kd-tree, the target's over the samples) when
+    a data term is active, builds the edge slots and face
     pairs the active regularizers need, and the Laplacian coordinates of
     the baseline m_t. Zero-weight terms are skipped and their preconditions
     waived.
     """
-    neighbors = face_idx = bary = sample_faces = None
+    neighbors = reverse = face_idx = bary = sample_faces = None
     if w.lambda1 > 0 or w.lambda2 > 0 or w.lambda6 > 0:
         if n_samples < 1:
             raise ValueError("n_samples must be >= 1")
@@ -515,6 +608,7 @@ def loss_plan(
         if w.lambda6 > 0 and not p_gt.has_normals:
             raise MissingNormals("normal loss needs normals on both clouds")
         neighbors = _StickyNeighbors(cKDTree(p_gt.points), n_samples)
+        reverse = _NeighborList(p_gt.points, n_samples)
     lo_target = None
     if w.lambda3 > 0:
         if m_t is None:
@@ -525,20 +619,19 @@ def loss_plan(
         lo_target = laplacian_coords(m_t)
     slots = _edge_slots(m.faces) if w.lambda3 > 0 or w.lambda4 > 0 else None
     pairs = _adjacent_face_pairs(m.faces) if w.lambda5 > 0 else None
-    return LossPlan(w, m.faces, p_gt, neighbors, face_idx, bary, sample_faces,
-                    slots, pairs, lo_target)
+    return LossPlan(w, m.faces, p_gt, neighbors, reverse, face_idx, bary,
+                    sample_faces, slots, pairs, lo_target)
 
 
 def _certified_match(pos: np.ndarray, plan: LossPlan) -> _Match:
     """``_match`` of the samples at pos with the plan's target, bit for bit:
-    samples -> target from the plan's certified neighbors, target ->
-    samples by one full query."""
+    samples -> target from the plan's sticky neighbors over the target's
+    kd-tree, target -> samples from its neighbor list; each re-queries only
+    the rows whose certificate has lapsed."""
     qq = plan.target.points
     idx_pq = plan.neighbors(pos)
-    # the tree's own squared distances: it sums the squared coordinate
-    # differences in order and returns the square root
-    d2_pq = np.sqrt(((pos - np.take(qq, idx_pq, axis=0)) ** 2).sum(axis=1)) ** 2
-    return _Match(idx_pq, d2_pq, *nearest_neighbors(qq, pos))
+    d2_pq = np.sqrt(_tree_sq_distances((pos - np.take(qq, idx_pq, axis=0)).T)) ** 2
+    return _Match(idx_pq, d2_pq, *plan.reverse(pos))
 
 
 def total_loss(m: Mesh, plan: LossPlan) -> tuple[LossBreakdown, np.ndarray]:

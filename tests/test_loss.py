@@ -37,7 +37,13 @@ from alphaforge.errors import (
     VertexCountMismatch,
 )
 import alphaforge.loss
-from alphaforge.loss import _match, _scatter, _StickyNeighbors, nearest_neighbors
+from alphaforge.loss import (
+    _match,
+    _NeighborList,
+    _scatter,
+    _StickyNeighbors,
+    nearest_neighbors,
+)
 from conftest import random_rotation
 
 
@@ -137,6 +143,72 @@ class TestStickyNeighbors:
         for _ in range(4):
             np.testing.assert_array_equal(sticky(a), tree.query(a, k=1)[1])
             a = a + rng.normal(size=a.shape) * np.spacing(np.abs(a)) * rng.integers(0, 3, a.shape)
+
+
+class TestNeighborList:
+    @settings(max_examples=150, deadline=None)
+    @given(seed=st.integers(0, 2**32 - 1), n_targets=st.integers(1, 50),
+           n_samples=st.integers(1, 40), n_dup=st.integers(0, 10),
+           on_grid=st.booleans(),
+           moves=st.lists(st.sampled_from([0.0, 1e-9, 1e-4, 1e-2, 0.3, "jump"]),
+                          min_size=1, max_size=8))
+    @example(seed=1, n_targets=30, n_samples=1, n_dup=5, on_grid=False,
+             moves=[1e-2, "jump", 0.3])
+    @example(seed=2, n_targets=30, n_samples=2, n_dup=1, on_grid=True,
+             moves=[0.0, 1e-9, 1e-4, "jump"])
+    @example(seed=3, n_targets=40, n_samples=7, n_dup=3, on_grid=True,
+             moves=[1e-9, 1e-4, 1e-2, 0.3])
+    @example(seed=4, n_targets=50, n_samples=40, n_dup=10, on_grid=False,
+             moves=[0.0, 1e-9, 1e-4, 1e-2, 0.3, "jump", 1e-4])
+    def test_matches_a_fresh_query_after_every_move(self, seed, n_targets, n_samples,
+                                                    n_dup, on_grid, moves):
+        """Fixed targets with duplicates; samples with rows that stay exact
+        copies of others (ties), on a half-unit grid or not, that move by
+        0 to 0.3 or jump by more than the targets' diameter. Every call
+        gives the indices and squared-distance bytes of a fresh k=1 query
+        of a tree over the samples."""
+        rng = np.random.default_rng(seed)
+        targets = rng.normal(size=(n_targets, 3))
+        targets[rng.integers(0, n_targets, n_dup)] = targets[rng.integers(0, n_targets, n_dup)]
+        samples = rng.normal(size=(n_samples, 3))
+        if on_grid:
+            targets, samples = np.round(2 * targets) / 2, np.round(2 * samples) / 2
+        copies, originals = rng.integers(0, n_samples, (2, n_dup))
+        diameter = np.ptp(targets, axis=0).max()
+        neighbors = _NeighborList(targets, n_samples)
+        for move in [0.0, *moves]:
+            if move == "jump":
+                samples = samples + (diameter + 1.0) * np.array([0.6, 0.0, 0.8])
+            else:
+                samples = samples + move * rng.normal(size=samples.shape)
+            samples[copies] = samples[originals]
+            idx, d2 = neighbors(samples)
+            dist, want = cKDTree(samples).query(targets, k=1)
+            np.testing.assert_array_equal(idx, want)
+            assert d2.tobytes() == (dist**2).tobytes()
+        assert set(neighbors.snapshots) == set(np.unique(neighbors.queried).tolist())
+
+    @pytest.mark.parametrize("seed", range(3))
+    def test_rounding_margin_on_a_sphere_of_samples(self, seed):
+        """2000 targets a few ulps apart at the centre of a unit sphere of 40
+        samples, a few of which move by a few ulps at a time: every sample
+        is within rounding of every candidate's distance, and a certificate
+        without a margin for it keeps a neighbor the tree no longer
+        returns."""
+        rng = np.random.default_rng(seed)
+        centre = rng.normal(size=3)
+        targets = centre + np.spacing(np.abs(centre)) * rng.integers(-4, 5, (2000, 3))
+        directions = rng.normal(size=(40, 3))
+        samples = centre + directions / np.linalg.norm(directions, axis=1, keepdims=True)
+        neighbors = _NeighborList(targets, len(samples))
+        for _ in range(8):
+            idx, d2 = neighbors(samples)
+            dist, want = cKDTree(samples).query(targets, k=1)
+            np.testing.assert_array_equal(idx, want)
+            assert d2.tobytes() == (dist**2).tobytes()
+            moving = rng.random(len(samples)) < 0.05
+            samples = samples + (moving[:, None] * rng.normal(size=samples.shape)
+                                 * np.spacing(np.abs(samples)) * rng.integers(0, 3, samples.shape))
 
 
 class TestChamfer:
@@ -619,8 +691,9 @@ class TestCertifiedMatch:
         """Descent steps from tiny to large (a "jump" translates the mesh by
         more than the target's diameter, so every certificate lapses). At
         every step the plan path gives the breakdown and gradient bytes of a
-        loop that calls ``_match`` against the plan's tree, and its forward
-        distances are the tree's own squared distances."""
+        loop that calls ``_match`` against the plan's tree, and both
+        directions give the indices and squared-distance bytes of full
+        kd-tree queries."""
         base, mesh, target, rng = descent_mesh_and_target(seed, n_target, n_dup)
         plan = loss_plan(mesh, target, base, self.W, n_samples, seed=7)
         reference = loss_plan(mesh, target, base, self.W, n_samples, seed=7)
@@ -651,6 +724,9 @@ class TestCertifiedMatch:
             dist, idx = tree.query(pos, k=1)
             np.testing.assert_array_equal(got.idx_pq, idx)
             assert got.d2_pq.tobytes() == (dist**2).tobytes()
+            dist, idx = cKDTree(pos).query(target.points, k=1)
+            np.testing.assert_array_equal(got.idx_qp, idx)
+            assert got.d2_qp.tobytes() == (dist**2).tobytes()
             if step == "jump" and len(np.unique(target.points, axis=0)) > 1:
                 assert np.array_equal(plan.neighbors.anchor, pos)  # all re-queried
             if step != "jump":

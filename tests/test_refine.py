@@ -186,9 +186,10 @@ class TestRefineMesh:
     @pytest.mark.parametrize("with_normals", [False, True])
     def test_forward_queries_only_uncertified_samples(self, monkeypatch, with_normals):
         """Per iteration, the samples->target rows the plan's kd-tree is
-        queried with, and the target->samples rows of the one reverse
-        query. Each stage's first iteration queries every sample; later
-        ones re-query only the samples whose certificate lapsed."""
+        queried with, and the target->samples rows queried against trees
+        over the samples. Each stage's first iteration queries every sample
+        and every target; later ones re-query only the rows whose
+        certificate lapsed."""
         noisy, gt, baseline = self.make_fixture()
         weights = smooth_weights()
         if not with_normals:
@@ -201,23 +202,27 @@ class TestRefineMesh:
                 queries.append((self, len(x)))
                 return super().query(x, k=k)
 
+        per_iteration = []  # (forward rows, reverse rows)
+        certified = alphaforge.loss._certified_match
+
+        def counting(pos, plan):
+            queries.clear()
+            match = certified(pos, plan)
+            forward = sum(rows for tree, rows in queries if tree is plan.neighbors.tree)
+            per_iteration.append((forward, sum(rows for _, rows in queries) - forward))
+            return match
+
         monkeypatch.setattr(alphaforge.loss, "cKDTree", CountingTree)
+        monkeypatch.setattr(alphaforge.loss, "_certified_match", counting)
         cfg = RefineConfig(stages=2, iters_per_stage=5, step_size=3e-5, weights=weights)
         _, trace = refine_mesh(noisy, gt, baseline, cfg, seed=9)
-        per_iteration, forward = [], 0  # (forward rows, reverse rows)
-        for tree, rows in queries:
-            if np.array_equal(tree.data, gt.points):
-                forward += rows
-            else:  # the reverse query, over this iteration's samples, ends it
-                per_iteration.append((forward, rows))
-                forward = 0
-        assert forward == 0
         assert len(per_iteration) == len(trace) == 10
         n = len(gt)  # refine_mesh draws one sample per target point
-        assert [rows for _, rows in per_iteration] == [n] * 10
-        forward_rows = [rows for rows, _ in per_iteration]
+        forward_rows, reverse_rows = (list(rows) for rows in zip(*per_iteration))
         assert forward_rows[0] == forward_rows[5] == n
         assert all(rows < n for rows in forward_rows[1:5] + forward_rows[6:])
+        assert reverse_rows[0] == reverse_rows[5] == n
+        assert all(rows < n for rows in reverse_rows[1:5] + reverse_rows[6:])
 
     def test_trace_csv_shape(self):
         noisy, gt, baseline = self.make_fixture()
