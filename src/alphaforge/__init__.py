@@ -16,21 +16,13 @@ from .alphashape import (
     filter_tetrahedra,
     triangulate,
 )
-from .delaunay import DelaunayComplex, circumsphere, delaunay_complex
+from .delaunay import DelaunayComplex, delaunay_complex
 from .loss import (
     LossBreakdown,
     LossPlan,
     LossWeights,
-    chamfer,
-    chamfer_grad,
-    edge_length_reg,
     laplacian_coords,
-    laplacian_reg,
-    log_chamfer,
-    log_chamfer_grad,
     loss_plan,
-    normal_consistency,
-    normal_loss,
     pretty_weights,
     smooth_weights,
     total_loss,
@@ -41,8 +33,6 @@ from .mesh import (
     boundary_edges,
     enclosed_volume,
     euler_characteristic,
-    face_areas,
-    face_normals,
     nonmanifold_edges,
     unique_edges,
 )
@@ -89,13 +79,10 @@ __all__ = [
     "LossWeights", "Mesh", "METRIC_SAMPLES", "PRETTY_TAUS", "PointCloud", "QPolicy", "REWARD_SAMPLES",
     "RefineConfig", "RigidTransform", "SMOOTH_TAUS", "SyntheticSpec",
     "TAU_PRESETS", "TaubinConfig", "TrainLog", "apply_protocol_scaling",
-    "boundary_edges", "boundary_meshes", "chamfer", "chamfer_grad", "circumsphere",
-    "delaunay_complex", "edge_length_reg", "enclosed_volume", "errors",
+    "boundary_edges", "boundary_meshes", "delaunay_complex", "enclosed_volume", "errors",
     "euler_characteristic", "evaluate", "extract_boundary_faces", "f1_score",
-    "face_areas", "face_normals", "filter_tetrahedra", "greedy_tau", "icosphere",
-    "icp_align", "laplacian_coords", "laplacian_reg", "load_policy",
-    "log_chamfer", "log_chamfer_grad", "loss_plan", "nonmanifold_edges",
-    "normal_consistency", "normal_cosine", "normal_loss", "pretty_weights",
+    "filter_tetrahedra", "greedy_tau", "icosphere", "icp_align", "laplacian_coords",
+    "load_policy", "loss_plan", "nonmanifold_edges", "normal_cosine", "pretty_weights",
     "q_values", "read_mesh", "read_points", "reference_mesh", "refine_mesh",
     "reward", "sample_surface", "save_policy", "score", "select_action",
     "smooth_weights", "state_descriptor", "subdivide", "synth",

@@ -13,7 +13,7 @@ import numpy as np
 from scipy.spatial import Delaunay as _SciPyDelaunay
 from scipy.spatial import QhullError
 
-from .errors import DegenerateInput, DegenerateTetrahedron, TooFewPoints
+from .errors import DegenerateInput, TooFewPoints
 from .mesh import PointCloud, _cross, _lex_order
 
 # Affine-independence predicate: |det| of the edge matrix must exceed this
@@ -54,23 +54,6 @@ class DelaunayComplex:
 
     def __len__(self) -> int:
         return len(self.simplices)
-
-
-def circumsphere(p0, p1, p2, p3) -> tuple[np.ndarray, float]:
-    """Circumcenter and circumradius of the tetrahedron (p0, p1, p2, p3).
-
-    Solves the linear system expressing equidistance from the four points,
-    in a frame translated to p0 for conditioning. Raises
-    DegenerateTetrahedron for (near-)coplanar quadruples.
-    """
-    p0 = np.asarray(p0, dtype=np.float64)
-    A = np.stack([np.asarray(p, dtype=np.float64) - p0 for p in (p1, p2, p3)])
-    scale = np.linalg.norm(A, axis=1).max()
-    if scale == 0.0 or abs(np.linalg.det(A)) <= ORIENTATION_TOL * scale**3:
-        raise DegenerateTetrahedron("coplanar quadruple: circumsphere undefined")
-    b = 0.5 * np.einsum("ij,ij->i", A, A)
-    local = np.linalg.solve(A, b)
-    return p0 + local, float(np.linalg.norm(local))
 
 
 def _batch_circumspheres(pts: np.ndarray, simplices: np.ndarray):

@@ -13,10 +13,6 @@ class InvalidMesh(GeometryError):
     """Mesh violates a structural invariant (bad indices, duplicate faces)."""
 
 
-class DegenerateFace(GeometryError):
-    """Face area below tolerance; its normal direction is undefined."""
-
-
 class TooFewPoints(GeometryError):
     """Operation needs more input points than were given."""
 
@@ -24,10 +20,6 @@ class TooFewPoints(GeometryError):
 class DegenerateInput(GeometryError):
     """Point set is flat (coplanar, collinear, or every tetrahedron flat
     within predicate tolerance) or outside the supported coordinate range."""
-
-
-class DegenerateTetrahedron(GeometryError):
-    """Four coplanar points; the circumsphere is undefined."""
 
 
 class EmptySelection(GeometryError):

@@ -19,8 +19,6 @@ nearest-neighbor correspondence between the samples and the target, which
 the log-Chamfer, Chamfer and normal-loss terms and their gradients all
 read; each direction re-queries only the rows whose certificate has
 lapsed, so the correspondence is bit for bit that of two full queries.
-The per-cloud functions (``chamfer``, ``log_chamfer_grad``, ...) compute a
-correspondence and call the same term helpers.
 """
 
 from __future__ import annotations
@@ -46,7 +44,6 @@ from .mesh import (
     _edge_table,
     _unique_rows,
     face_cross_products,
-    unique_edges,
 )
 from .sampling import _draw, _place
 
@@ -176,7 +173,7 @@ class _StickyNeighbors:
         self.reach = np.full(n, -np.inf)  # nothing certified before the first call
 
     def __call__(self, a: np.ndarray) -> np.ndarray:
-        moved = np.sqrt(((a - self.anchor) ** 2).sum(axis=1))
+        moved = np.sqrt(_tree_sq_distances((a - self.anchor).T))
         stale = np.flatnonzero(~(moved < self.reach))
         if len(stale):
             pts = a[stale]
@@ -291,11 +288,6 @@ def _require_clouds(p: PointCloud, q: PointCloud) -> None:
         raise EmptyCloud("Q is empty")
 
 
-def _require_mu(mu: float) -> None:
-    if mu <= 0:
-        raise ValueError("mu must be positive")
-
-
 def _chamfer_value(m: _Match) -> float:
     return float(m.d2_pq.mean() + m.d2_qp.mean())
 
@@ -323,42 +315,6 @@ def _normal_cosines(pn: np.ndarray, qn: np.ndarray, m: _Match):
     cos_rev = np.einsum("ij,ij->i", np.take(pn, m.idx_qp, axis=0), qn)
     total = (1.0 - np.abs(cos_fwd)).sum() + (1.0 - np.abs(cos_rev)).sum()
     return float(total / (len(pn) + len(qn))), cos_fwd, cos_rev
-
-
-def chamfer(p: PointCloud, q: PointCloud) -> float:
-    """Symmetric mean of nearest-neighbor squared distances (both directions)."""
-    _require_clouds(p, q)
-    return _chamfer_value(_match(p.points, q.points))
-
-
-def chamfer_grad(p: PointCloud, q: PointCloud) -> np.ndarray:
-    """d(chamfer)/dp for every point of P, assignments held fixed."""
-    _require_clouds(p, q)
-    return _chamfer_grad(p.points, q.points, _match(p.points, q.points))
-
-
-def log_chamfer(p: PointCloud, q: PointCloud, mu: float) -> float:
-    """Sum (not mean) over both directions of log10(min squared dist + mu)."""
-    _require_clouds(p, q)
-    _require_mu(mu)
-    return _log_chamfer_value(_match(p.points, q.points), mu)
-
-
-def log_chamfer_grad(p: PointCloud, q: PointCloud, mu: float) -> np.ndarray:
-    """d(log_chamfer)/dp; per matched pair 2(p-q) / ((|p-q|^2 + mu) ln 10)."""
-    _require_clouds(p, q)
-    _require_mu(mu)
-    return _log_chamfer_grad(p.points, q.points, _match(p.points, q.points), mu)
-
-
-def normal_loss(p: PointCloud, q: PointCloud) -> float:
-    """Mean over both-direction nearest-neighbor matches of 1 - |cos| of the
-    matched normals; 0 means perfectly aligned (orientation ignored)."""
-    _require_clouds(p, q)
-    if not p.has_normals or not q.has_normals:
-        raise MissingNormals("normal loss needs normals on both clouds")
-    value, _, _ = _normal_cosines(p.normals, q.normals, _match(p.points, q.points))
-    return value
 
 
 # ---------------------------------------------------------------------------
@@ -424,19 +380,6 @@ def laplacian_coords(mesh: Mesh) -> np.ndarray:
     slots = _edge_slots(mesh.faces)
     _, weights, _ = _cotangents(mesh.vertices, slots)
     return _laplacian_from_edges(mesh.vertices, slots.edges, weights)
-
-
-def laplacian_reg(m: Mesh, m_t: Mesh) -> float:
-    """Mean squared difference of the two meshes' Laplacian coordinates.
-
-    Each mesh uses its own connectivity and cotangent weights; vertex
-    indices must correspond.
-    """
-    if m.num_vertices != m_t.num_vertices:
-        raise VertexCountMismatch(
-            f"{m.num_vertices} != {m_t.num_vertices} vertices")
-    diff = laplacian_coords(m) - laplacian_coords(m_t)
-    return float((diff**2).sum(axis=1).mean())
 
 
 def _laplacian_reg_and_grad(v: np.ndarray, slots: _EdgeSlots, lo_target: np.ndarray):
@@ -506,12 +449,6 @@ def _scatter_normal_grad(v: np.ndarray, faces: np.ndarray, grad_n: np.ndarray,
                              (faces[:, 2], _cross(a - b, big_g))])
 
 
-def normal_consistency(m: Mesh) -> float:
-    """Sum over adjacent face pairs of 1 - cos(n1, n2); 0 when no pairs."""
-    return _normal_consistency_and_grad(
-        m.vertices, m.faces, _adjacent_face_pairs(m.faces), face_cross_products(m))[0]
-
-
 def _normal_consistency_and_grad(v, faces, pairs, cross):
     if not len(pairs):
         return 0.0, np.zeros_like(v)
@@ -532,11 +469,6 @@ def _normal_loss_vertex_grad(v, faces, cross, face_idx, gt_n, cos_fwd, cos_rev, 
         (face_idx, -np.sign(cos_fwd)[:, None] * np.take(gt_n, m.idx_pq, axis=0) / denom),
         (np.take(face_idx, m.idx_qp), -np.sign(cos_rev)[:, None] * gt_n / denom)])
     return _scatter_normal_grad(v, faces, grad_n, n, s)
-
-
-def edge_length_reg(m: Mesh) -> float:
-    """Mean squared length over the mesh's unique edges."""
-    return _edge_length_and_grad(m.vertices, unique_edges(m))[0]
 
 
 def _edge_length_and_grad(v: np.ndarray, edges: np.ndarray):

@@ -6,10 +6,9 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .errors import DegenerateFace, InvalidMesh
+from .errors import InvalidMesh
 
 NORMAL_UNIT_TOL = 1e-9
-DEGENERATE_AREA = 1e-12
 
 
 def _as_points(arr, name: str) -> np.ndarray:
@@ -52,9 +51,6 @@ class PointCloud:
     def has_normals(self) -> bool:
         return self.normals is not None
 
-    def translated(self, offset) -> "PointCloud":
-        return PointCloud(self.points + np.asarray(offset, dtype=np.float64), self.normals)
-
 
 @dataclass(frozen=True)
 class Mesh:
@@ -62,9 +58,9 @@ class Mesh:
 
     Faces are oriented counter-clockwise seen from outside. Construction
     checks index bounds, per-face index distinctness, and rejects duplicate
-    faces (same unordered index triple). Degenerate-area checks are separate
-    (see :meth:`validate`) because intermediate optimization states may pass
-    through near-zero-area configurations.
+    faces (same unordered index triple). Face areas are not checked, because
+    intermediate optimization states may pass through near-zero-area
+    configurations.
     """
 
     vertices: np.ndarray
@@ -95,11 +91,6 @@ class Mesh:
     @property
     def num_faces(self) -> int:
         return len(self.faces)
-
-    def validate(self) -> None:
-        """Raise InvalidMesh if any face has area below the 1e-12 tolerance."""
-        if len(self.faces) and face_areas(self).min() < DEGENERATE_AREA:
-            raise InvalidMesh("mesh contains a zero-area face")
 
     def with_vertices(self, vertices) -> "Mesh":
         """Same connectivity, new vertex positions.
@@ -199,23 +190,6 @@ def face_cross_products(mesh: Mesh) -> np.ndarray:
     """(b - a) x (c - a) for each face; twice the area vector."""
     a, b, c = (np.take(mesh.vertices, corner, axis=0) for corner in mesh.faces.T)
     return _cross(b - a, c - a)
-
-
-def face_areas(mesh: Mesh) -> np.ndarray:
-    return 0.5 * np.linalg.norm(face_cross_products(mesh), axis=1)
-
-
-def face_normals(mesh: Mesh) -> np.ndarray:
-    """Unit normals, normalized cross product (b-a) x (c-a) per face.
-
-    Raises DegenerateFace when a face's area is below the 1e-12 tolerance.
-    """
-    cross = face_cross_products(mesh)
-    norms = np.linalg.norm(cross, axis=1)
-    if len(norms) and 0.5 * norms.min() < DEGENERATE_AREA:
-        bad = int(np.argmin(norms))
-        raise DegenerateFace(f"face {bad} has area below {DEGENERATE_AREA}")
-    return cross / norms[:, None]
 
 
 def enclosed_volume(mesh: Mesh) -> float:

@@ -31,6 +31,7 @@ from .loss import (
     _normal_cosines,
     _require_clouds,
     _StickyNeighbors,
+    _tree_sq_distances,
 )
 from .mesh import Mesh, PointCloud
 from .sampling import METRIC_SAMPLES, sample_surface
@@ -197,8 +198,8 @@ def _icp(p: PointCloud, q: PointCloud, tree, max_iters: int = 50,
     neighbors = _StickyNeighbors(tree, len(pts))
     prev_mse = np.inf
     for _ in range(max_iters):
-        matched = q.points[neighbors(aligned)]
-        if ((aligned - matched) ** 2).sum(axis=1).max() == 0.0:
+        matched = np.take(q.points, neighbors(aligned), axis=0)
+        if _tree_sq_distances((aligned - matched).T).max() == 0.0:
             # exact correspondence: a further fit would only add roundoff
             if history is not None:
                 history.append(0.0)
@@ -206,7 +207,7 @@ def _icp(p: PointCloud, q: PointCloud, tree, max_iters: int = 50,
         step = _best_rigid_fit(aligned, matched)
         aligned = step.apply(aligned)
         transform = step.compose_after(transform)
-        mse = float(((aligned - matched) ** 2).sum(axis=1).mean())
+        mse = float(_tree_sq_distances((aligned - matched).T).mean())
         if history is not None:
             history.append(mse)
         if prev_mse - mse < tol:

@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import hashlib
 import json
+import math
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -283,6 +284,13 @@ def save_policy(policy: QPolicy, path) -> None:
         fh.write(policy_to_json(policy))
 
 
+def _is_number(x) -> bool:
+    """A finite JSON number: an int or float, not a bool, NaN or infinity."""
+    if isinstance(x, bool) or not isinstance(x, (int, float)):
+        return False
+    return isinstance(x, int) or math.isfinite(x)
+
+
 def load_policy(path) -> QPolicy:
     """The policy in a ``save_policy`` document; ValueError names what is
     wrong with a malformed one."""
@@ -290,18 +298,25 @@ def load_policy(path) -> QPolicy:
         doc = json.load(fh)
     if not isinstance(doc, dict):
         raise ValueError(f"policy document is a JSON {type(doc).__name__}, not an object")
-    if doc.get("version") != 1:
-        raise ValueError(f"unsupported policy version {doc.get('version')!r}")
+    version = doc.get("version")
+    if isinstance(version, bool) or version != 1:
+        raise ValueError(f"unsupported policy version {version!r}")
     try:
-        n = len(doc["actions"])
+        for key in ("actions", "theta", "optimizer_state"):
+            if not isinstance(doc[key], list) or not all(map(_is_number, doc[key])):
+                raise ValueError(f"policy {key} must be a list of numbers")
         for key in ("epsilon", "epsilon_decay", "period"):
-            if not isinstance(doc[key], (int, float)):
+            if not _is_number(doc[key]):
                 raise ValueError(f"policy {key} must be a number, not {doc[key]!r}")
+        period = doc["period"]
+        if not ((isinstance(period, int) or period.is_integer()) and period >= 1):
+            raise ValueError(f"policy period must be an integer >= 1, not {period!r}")
+        n = len(doc["actions"])
         theta = np.array(doc["theta"], dtype=np.float64).reshape(n, STATE_DIM)
         cache = np.array(doc["optimizer_state"], dtype=np.float64).reshape(n, STATE_DIM)
         return QPolicy(tuple(doc["actions"]), theta, cache, doc["epsilon"],
-                       doc["epsilon_decay"], doc["period"])
+                       doc["epsilon_decay"], int(period))
     except KeyError as exc:
         raise ValueError(f"policy document lacks {exc}") from exc
-    except TypeError as exc:
+    except (TypeError, OverflowError) as exc:
         raise ValueError(f"malformed policy document: {exc}") from exc

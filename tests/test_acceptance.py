@@ -18,15 +18,12 @@ from alphaforge import (
     TaubinConfig,
     apply_protocol_scaling,
     boundary_edges,
-    chamfer,
-    chamfer_grad,
     delaunay_complex,
     enclosed_volume,
     euler_characteristic,
     evaluate,
     icosphere,
     icp_align,
-    log_chamfer_grad,
     loss_plan,
     q_values,
     read_mesh,
@@ -47,8 +44,10 @@ from alphaforge import (
 )
 from alphaforge.cli import run as cli_run
 from alphaforge.errors import EmptyMesh
+from alphaforge.loss import _log_chamfer_grad, _Match
 from alphaforge.metrics import PROTOCOLS
 from alphaforge.refine import _umbrella
+import oracles
 from test_delaunay import (
     empty_circumsphere_violations,
     hull_volume_oracle,
@@ -102,17 +101,6 @@ def test_criterion_2_genus_recovery():
     report(2, f"genus recovery ({elapsed:.1f}s)", ok and elapsed < 30.0)
 
 
-def _fd_cloud(fn, p, q, h=1e-6):
-    g = np.zeros_like(p.points)
-    for i in range(len(p)):
-        for d in range(3):
-            plus, minus = p.points.copy(), p.points.copy()
-            plus[i, d] += h
-            minus[i, d] -= h
-            g[i, d] = (fn(PointCloud(plus), q) - fn(PointCloud(minus), q)) / (2 * h)
-    return g
-
-
 def _fd_mesh(mesh, plan, h=1e-6):
     g = np.zeros_like(mesh.vertices)
     for i in range(mesh.num_vertices):
@@ -128,20 +116,22 @@ def _fd_mesh(mesh, plan, h=1e-6):
 
 def test_criterion_3_gradient_fidelity():
     """Five gradients vs central differences, 20 seeded instances each."""
-    from alphaforge import chamfer as cmd_fn
-    from alphaforge import log_chamfer as log_fn
+    base_mesh = icosphere(0)
+
+    def fidelity(mesh, gt, w, n_samples, seed):
+        plan = loss_plan(mesh, gt, base_mesh, w, n_samples, seed)
+        _, g = total_loss(mesh, plan)
+        gfd = _fd_mesh(mesh, plan)
+        return np.linalg.norm(g - gfd) <= 1e-4 * np.linalg.norm(gfd)
 
     ok = True
-    # cloud gradients: CMD and log-CMD
-    for seed in range(20):
-        rng = np.random.default_rng(1000 + seed)
-        p, q = PointCloud(rng.random((12, 3))), PointCloud(rng.random((12, 3)))
-        g = chamfer_grad(p, q)
-        gfd = _fd_cloud(cmd_fn, p, q)
-        ok &= np.linalg.norm(g - gfd) <= 1e-4 * np.linalg.norm(gfd)
-        g = log_chamfer_grad(p, q, 1e-4)
-        gfd = _fd_cloud(lambda a, b: log_fn(a, b, 1e-4), p, q)
-        ok &= np.linalg.norm(g - gfd) <= 1e-4 * np.linalg.norm(gfd)
+    # data terms on one-term plans, against a 12-point cloud: CMD, log-CMD
+    for w in (LossWeights(lambda1=0, lambda2=1), LossWeights(lambda1=1, lambda2=0)):
+        for seed in range(20):
+            rng = np.random.default_rng(1000 + seed)
+            mesh = base_mesh.with_vertices(
+                base_mesh.vertices + 0.05 * rng.normal(size=(12, 3)))
+            ok &= fidelity(mesh, PointCloud(rng.random((12, 3))), w, 12, seed)
 
     # mesh gradients: edge length, Laplacian regularizer, normal consistency
     term_weights = {
@@ -149,22 +139,20 @@ def test_criterion_3_gradient_fidelity():
         "laplacian": LossWeights(lambda1=0, lambda2=0, lambda3=1),
         "normal_consistency": LossWeights(lambda1=0, lambda2=0, lambda5=1),
     }
-    base_mesh = icosphere(0)
     gt = PointCloud(np.zeros((1, 3)))
     for name, w in term_weights.items():
         for seed in range(20):
             rng = np.random.default_rng(2000 + seed)
             mesh = base_mesh.with_vertices(
                 base_mesh.vertices + 0.05 * rng.normal(size=(12, 3)))
-            plan = loss_plan(mesh, gt, base_mesh, w, 1, 0)
-            _, g = total_loss(mesh, plan)
-            gfd = _fd_mesh(mesh, plan)
-            ok &= np.linalg.norm(g - gfd) <= 1e-4 * np.linalg.norm(gfd)
+            ok &= fidelity(mesh, gt, w, 1, 0)
 
     # log-CMD per-pair gradient magnitude strictly decreasing in distance
-    mags = [np.linalg.norm(log_chamfer_grad(PointCloud([[0, 0, 0]]),
-                                            PointCloud([[d, 0, 0]]), 1e-4))
-            for d in (0.1, 1.0, 10.0)]
+    mags = []
+    for d in (0.1, 1.0, 10.0):
+        pair = _Match(np.array([0]), np.array([d * d]), np.array([0]), np.array([d * d]))
+        g = _log_chamfer_grad(np.zeros((1, 3)), np.array([[d, 0.0, 0.0]]), pair, 1e-4)
+        mags.append(np.linalg.norm(g))
     ok &= mags[0] > mags[1] > mags[2]
     report(3, "gradient fidelity", bool(ok))
 
@@ -238,8 +226,8 @@ def test_criterion_5_refinement_efficacy():
     baseline = taubin_smooth(noisy, TaubinConfig())
 
     def metric(mesh):
-        return chamfer(sample_surface(mesh, 10000, seed=77),
-                       sample_surface(icosphere(4), 10000, seed=78))
+        return oracles.chamfer(sample_surface(mesh, 10000, seed=77),
+                               sample_surface(icosphere(4), 10000, seed=78))
 
     before = metric(noisy)
     cfg = RefineConfig(stages=2, iters_per_stage=100, step_size=3e-5,

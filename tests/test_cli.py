@@ -20,6 +20,9 @@ from alphaforge.cli import run
 from alphaforge.policy import QPolicy, load_policy, policy_to_json, save_policy
 
 
+FRESH_POLICY = json.loads(policy_to_json(QPolicy.fresh((0.3, 0.9))))
+
+
 def invoke(argv, capsys):
     code = run(argv)
     captured = capsys.readouterr()
@@ -98,8 +101,22 @@ class TestExitCodes:
     @pytest.mark.parametrize("doc, problem", [
         pytest.param({"version": 1}, "lacks 'actions'", id="no-actions"),
         pytest.param([1, 2], "a JSON list, not an object", id="list"),
-        pytest.param({**json.loads(policy_to_json(QPolicy.fresh((0.3, 0.9)))), "epsilon": "x"},
+        pytest.param({**FRESH_POLICY, "epsilon": "x"},
                      "epsilon must be a number, not 'x'", id="string-epsilon"),
+        pytest.param({**FRESH_POLICY, "version": True},
+                     "unsupported policy version True", id="boolean-version"),
+        pytest.param({**FRESH_POLICY, "period": 1.5},
+                     "period must be an integer >= 1, not 1.5", id="fractional-period"),
+        pytest.param({**FRESH_POLICY, "epsilon": True},
+                     "epsilon must be a number, not True", id="boolean-epsilon"),
+        pytest.param({**FRESH_POLICY, "actions": [True, 0.9]},
+                     "actions must be a list of numbers", id="boolean-action"),
+        pytest.param({**FRESH_POLICY, "actions": [float("inf"), 0.9]},
+                     "actions must be a list of numbers", id="infinite-action"),
+        pytest.param({**FRESH_POLICY, "theta": [float("nan")] + FRESH_POLICY["theta"][1:]},
+                     "theta must be a list of numbers", id="nan-theta"),
+        pytest.param({**FRESH_POLICY, "actions": [10**400, 0.9]},
+                     "malformed policy document", id="huge-action"),
     ])
     def test_malformed_policy_is_two(self, tmp_path, capsys, command, doc, problem):
         cloud, gt = synth(SyntheticSpec("sphere", n=90, fill="solid", seed=600))

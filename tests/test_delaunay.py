@@ -1,3 +1,4 @@
+import hashlib
 import itertools
 from collections import Counter
 
@@ -7,12 +8,31 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from scipy.spatial import ConvexHull, Delaunay, QhullError
 
-from alphaforge import PointCloud, SyntheticSpec, circumsphere, delaunay_complex, synth
-from alphaforge.errors import DegenerateInput, DegenerateTetrahedron, TooFewPoints
+from alphaforge import PointCloud, SyntheticSpec, delaunay_complex, synth
+from alphaforge.delaunay import ORIENTATION_TOL
+from alphaforge.errors import DegenerateInput, TooFewPoints
 
 REGULAR_TETRA = np.array([
     [1.0, 1.0, 1.0], [1.0, -1.0, -1.0], [-1.0, 1.0, -1.0], [-1.0, -1.0, 1.0],
 ]) / np.sqrt(8)  # edge length 1
+
+
+class CoplanarQuadruple(ValueError):
+    """The four points are coplanar within ORIENTATION_TOL."""
+
+
+def circumsphere(p0, p1, p2, p3):
+    """Oracle: circumcenter and circumradius of one tetrahedron, by solving
+    the equidistance equations in a frame translated to p0 for
+    conditioning. Raises CoplanarQuadruple where the complex drops the
+    tetrahedron as flat."""
+    p0 = np.asarray(p0, dtype=np.float64)
+    A = np.stack([np.asarray(p, dtype=np.float64) - p0 for p in (p1, p2, p3)])
+    scale = np.linalg.norm(A, axis=1).max()
+    if scale == 0.0 or abs(np.linalg.det(A)) <= ORIENTATION_TOL * scale**3:
+        raise CoplanarQuadruple("coplanar quadruple: circumsphere undefined")
+    local = np.linalg.solve(A, 0.5 * (A * A).sum(axis=1))
+    return p0 + local, float(np.linalg.norm(local))
 
 
 def hull_volume_oracle(points):
@@ -77,7 +97,7 @@ class TestCircumsphere:
         assert radius == pytest.approx(np.sqrt(3) / 2, abs=1e-12)
 
     def test_coplanar_raises(self):
-        with pytest.raises(DegenerateTetrahedron):
+        with pytest.raises(CoplanarQuadruple):
             circumsphere([0, 0, 0], [1, 0, 0], [0, 1, 0], [1, 1, 0])
 
 
@@ -98,7 +118,7 @@ class TestDelaunayComplex:
         for quad in itertools.combinations(range(5), 4):
             try:
                 center, radius = circumsphere(*pts[list(quad)])
-            except DegenerateTetrahedron:
+            except CoplanarQuadruple:
                 continue
             others = [i for i in range(5) if i not in quad]
             dist = np.linalg.norm(pts[others] - center, axis=1)
@@ -173,6 +193,38 @@ class TestDelaunayComplex:
         # rows hold ascending indices and are lexicographically ordered
         assert (np.diff(a.simplices, axis=1) > 0).all()
         assert a.simplices.tolist() == sorted(a.simplices.tolist())
+
+    @pytest.mark.parametrize("spec, pins", [
+        pytest.param(SyntheticSpec("torus", n=3000, fill="solid", seed=2), (
+            "7b3f6a9f1e4e9ecc069fae37ae40fae5aafcaaa9cda772a1804eec57d0c9a319",
+            "f834783cd1f8fc6356a2c6c473697e3e2fa495377c23634d55e736fbfae6dd4a",
+            "14a6492061297bf3549838d2ae3538250c289da336b2058da2a35e539516626c",
+            "ed64402c1ab93389fe4b32c5217d61ddcb0f011af27e698e71a9a8aeed80ac68",
+        ), id="solid-torus"),
+        pytest.param(SyntheticSpec("torus", n=1000, fill="solid", seed=100,
+                                   minor_radius=0.25), (
+            "42dac64a46b84dfeb10232b1fae3afa8ad77d0b5c4e9d17b5e9ba9ad86b2d1fc",
+            "d161e2c13254387ac37e856233008173f4d25ce2479cd2d90324b9c6ce23dc39",
+            "3896d4773f506528fe759643cc37a5ee762f46f6a4084df4a22af72f559460e5",
+            "39e3ae99d7eb6883b21672df075907ce54ae888fd96e6cd349524a624174a8ef",
+        ), id="policy-torus"),
+        pytest.param(SyntheticSpec("sphere", n=80, fill="solid", seed=200,
+                                   major_radius=0.8), (
+            "0ac32b65e4e50e516f18b66520a9f92ab6d3a8eb12af86c7dc6b39dbf843a619",
+            "0f09393afe265be132e359ad4b494b1e7ae38d1036bbb2e591b2a28c559899a4",
+            "f58c6c6de26805c5140ca0dd347e40e22a4eaedbde86dabad8f1f1d039f7bf54",
+            "7dceaf049b49833d18c63b502bde47715fc98c0292ea7a282c5e85c46f913ee9",
+        ), id="policy-sphere"),
+    ])
+    def test_complex_bytes_pinned(self, spec, pins):
+        """SHA-256 of the simplices, centres, radii and neighbours. Every
+        threshold's mesh is read off these arrays. Adding the circumspheres'
+        dot products in another order changes 43 % of the solid torus's
+        radii, and no value-level check sees it."""
+        complex_ = delaunay_complex(synth(spec)[0])
+        got = tuple(hashlib.sha256(getattr(complex_, name).tobytes()).hexdigest()
+                    for name in ("simplices", "centers", "radii", "neighbors"))
+        assert got == pins
 
 
 class TestNeighbors:

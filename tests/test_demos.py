@@ -10,9 +10,7 @@ import pytest
 ROOT = Path(__file__).resolve().parents[1]
 
 
-@pytest.mark.parametrize("demo", ["01_genus_recovery.py", "03_loss_suite.py",
-                                  "04_refinement.py", "05_policy_training.py",
-                                  "06_evaluation_protocols.py", "07_file_io.py"])
+@pytest.mark.parametrize("demo", sorted(p.name for p in (ROOT / "demos").glob("*.py")))
 def test_demo_leaves_working_directory_empty(demo, tmp_path):
     env = dict(os.environ)
     env["PYTHONPATH"] = os.pathsep.join(

