@@ -280,6 +280,11 @@ def _cmd_ablate(args) -> int:
 
 
 def _build_parser() -> _Parser:
+    jobs = os.environ.get("ALPHAFORGE_JOBS", "1")
+    try:
+        jobs = int(jobs)
+    except ValueError:
+        raise _UsageError(f"ALPHAFORGE_JOBS must be an integer, not {jobs!r}") from None
     parser = _Parser(prog="alphaforge", description=__doc__,
                      formatter_class=argparse.RawDescriptionHelpFormatter)
     sub = parser.add_subparsers(dest="command", required=True)
@@ -386,8 +391,7 @@ def _build_parser() -> _Parser:
     p.add_argument("--policy", default=None)
     p.add_argument("--nu", type=float, default=1e-4)
     p.add_argument("--n-samples", type=int, default=REWARD_SAMPLES)
-    p.add_argument("--jobs", type=int,
-                   default=int(os.environ.get("ALPHAFORGE_JOBS", "1")),
+    p.add_argument("--jobs", type=int, default=jobs,
                    help="parallel instances ($ALPHAFORGE_JOBS)")
     p.set_defaults(func=_cmd_ablate)
 
@@ -396,8 +400,8 @@ def _build_parser() -> _Parser:
 
 def run(argv: list[str] | None = None) -> int:
     """Dispatch a CLI invocation; never raises on malformed input."""
-    parser = _build_parser()
     try:
+        parser = _build_parser()
         args = parser.parse_args(argv)
         args = _apply_config(parser, argv, args)
         return args.func(args)

@@ -12,13 +12,14 @@ The total loss and its gradient come from one entry point,
 within one refinement stage: the target cloud and its kd-tree, the frozen
 sampling map (face and barycentric coordinates per sample), the stage
 topology (unique edges, cotangent slots, adjacent face pairs) and the
-baseline's Laplacian coordinates, plus the samples' forward certificates
-(:class:`_StickyNeighbors`) and the target's candidate samples
-(:class:`_NeighborList`). One evaluation makes one two-way
-nearest-neighbor correspondence between the samples and the target, which
-the log-Chamfer, Chamfer and normal-loss terms and their gradients all
-read; each direction re-queries only the rows whose certificate has
-lapsed, so the correspondence is bit for bit that of two full queries.
+baseline's Laplacian coordinates, plus one neighbor list per direction
+(:class:`_NeighborList`): the samples' candidate targets over the
+target's kd-tree and the target's candidate samples. One evaluation makes
+one two-way nearest-neighbor correspondence between the samples and the
+target, which the log-Chamfer, Chamfer and normal-loss terms and their
+gradients all read; each direction re-queries only the rows whose
+certificate has lapsed, so the correspondence is bit for bit that of two
+full queries.
 """
 
 from __future__ import annotations
@@ -113,7 +114,9 @@ def nearest_neighbors(a: np.ndarray, b: np.ndarray,
 _RELATIVE_MARGIN = 1e-12
 _ABSOLUTE_MARGIN = 1e-150
 
-# Candidates per target of refinement's target -> samples certificate.
+# Candidates per row of a neighbor list: 2 over a cloud that stays put (ICP
+# and refinement's samples -> target), 8 over refinement's moving samples.
+FIXED_CANDIDATES = 2
 REVERSE_CANDIDATES = 8
 
 
@@ -121,10 +124,9 @@ def _tree_sq_distances(diff: np.ndarray) -> np.ndarray:
     """Squared norms of coordinate differences held along diff's first
     axis, as the kd-tree computes them before taking the square root: the
     squares added in coordinate order."""
-    squares = diff * diff
-    total = squares[0].copy()
-    for axis in squares[1:]:
-        total += axis
+    total = diff[0] * diff[0]
+    for axis in diff[1:]:
+        total += axis * axis
     return total
 
 
@@ -150,95 +152,70 @@ def _query(tree: cKDTree, pts: np.ndarray, k: int):
     return dist, idx, nearest
 
 
-class _StickyNeighbors:
-    """Nearest neighbors in ``tree`` of a cloud of n points that moves
-    between calls; each call returns what ``tree.query(a, k=1)`` would,
-    but queries the tree only for the points whose neighbor may have
-    changed.
-
-    A point queried at an anchor position whose nearest and second-nearest
-    tree points lie at d1 and d2 keeps its neighbor while it stays within
-    (d2 - d1) / 2 of the anchor: by the triangle inequality every other
-    tree point stays farther. The margin taken off the gap (``_slack``)
-    covers the rounding of the tree's distances, so the kept neighbor is
-    strictly the nearest in the tree's own arithmetic. A point tied with
-    its runner-up (gap 0) never gets a certificate and takes its neighbor
-    from a k=1 query, so the tree breaks the tie.
-    """
-
-    def __init__(self, tree: cKDTree, n: int):
-        self.tree = tree
-        self.anchor = np.zeros((n, tree.m))
-        self.idx = np.zeros(n, dtype=np.intp)
-        self.reach = np.full(n, -np.inf)  # nothing certified before the first call
-
-    def __call__(self, a: np.ndarray) -> np.ndarray:
-        moved = np.sqrt(_tree_sq_distances((a - self.anchor).T))
-        stale = np.flatnonzero(~(moved < self.reach))
-        if len(stale):
-            pts = a[stale]
-            dist, _, nearest = _query(self.tree, pts, 2)
-            self.anchor[stale] = pts
-            self.idx[stale] = nearest
-            self.reach[stale] = 0.5 * _slack(dist[:, 0], dist[:, 1], np.abs(pts).max(axis=1))
-        return self.idx.copy()
-
-
 class _NeighborList:
-    """Nearest neighbors among a moving cloud of samples for each of m
-    fixed targets; each call returns the indices and squared distances
-    that ``cKDTree(samples).query(targets, k=1)`` would (``dist**2``, bit
-    for bit), but builds a tree and queries it only for the targets whose
-    neighbor may have changed.
+    """Nearest neighbors in a cloud b of each of the n rows of a cloud a,
+    where either cloud may move between calls: each call returns the
+    indices and squared distances of ``cKDTree(b).query(a, k=1)``
+    (``dist**2``, bit for bit), but queries a tree only for the rows whose
+    neighbor may have changed, and builds one only when b has moved.
 
-    A query keeps each target's K nearest samples as its candidates
-    (Verlet's neighbor list), with K = min(``REVERSE_CANDIDATES``,
-    n_samples), and the K-th distance dK. At a later call, let M be the
-    largest movement of any sample since that query and d1 the least of
-    the target's exact distances to its candidates. While d1 + M stays
-    under dK less the margin of ``_slack``, every other sample is strictly
-    farther, so a candidate at d1 that no other candidate ties is the
-    nearest in the tree's own arithmetic. The other targets are
-    re-queried with k=K, under ``_query``'s tie rule. The samples of a
-    query are kept while some target's candidates come from it.
+    A query keeps each row's K = min(k, n_b) nearest points of b as its
+    candidates (Verlet's neighbor list), the K-th distance dK, the row's
+    position as its anchor and the version of b it was queried against.
+    At a later call, let m be the row's movement since then, M the largest
+    movement of any point of b since that version and d1 the least of the
+    row's exact distances to its candidates. While m + M stays under dK
+    less d1 and the margin of ``_slack``, every other point of b is
+    strictly farther, so a candidate at d1 that no other candidate ties is
+    the nearest in the tree's own arithmetic. The other rows are re-queried
+    with k=K, under ``_query``'s tie rule, against the newest version of b;
+    a version is kept while some row's candidates come from it. ``tree``, a
+    kd-tree over the b of the first call, becomes that version's tree.
+    Per-row state is column-major: every per-call reduction runs along the
+    long axis.
     """
 
-    def __init__(self, targets: np.ndarray, n_samples: int):
-        self.targets = targets
-        self.coords = np.ascontiguousarray(targets.T)[:, :, None]  # (3, m, 1)
-        self.extent = np.abs(targets).max(axis=1)
-        self.k = min(REVERSE_CANDIDATES, n_samples)
-        self.candidates = np.zeros((len(targets), self.k), dtype=np.intp)
-        self.kth = np.zeros(len(targets))
-        self.queried = np.full(len(targets), -1)  # call of each target's last query
-        self.snapshots: dict[int, np.ndarray] = {}  # call -> samples at its query
-        self.calls = 0
+    def __init__(self, n: int, n_b: int, k: int, tree: cKDTree | None = None):
+        self.k = min(k, n_b)
+        self.anchor = np.zeros((3, n))
+        self.candidates = np.zeros((self.k, n), dtype=np.intp)
+        self.kth = np.zeros(n)
+        self.extent = np.zeros(n)
+        self.queried = np.full(n, -1)  # version of b at each row's query; -1: never
+        self.tree, self.newest = tree, 0
+        self.versions: dict[int, np.ndarray] = {}  # version -> b as (3, n_b)
 
-    def __call__(self, samples: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-        q = self.targets
-        moved = np.full(len(q), np.inf)  # never queried: nothing certified
-        for call, snapshot in self.snapshots.items():
-            step = samples - snapshot
-            moved[self.queried == call] = np.sqrt(np.einsum("ij,ij->i", step, step).max())
-        diff = np.take(np.ascontiguousarray(samples.T), self.candidates, axis=1)
-        diff -= self.coords
-        sq = _tree_sq_distances(diff)  # (m, K)
-        best = sq.argmin(axis=1)[:, None]
-        least = np.take_along_axis(sq, best, axis=1)
-        d1 = np.sqrt(least[:, 0])
-        idx = np.take_along_axis(self.candidates, best, axis=1)[:, 0]
-        alone = np.count_nonzero(sq == least, axis=1) == 1
+    def __call__(self, a: np.ndarray, b: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+        at, bt = a.T.copy(), b.T.copy()
+        if self.tree is not None and not self.versions:  # the given tree is over this b
+            self.versions[0] = bt
+        drift = np.full(self.newest + 2, np.inf)  # M by version; the last is -1's, never queried
+        for version, snapshot in self.versions.items():
+            same = np.array_equal(bt, snapshot)  # b at rest needs no arithmetic
+            drift[version] = 0.0 if same else np.sqrt(_tree_sq_distances(bt - snapshot).max())
+        moved = drift[self.queried] + np.sqrt(_tree_sq_distances(at - self.anchor))
+        diff = np.take(bt, self.candidates, axis=1)  # (3, K, n)
+        diff -= at[:, None, :]
+        sq = _tree_sq_distances(diff)
+        least = sq.min(axis=0)
+        hit = sq == least
+        idx = (self.candidates * hit).sum(axis=0)  # the candidate at d1 where it is alone
+        d1 = np.sqrt(least)
+        alone = np.count_nonzero(hit, axis=0) == 1
         stale = np.flatnonzero(~(alone & (moved < _slack(d1, self.kth, self.extent))))
         if len(stale):
-            dist, cand, nearest = _query(cKDTree(samples), q[stale], self.k)
+            if drift[self.newest] > 0:  # the tree is over the newest version
+                self.newest += 1
+                self.tree, self.versions[self.newest] = cKDTree(b), bt
+            dist, cand, nearest = _query(self.tree, a[stale], self.k)
             idx[stale], d1[stale] = nearest, dist[:, 0]
-            self.candidates[stale] = cand
-            self.kth[stale] = dist[:, -1] if self.k < len(samples) else np.inf
-            self.queried[stale] = self.calls
-            live = set(np.unique(self.queried).tolist())
-            self.snapshots = {c: s for c, s in self.snapshots.items() if c in live}
-            self.snapshots[self.calls] = samples.copy()
-        self.calls += 1
+            self.anchor[:, stale] = at[:, stale]
+            self.candidates[:, stale] = cand.T
+            self.kth[stale] = dist[:, -1] if self.k < len(b) else np.inf
+            self.extent[stale] = np.abs(self.anchor[:, stale]).max(axis=0)
+            self.queried[stale] = self.newest
+            rows = np.bincount(self.queried, minlength=self.newest + 1)  # per version
+            self.versions = {v: s for v, s in self.versions.items() if rows[v]}
         return idx, d1**2
 
 
@@ -501,8 +478,8 @@ class LossPlan:
     weights: LossWeights
     faces: np.ndarray
     target: PointCloud
-    neighbors: _StickyNeighbors | None  # samples -> target, over its kd-tree
-    reverse: _NeighborList | None       # target -> samples
+    neighbors: _NeighborList | None  # samples -> target, over the target's kd-tree
+    reverse: _NeighborList | None    # target -> samples, over the moving samples
     face_idx: np.ndarray | None      # (n,) source face of each sample
     bary: np.ndarray | None          # (n, 3) barycentric coordinates
     sample_faces: np.ndarray | None  # (n, 3) faces[face_idx]
@@ -539,8 +516,8 @@ def loss_plan(
             raise EmptyCloud("target cloud is empty")
         if w.lambda6 > 0 and not p_gt.has_normals:
             raise MissingNormals("normal loss needs normals on both clouds")
-        neighbors = _StickyNeighbors(cKDTree(p_gt.points), n_samples)
-        reverse = _NeighborList(p_gt.points, n_samples)
+        neighbors = _NeighborList(n_samples, len(p_gt), FIXED_CANDIDATES, cKDTree(p_gt.points))
+        reverse = _NeighborList(len(p_gt), n_samples, REVERSE_CANDIDATES)
     lo_target = None
     if w.lambda3 > 0:
         if m_t is None:
@@ -556,14 +533,11 @@ def loss_plan(
 
 
 def _certified_match(pos: np.ndarray, plan: LossPlan) -> _Match:
-    """``_match`` of the samples at pos with the plan's target, bit for bit:
-    samples -> target from the plan's sticky neighbors over the target's
-    kd-tree, target -> samples from its neighbor list; each re-queries only
-    the rows whose certificate has lapsed."""
+    """``_match`` of the samples at pos with the plan's target, bit for bit,
+    from the plan's two neighbor lists; each re-queries only the rows whose
+    certificate has lapsed."""
     qq = plan.target.points
-    idx_pq = plan.neighbors(pos)
-    d2_pq = np.sqrt(_tree_sq_distances((pos - np.take(qq, idx_pq, axis=0)).T)) ** 2
-    return _Match(idx_pq, d2_pq, *plan.reverse(pos))
+    return _Match(*plan.neighbors(pos, qq), *plan.reverse(qq, pos))
 
 
 def total_loss(m: Mesh, plan: LossPlan) -> tuple[LossBreakdown, np.ndarray]:

@@ -210,11 +210,16 @@ def _read_ply(lines):
             continue
         fields = line.split()
         if fields[0] == "format":
+            if len(fields) < 2:
+                raise ParseError("format line names no format", lineno)
             if fields[1] != "ascii":
                 raise UnsupportedElement(f"binary PLY ({fields[1]}) not supported",
                                          lineno)
             fmt_seen = True
         elif fields[0] == "element":
+            if len(fields) < 3 or not fields[2].isdecimal():
+                raise ParseError(f"element line needs a name and a count >= 0: {line!r}",
+                                 lineno)
             elements.append((fields[1], int(fields[2]), []))
         elif fields[0] == "property":
             if not elements:

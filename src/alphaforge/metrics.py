@@ -11,9 +11,10 @@ evaluation makes one correspondence, from which the Chamfer, the F1 at
 every radius and the normal cosine are all read. One kd-tree over the
 ground-truth samples serves that correspondence and, under tmnet, every
 ICP iteration. ICP re-queries only the points whose certificate has lapsed
-(``loss._StickyNeighbors``): a point keeps its neighbor while it stays
-closer to where it was last queried than half the gap to its runner-up,
-so each iteration matches exactly as a query of every point would.
+(``loss._NeighborList`` with two candidates): a point keeps its neighbor
+while its movement since its last query stays under the gap between its
+nearest candidate now and the runner-up of that query, so each iteration
+matches exactly as a query of every point would.
 """
 
 from __future__ import annotations
@@ -28,10 +29,11 @@ from .loss import (
     _chamfer_value,
     _Match,
     _match,
+    _NeighborList,
     _normal_cosines,
     _require_clouds,
-    _StickyNeighbors,
     _tree_sq_distances,
+    FIXED_CANDIDATES,
 )
 from .mesh import Mesh, PointCloud
 from .sampling import METRIC_SAMPLES, sample_surface
@@ -195,11 +197,12 @@ def _icp(p: PointCloud, q: PointCloud, tree, max_iters: int = 50,
 
     transform = RigidTransform.identity()
     aligned = pts.copy()
-    neighbors = _StickyNeighbors(tree, len(pts))
+    neighbors = _NeighborList(len(pts), len(q), FIXED_CANDIDATES, tree)
     prev_mse = np.inf
     for _ in range(max_iters):
-        matched = np.take(q.points, neighbors(aligned), axis=0)
-        if _tree_sq_distances((aligned - matched).T).max() == 0.0:
+        idx, d2 = neighbors(aligned, q.points)
+        matched = np.take(q.points, idx, axis=0)
+        if d2.max() == 0.0:
             # exact correspondence: a further fit would only add roundoff
             if history is not None:
                 history.append(0.0)

@@ -236,23 +236,27 @@ def _surface_cloud(spec: SyntheticSpec, ref: Mesh, rng: np.random.Generator) -> 
     return PointCloud(pts, normals)
 
 
+def _rejection_sample(n: int, width: int, draw) -> np.ndarray:
+    """n rows of width columns from rounds of draw(batch, need), which
+    proposes batch = max(2 * need, 64) candidates and returns at most need."""
+    out = np.empty((0, width))
+    while len(out) < n:
+        out = np.concatenate([out, draw(max(2 * (n - len(out)), 64), n - len(out))])
+    return out
+
+
 def _torus_angles(spec, rng, n):
-    """Area-uniform torus angles: u uniform, v by rejection with acceptance
-    ratio (R + r cos v) / (R + r)."""
-    us, vs = [], []
-    need = n
-    while need > 0:
-        batch = max(2 * need, 64)
+    """Area-uniform torus angles (u, v): u uniform, v by rejection with
+    acceptance ratio (R + r cos v) / (R + r)."""
+    def draw(batch, need):
         v = rng.random(batch) * 2 * np.pi
         accept = rng.random(batch) < (
             (spec.major_radius + spec.minor_radius * np.cos(v))
             / (spec.major_radius + spec.minor_radius))
         v = v[accept][:need]
-        u = rng.random(len(v)) * 2 * np.pi
-        us.append(u)
-        vs.append(v)
-        need -= len(v)
-    return np.concatenate(us), np.concatenate(vs)
+        return np.stack([rng.random(len(v)) * 2 * np.pi, v], axis=1)
+
+    return _rejection_sample(n, 2, draw).T
 
 
 def _torus_point_normal(spec, u, v):
@@ -282,10 +286,7 @@ def _solid_cloud(spec: SyntheticSpec, rng: np.random.Generator) -> PointCloud:
 
 
 def _solid_torus(spec, rng, n):
-    out = []
-    need = n
-    while need > 0:
-        batch = max(2 * need, 64)
+    def draw(batch, need):
         rho = spec.minor_radius * np.sqrt(rng.random(batch))
         v = rng.random(batch) * 2 * np.pi
         accept = rng.random(batch) < (
@@ -294,24 +295,20 @@ def _solid_torus(spec, rng, n):
         rho, v = rho[accept][:need], v[accept][:need]
         u = rng.random(len(v)) * 2 * np.pi
         ring = spec.major_radius + rho * np.cos(v)
-        out.append(np.stack([ring * np.cos(u), ring * np.sin(u),
-                             rho * np.sin(v)], axis=1))
-        need -= len(v)
-    return np.concatenate(out)
+        return np.stack([ring * np.cos(u), ring * np.sin(u), rho * np.sin(v)], axis=1)
+
+    return _rejection_sample(n, 3, draw)
 
 
 def _solid_stacked(rng, n):
     dims = np.array(_STACKED_DIMS)
-    out = []
-    need = n
-    while need > 0:
-        batch = max(2 * need, 64)
+
+    def draw(batch, need):
         cand = rng.random((batch, 3)) * dims
         mask = np.ones(batch, dtype=bool)
         for (hx0, hx1), (hy0, hy1) in _STACKED_HOLES:
             mask &= ~((cand[:, 0] > hx0) & (cand[:, 0] < hx1)
                       & (cand[:, 1] > hy0) & (cand[:, 1] < hy1))
-        cand = cand[mask][:need]
-        out.append(cand)
-        need -= len(cand)
-    return np.concatenate(out) - dims / 2.0
+        return cand[mask][:need]
+
+    return _rejection_sample(n, 3, draw) - dims / 2.0

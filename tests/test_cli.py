@@ -97,6 +97,17 @@ class TestExitCodes:
         assert code == 0
         assert len(config_only.splitlines()) == 10
 
+    @pytest.mark.parametrize("line", ["element vertex", "element", "format",
+                                      "element vertex x", "element vertex -2"])
+    def test_malformed_ply_header_is_two(self, tmp_path, capsys, line):
+        path = tmp_path / "c.ply"
+        path.write_text(f"ply\nformat ascii 1.0\n{line}\nproperty double x\n"
+                        "property double y\nproperty double z\nend_header\n0 0 0\n1 1 1\n")
+        code, _, err = invoke(["triangulate", "--in", str(path), "--in-format", "ply",
+                               "--tau", "0.3"], capsys)
+        assert code == 2
+        assert err.startswith("error: line 3: ")
+
     @pytest.mark.parametrize("command", ["reconstruct", "ablate"])
     @pytest.mark.parametrize("doc, problem", [
         pytest.param({"version": 1}, "lacks 'actions'", id="no-actions"),
@@ -338,6 +349,14 @@ class TestPolicyCommands:
         monkeypatch.setenv("ALPHAFORGE_JOBS", "7")
         args = _build_parser().parse_args(["ablate", "--dataset", "x"])
         assert args.jobs == 7
+
+    @pytest.mark.parametrize("argv", [["synth", "--shape", "torus"],
+                                      ["ablate", "--dataset", "x"]])
+    def test_bad_jobs_env_is_usage_error(self, monkeypatch, capsys, argv):
+        monkeypatch.setenv("ALPHAFORGE_JOBS", "x")
+        code, _, err = invoke(argv, capsys)
+        assert code == 1
+        assert err == "usage error: ALPHAFORGE_JOBS must be an integer, not 'x'\n"
 
     def test_ablate_deterministic_and_parallel_stable(self, tmp_path, capsys):
         root = make_dataset(tmp_path)

@@ -38,8 +38,9 @@ from alphaforge.loss import (
     _NeighborList,
     _normal_cosines,
     _scatter,
-    _StickyNeighbors,
+    FIXED_CANDIDATES,
     nearest_neighbors,
+    REVERSE_CANDIDATES,
 )
 import oracles
 from conftest import random_rotation
@@ -114,20 +115,44 @@ class TestNearestNeighbors:
                                        rtol=1e-12, atol=0)
 
 
-class TestStickyNeighbors:
-    @settings(max_examples=150, deadline=None)
+def nudged(x, move, rng):
+    """x after one move of a random 70 % of its rows: by a few ulps
+    ("ulp"), by a normal step of the given size, or, for "jump", all rows
+    translated by more than the clouds' diameter."""
+    if move == "jump":
+        return x + (np.ptp(x, axis=0).max() + 1.0) * np.array([0.6, 0.0, 0.8])
+    scale = np.spacing(np.abs(x)) * rng.integers(0, 3, x.shape) if move == "ulp" else move
+    return x + scale * (rng.random(len(x)) < 0.7)[:, None] * rng.normal(size=x.shape)
+
+
+class TestNeighborList:
+    @pytest.mark.parametrize("moving", ["rows", "b", "both"])
+    @settings(max_examples=100, deadline=None)
     @given(seed=st.integers(0, 2**32 - 1), n_a=st.integers(1, 60),
            n_b=st.integers(1, 40), n_dup=st.integers(0, 10),
            on_grid=st.booleans(),
-           moves=st.lists(st.sampled_from(["ulp", 0.0, 1e-9, 1e-5, 1e-2, 0.3, 3.0]),
+           k=st.sampled_from([FIXED_CANDIDATES, REVERSE_CANDIDATES]),
+           moves=st.lists(st.sampled_from(["ulp", 0.0, 1e-9, 1e-5, 1e-4, 1e-2, 0.3,
+                                           3.0, "jump"]),
                           min_size=1, max_size=8))
-    def test_matches_a_fresh_query_after_every_move(self, seed, n_a, n_b, n_dup,
-                                                    on_grid, moves):
-        """Targets with forced duplicates (gap 0); half the queries on or
-        just off the bisector plane of a target pair (near-ties); then steps
-        that move a random subset of the queries by a few ulps or by small
-        to large amounts. Every step returns the indices a fresh k=1 query
-        of the same tree returns."""
+    @example(seed=1, n_a=30, n_b=1, n_dup=5, on_grid=False, k=REVERSE_CANDIDATES,
+             moves=[1e-2, "jump", 0.3])
+    @example(seed=2, n_a=30, n_b=2, n_dup=1, on_grid=True, k=REVERSE_CANDIDATES,
+             moves=[0.0, 1e-9, 1e-4, "jump"])
+    @example(seed=3, n_a=40, n_b=7, n_dup=3, on_grid=True, k=FIXED_CANDIDATES,
+             moves=[1e-9, 1e-4, 1e-2, 0.3])
+    @example(seed=4, n_a=50, n_b=40, n_dup=10, on_grid=False, k=REVERSE_CANDIDATES,
+             moves=[0.0, 1e-9, 1e-4, 1e-2, 0.3, "jump", 1e-4])
+    def test_matches_a_fresh_query_after_every_move(self, moving, seed, n_a, n_b, n_dup,
+                                                    on_grid, k, moves):
+        """Rows of a and points of b, on a half-unit grid or not; b with
+        duplicates (gap 0) and, while it moves, rows that stay exact copies
+        of others (ties); half the rows on or just off the bisector plane of
+        a pair of b (near-ties). Then steps that move the rows, b or both by
+        a few ulps, by 0 to 3, or by a jump past the clouds' diameter. Every
+        call gives the indices and squared-distance bytes of a fresh k=1
+        query of a tree over b; a list over a b that stays put keeps the
+        tree it was given."""
         rng = np.random.default_rng(seed)
         b = rng.normal(size=(n_b, 3))
         b[rng.integers(0, n_b, n_dup)] = b[rng.integers(0, n_b, n_dup)]
@@ -141,73 +166,42 @@ class TestStickyNeighbors:
         offset = rng.choice([0.0, 1e-15, -1e-15, 1e-9, -1e-9], n_a)
         tie = rng.random(n_a) < 0.5
         a[tie] -= ((along - offset)[:, None] * axis)[tie]
-        tree = cKDTree(b)
-        sticky = _StickyNeighbors(tree, n_a)
+        copies, originals = rng.integers(0, n_b, (2, n_dup))
+        tree = cKDTree(b) if moving == "rows" else None
+        neighbors = _NeighborList(n_a, n_b, k, tree)
         for move in [0.0, *moves]:
-            scale = np.spacing(np.abs(a)) * rng.integers(0, 3, a.shape) if move == "ulp" else move
-            moving = rng.random(n_a) < 0.7
-            a = a + scale * moving[:, None] * rng.normal(size=a.shape)
-            np.testing.assert_array_equal(sticky(a), tree.query(a, k=1)[1])
+            if moving != "b":
+                a = nudged(a, move, rng)
+            if moving != "rows":
+                b = nudged(b, move, rng)
+                b[copies] = b[originals]
+            idx, d2 = neighbors(a, b)
+            dist, want = cKDTree(b).query(a, k=1)
+            np.testing.assert_array_equal(idx, want)
+            assert d2.tobytes() == (dist**2).tobytes()
+        assert set(neighbors.versions) == set(np.unique(neighbors.queried).tolist())
+        if tree is not None:
+            assert neighbors.tree is tree
 
     def test_rounding_margin_on_the_bisector(self):
-        """2000 queries on the bisector plane of two targets, moved by a few
-        ulps at a time: the tree's distances differ by rounding only, and a
-        certificate without a margin for it keeps a neighbor the tree no
-        longer returns."""
+        """2000 rows on the bisector plane of two points of b, moved by a
+        few ulps at a time, with one candidate each (with both, every
+        distance would be exact): the tree's distances differ by rounding
+        only, and a certificate without a margin for it keeps a neighbor
+        the tree no longer returns."""
         rng = np.random.default_rng(0)
         b = rng.normal(size=(2, 3))
         axis = b[1] - b[0]
         a = rng.normal(size=(2000, 3))
         a -= ((a - b.mean(axis=0)) @ axis / (axis @ axis))[:, None] * axis
         tree = cKDTree(b)
-        sticky = _StickyNeighbors(tree, len(a))
+        neighbors = _NeighborList(len(a), len(b), 1, tree)
         for _ in range(4):
-            np.testing.assert_array_equal(sticky(a), tree.query(a, k=1)[1])
-            a = a + rng.normal(size=a.shape) * np.spacing(np.abs(a)) * rng.integers(0, 3, a.shape)
-
-
-class TestNeighborList:
-    @settings(max_examples=150, deadline=None)
-    @given(seed=st.integers(0, 2**32 - 1), n_targets=st.integers(1, 50),
-           n_samples=st.integers(1, 40), n_dup=st.integers(0, 10),
-           on_grid=st.booleans(),
-           moves=st.lists(st.sampled_from([0.0, 1e-9, 1e-4, 1e-2, 0.3, "jump"]),
-                          min_size=1, max_size=8))
-    @example(seed=1, n_targets=30, n_samples=1, n_dup=5, on_grid=False,
-             moves=[1e-2, "jump", 0.3])
-    @example(seed=2, n_targets=30, n_samples=2, n_dup=1, on_grid=True,
-             moves=[0.0, 1e-9, 1e-4, "jump"])
-    @example(seed=3, n_targets=40, n_samples=7, n_dup=3, on_grid=True,
-             moves=[1e-9, 1e-4, 1e-2, 0.3])
-    @example(seed=4, n_targets=50, n_samples=40, n_dup=10, on_grid=False,
-             moves=[0.0, 1e-9, 1e-4, 1e-2, 0.3, "jump", 1e-4])
-    def test_matches_a_fresh_query_after_every_move(self, seed, n_targets, n_samples,
-                                                    n_dup, on_grid, moves):
-        """Fixed targets with duplicates; samples with rows that stay exact
-        copies of others (ties), on a half-unit grid or not, that move by
-        0 to 0.3 or jump by more than the targets' diameter. Every call
-        gives the indices and squared-distance bytes of a fresh k=1 query
-        of a tree over the samples."""
-        rng = np.random.default_rng(seed)
-        targets = rng.normal(size=(n_targets, 3))
-        targets[rng.integers(0, n_targets, n_dup)] = targets[rng.integers(0, n_targets, n_dup)]
-        samples = rng.normal(size=(n_samples, 3))
-        if on_grid:
-            targets, samples = np.round(2 * targets) / 2, np.round(2 * samples) / 2
-        copies, originals = rng.integers(0, n_samples, (2, n_dup))
-        diameter = np.ptp(targets, axis=0).max()
-        neighbors = _NeighborList(targets, n_samples)
-        for move in [0.0, *moves]:
-            if move == "jump":
-                samples = samples + (diameter + 1.0) * np.array([0.6, 0.0, 0.8])
-            else:
-                samples = samples + move * rng.normal(size=samples.shape)
-            samples[copies] = samples[originals]
-            idx, d2 = neighbors(samples)
-            dist, want = cKDTree(samples).query(targets, k=1)
+            idx, d2 = neighbors(a, b)
+            dist, want = tree.query(a, k=1)
             np.testing.assert_array_equal(idx, want)
             assert d2.tobytes() == (dist**2).tobytes()
-        assert set(neighbors.snapshots) == set(np.unique(neighbors.queried).tolist())
+            a = a + rng.normal(size=a.shape) * np.spacing(np.abs(a)) * rng.integers(0, 3, a.shape)
 
     @pytest.mark.parametrize("seed", range(3))
     def test_rounding_margin_on_a_sphere_of_samples(self, seed):
@@ -221,9 +215,9 @@ class TestNeighborList:
         targets = centre + np.spacing(np.abs(centre)) * rng.integers(-4, 5, (2000, 3))
         directions = rng.normal(size=(40, 3))
         samples = centre + directions / np.linalg.norm(directions, axis=1, keepdims=True)
-        neighbors = _NeighborList(targets, len(samples))
+        neighbors = _NeighborList(len(targets), len(samples), REVERSE_CANDIDATES)
         for _ in range(8):
-            idx, d2 = neighbors(samples)
+            idx, d2 = neighbors(targets, samples)
             dist, want = cKDTree(samples).query(targets, k=1)
             np.testing.assert_array_equal(idx, want)
             assert d2.tobytes() == (dist**2).tobytes()
@@ -759,7 +753,7 @@ class TestCertifiedMatch:
             dist, idx = cKDTree(pos).query(target.points, k=1)
             np.testing.assert_array_equal(got.idx_qp, idx)
             assert got.d2_qp.tobytes() == (dist**2).tobytes()
-            if step == "jump" and len(np.unique(target.points, axis=0)) > 1:
-                assert np.array_equal(plan.neighbors.anchor, pos)  # all re-queried
+            if step == "jump" and plan.neighbors.k < len(target):
+                assert np.array_equal(plan.neighbors.anchor, pos.T)  # all re-queried
             if step != "jump":
                 v = v - step * grad / max(np.abs(grad).max(), 1e-300)

@@ -89,6 +89,22 @@ class TestReadMesh:
         with pytest.raises(UnsupportedElement):
             read_mesh(write(tmp_path, "bin.ply", text))
 
+    @pytest.mark.parametrize("line", ["element vertex", "element", "format",
+                                      "element vertex x", "element vertex -2"])
+    def test_malformed_ply_header_line_rejected_at_its_line(self, line):
+        """A header line that lacks its fields, or whose count is not a whole
+        number >= 0, is a ParseError at that line, also when vertex lines
+        follow that a count could take."""
+        header = ["ply", "format ascii 1.0", "element vertex 2", "property double x",
+                  "property double y", "property double z", "end_header"]
+        at = 1 if line == "format" else 2
+        header[at] = line
+        text = "\n".join(header + ["0 0 0", "1 1 1"]) + "\n"
+        for read in (meshio.mesh_from_text, meshio.points_from_text):
+            with pytest.raises(ParseError) as err:
+                read(text, "ply")
+            assert err.value.line == at + 1
+
     def test_duplicate_vertices_kept_as_written(self, tmp_path):
         text = ("v 0 0 0\nv 1 0 0\nv 0 1 0\nv 1 0 0\nv 0 1 0\nv 0 0 1\n"
                 "f 1 2 3\nf 4 5 6\n")

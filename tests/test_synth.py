@@ -10,6 +10,7 @@ from alphaforge import (
     synth,
 )
 from alphaforge.errors import ConfigError
+from alphaforge.synth import FILLS, SHAPES
 import oracles
 from test_mesh import brute_force_euler
 
@@ -26,6 +27,12 @@ class TestSpecValidation:
     def test_negative_sigma(self):
         with pytest.raises(ConfigError):
             SyntheticSpec("sphere", sigma=-0.1)
+
+    @pytest.mark.parametrize("fill", FILLS)
+    @pytest.mark.parametrize("shape", SHAPES)
+    def test_zero_points_give_an_empty_cloud(self, shape, fill):
+        cloud, _ = synth(SyntheticSpec(shape, n=0, sigma=0.1, fill=fill))
+        assert cloud.points.shape == (0, 3)
 
 
 class TestReferenceMeshes:
