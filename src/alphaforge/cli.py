@@ -29,7 +29,7 @@ from . import meshio
 from .alphashape import TAU_PRESETS, triangulate
 from .errors import AlphaForgeError, ConfigError, GeometryError
 from .loss import pretty_weights, smooth_weights
-from .mesh import PointCloud, _edge_table
+from .mesh import _edge_table
 from .metrics import PROTOCOLS, evaluate
 from .policy import (
     QPolicy,
@@ -69,18 +69,6 @@ class _Parser(argparse.ArgumentParser):
         raise _UsageError(f"{message}\n{self.format_usage()}")
 
 
-def _read_cloud(spec: str, fmt: str) -> PointCloud:
-    if spec == "-":
-        return meshio.points_from_text(sys.stdin.read(), fmt)
-    return meshio.read_points(spec, fmt)
-
-
-def _read_mesh(spec: str, fmt: str):
-    if spec == "-":
-        return meshio.mesh_from_text(sys.stdin.read(), fmt)
-    return meshio.read_mesh(spec, fmt)
-
-
 def _emit(text: str, out: str) -> None:
     if out == "-":
         sys.stdout.write(text)
@@ -91,24 +79,31 @@ def _emit(text: str, out: str) -> None:
 
 def _apply_config(parser: _Parser, argv: list[str] | None,
                   args: argparse.Namespace) -> argparse.Namespace:
-    """Parse argv again with a JSON config document's values as the
-    subcommand's defaults, so explicit command-line flags win over config
-    values; unknown keys are usage errors."""
+    """Parse argv again with a JSON config document's values as flags right
+    after the subcommand name: argparse converts and checks them as it does
+    the command line's own flags, which come later and so win. Unknown keys,
+    and values no flag could spell, are usage errors."""
     if not getattr(args, "config", None):
         return args
     with open(args.config, encoding="utf-8") as fh:
         doc = json.load(fh)
     if not isinstance(doc, dict):
         raise _UsageError("config document must be a JSON object")
-    known = set(vars(args)) - {"command", "func"}
-    defaults = {}
+    actions = {a.dest: a for a in parser.commands[args.command]._actions
+               if a.dest in vars(args)}  # not --help, nor the handler func
+    tokens = []
     for key, value in doc.items():
-        dest = key.replace("-", "_")
-        if dest not in known:
+        action = actions.get(key.replace("-", "_"))
+        if action is None:
             raise _UsageError(f"unknown config key {key!r}")
-        defaults[dest] = value
-    parser.commands[args.command].set_defaults(**defaults)
-    return parser.parse_args(argv)
+        flag, switch = action.option_strings[0], action.nargs == 0
+        if isinstance(value, bool) != switch or not isinstance(value, (str, int, float)):
+            raise _UsageError(f"config key {key!r} cannot be {json.dumps(value)}")
+        if value is not False:  # a switch (--subdivide) is true or false
+            tokens.append(flag if switch else f"{flag}={value}")
+    argv = sys.argv[1:] if argv is None else list(argv)
+    at = argv.index(args.command) + 1
+    return parser.parse_args(argv[:at] + tokens + argv[at:])
 
 
 def _load_dataset(root: str):
@@ -158,7 +153,7 @@ def _cmd_synth(args) -> int:
 
 
 def _cmd_triangulate(args) -> int:
-    cloud = _read_cloud(args.infile, args.in_format)
+    cloud = meshio.read_points(args.infile, args.in_format)
     mesh = triangulate(cloud, args.tau)
     edges, _, faces_per_edge = _edge_table(mesh.faces)
     print(f"triangulate: {mesh.num_vertices} vertices, {mesh.num_faces} faces, "
@@ -170,14 +165,14 @@ def _cmd_triangulate(args) -> int:
 
 
 def _cmd_sample(args) -> int:
-    mesh = _read_mesh(args.mesh, args.in_format)
+    mesh = meshio.read_mesh(args.mesh, args.in_format)
     cloud = sample_surface(mesh, args.n, args.seed + SEED_SAMPLE)
     _emit(meshio.points_to_text(cloud, args.format), args.out)
     return 0
 
 
 def _cmd_evaluate(args) -> int:
-    pred = _read_mesh(args.pred, None if args.pred != "-" else "obj")
+    pred = meshio.read_mesh(args.pred, None if args.pred != "-" else "obj")
     gt = meshio.read_mesh(args.gt)
     report = evaluate(pred, gt, args.protocol, n_samples=args.n_samples,
                       seed=args.seed + SEED_EVAL, class_label=args.class_label)
@@ -201,7 +196,7 @@ def _cmd_train_policy(args) -> int:
 
 
 def _cmd_reconstruct(args) -> int:
-    cloud = _read_cloud(args.infile, args.in_format)
+    cloud = meshio.read_points(args.infile, args.in_format)
     if args.policy:
         tau = greedy_tau(load_policy(args.policy), cloud)
         if tau is None:

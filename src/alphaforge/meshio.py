@@ -3,6 +3,7 @@
 Writers emit shortest round-trip decimal floats (Python repr), so files are
 diff-stable and re-reading reproduces coordinates bit-for-bit. Parsers
 reject non-finite coordinates and report 1-based line numbers on failure.
+Readers take the path ``-`` as standard input.
 
 OBJ and XYZ files laid out as the writers lay them out (only ``v x y z``
 lines followed by only ``f a b c`` lines; only ``x y z`` lines) are read
@@ -13,11 +14,16 @@ records, polygons, ``a/b/c`` indices, zero or negative indices, ``v`` lines
 after an ``f`` line, XYZ normals) and any field the array path cannot take
 (a non-finite or malformed value) go to the line-by-line parser. It alone
 raises ``ParseError``, so error line numbers do not depend on the path.
+
+OFF and PLY share one element reader, ``_read_elements``: the PLY header
+and OFF's counts line each give counted ``(name, count, properties)``
+elements. A count is decimal digits.
 """
 
 from __future__ import annotations
 
 import math
+import sys
 from pathlib import Path
 
 import numpy as np
@@ -57,7 +63,10 @@ def _fan(indices, lineno):
 
 
 def _text(path) -> str:
+    """The contents of ``path``, or of standard input when it is ``-``."""
     try:
+        if path == "-":
+            return sys.stdin.read()
         with open(path, encoding="utf-8", errors="strict") as fh:
             return fh.read()
     except OSError as exc:
@@ -79,10 +88,8 @@ def mesh_from_text(text: str, format: str) -> Mesh:
     fmt = _infer_format("", format, MESH_FORMATS)
     if fmt == "obj":
         verts, faces = _read_obj(text)
-    elif fmt == "off":
-        verts, faces = _read_off(text.splitlines())
     else:
-        verts, faces, *_ = _read_ply(text.splitlines())
+        verts, faces, *_ = (_read_off if fmt == "off" else _read_ply)(text.splitlines())
     return Mesh(verts, np.array(faces, dtype=np.int64).reshape(-1, 3))
 
 
@@ -164,7 +171,8 @@ def _read_obj_lines(lines):
 
 
 def _read_off(lines):
-    content = [(i + 1, ln.strip()) for i, ln in enumerate(lines)
+    """OFF reader: the ``OFF`` and counts lines, then ``_read_elements``."""
+    content = [(i, ln.strip()) for i, ln in enumerate(lines, start=1)
                if ln.strip() and not ln.strip().startswith("#")]
     if not content or content[0][1] != "OFF":
         raise ParseError("missing OFF header", content[0][0] if content else 1)
@@ -172,33 +180,14 @@ def _read_off(lines):
         raise ParseError("missing OFF counts line", content[0][0])
     lineno, counts = content[1]
     fields = counts.split()
-    try:
-        nv, nf = int(fields[0]), int(fields[1])
-    except (ValueError, IndexError):
-        raise ParseError("OFF counts line must be 'nv nf ne'", lineno) from None
-    body = content[2:]
-    if len(body) < nv + nf:
-        raise ParseError(
-            f"file truncated: expected {nv + nf} records, found {len(body)}",
-            body[-1][0] if body else lineno)
-    verts = [_parse_floats(body[i][1].split(), body[i][0], 3) for i in range(nv)]
-    faces: list[tuple[int, int, int]] = []
-    for i in range(nv, nv + nf):
-        ln, text = body[i]
-        fields = text.split()
-        try:
-            k = int(fields[0])
-            idx = [int(x) for x in fields[1:1 + k]]
-        except (ValueError, IndexError):
-            raise ParseError("bad OFF face record", ln) from None
-        if len(idx) != k:
-            raise ParseError(f"face promises {k} indices, has {len(idx)}", ln)
-        faces.extend(_fan(idx, ln))
-    return np.array(verts, dtype=np.float64).reshape(-1, 3), faces
+    if len(fields) < 2 or not all(f.isdecimal() for f in fields[:2]):
+        raise ParseError("OFF counts line must be 'nv nf ne'", lineno)
+    elements = [("vertex", int(fields[0]), ["x", "y", "z"]), ("face", int(fields[1]), [])]
+    return _read_elements(elements, content[2:], lineno)
 
 
 def _read_ply(lines):
-    """ASCII PLY reader: (vertices, faces, normals or None, vertex line numbers)."""
+    """ASCII PLY reader: the header, then ``_read_elements``."""
     if not lines or lines[0].strip() != "ply":
         raise ParseError("missing 'ply' magic", 1)
     elements: list[tuple[str, int, list[str]]] = []
@@ -217,13 +206,17 @@ def _read_ply(lines):
                                          lineno)
             fmt_seen = True
         elif fields[0] == "element":
-            if len(fields) < 3 or not fields[2].isdecimal():
+            if len(fields) != 3 or not fields[2].isdecimal():
                 raise ParseError(f"element line needs a name and a count >= 0: {line!r}",
                                  lineno)
             elements.append((fields[1], int(fields[2]), []))
         elif fields[0] == "property":
             if not elements:
                 raise ParseError("property before any element", lineno)
+            if len(fields) != (5 if fields[1:2] == ["list"] else 3):
+                raise ParseError("property line must be 'property <type> <name>' or "
+                                 f"'property list <count type> <index type> <name>': "
+                                 f"{line!r}", lineno)
             elements[-1][2].append(fields[-1])
         elif fields[0] == "end_header":
             break
@@ -233,49 +226,52 @@ def _read_ply(lines):
         raise ParseError("missing end_header", lineno)
     if not fmt_seen:
         raise ParseError("missing format line", lineno)
-
     body = [(i, ln.strip()) for i, ln in enumerate(lines[lineno:], start=lineno + 1)
             if ln.strip()]
+    return _read_elements(elements, body, lineno)
+
+
+def _read_elements(elements, rows, lineno):
+    """(vertices, faces, normals or None, vertex line numbers) of an OFF or
+    PLY body: ``rows`` are its (line number, text) records, read in turn as
+    the header's counted ``(name, count, properties)`` elements, and
+    ``lineno`` is the header's last line."""
     cursor = 0
-    verts: list[list[float]] = []
-    normals: list[list[float]] = []
+    verts: list[list[float]] = []  # x y z, or x y z nx ny nz
     vertex_lines: list[int] = []
     faces: list[tuple[int, int, int]] = []
     for name, count, props in elements:
-        if cursor + count > len(body):
+        if cursor + count > len(rows):
             raise ParseError(f"file truncated in element {name!r}",
-                             body[-1][0] if body else lineno)
-        rows = body[cursor:cursor + count]
+                             rows[-1][0] if rows else lineno)
+        block = rows[cursor:cursor + count]
         cursor += count
         if name == "vertex":
-            want_normals = {"nx", "ny", "nz"}.issubset(props)
             if not {"x", "y", "z"}.issubset(props):
                 raise ParseError("vertex element lacks x/y/z properties",
-                                 rows[0][0] if rows else lineno)
-            ix = [props.index(c) for c in ("x", "y", "z")]
-            if want_normals:
-                inrm = [props.index(c) for c in ("nx", "ny", "nz")]
-            for ln, text in rows:
+                                 block[0][0] if block else lineno)
+            width = 6 if {"nx", "ny", "nz"}.issubset(props) else 3
+            cols = [props.index(c) for c in ("x", "y", "z", "nx", "ny", "nz")[:width]]
+            for ln, text in block:
                 vals = _parse_floats(text.split(), ln, len(props))
-                verts.append([vals[i] for i in ix])
+                verts.append([vals[i] for i in cols])
                 vertex_lines.append(ln)
-                if want_normals:
-                    normals.append([vals[i] for i in inrm])
         elif name == "face":
-            for ln, text in rows:
+            for ln, text in block:
                 fields = text.split()
                 try:
                     k = int(fields[0])
                     idx = [int(x) for x in fields[1:1 + k]]
                 except (ValueError, IndexError):
-                    raise ParseError("bad PLY face record", ln) from None
+                    raise ParseError("bad face record", ln) from None
                 if len(idx) != k:
                     raise ParseError(f"face promises {k} indices, has {len(idx)}", ln)
                 faces.extend(_fan(idx, ln))
         else:
             raise UnsupportedElement(f"element {name!r} not supported",
-                                     rows[0][0] if rows else lineno)
-    return (np.array(verts, dtype=np.float64).reshape(-1, 3), faces,
+                                     block[0][0] if block else lineno)
+    normals = [row[3:] for row in verts if len(row) == 6]
+    return (np.array([row[:3] for row in verts], dtype=np.float64).reshape(-1, 3), faces,
             np.array(normals, dtype=np.float64) if normals else None, vertex_lines)
 
 
@@ -289,24 +285,30 @@ def write_mesh(mesh: Mesh, path, format: str | None = None) -> None:
 def mesh_to_text(mesh: Mesh, format: str) -> str:
     """Serialize a mesh to file contents (same encoding as write_mesh)."""
     fmt = _infer_format("", format, MESH_FORMATS)
-    v, f = mesh.vertices.tolist(), mesh.faces.tolist()
-    out: list[str] = []
+    v, f = mesh.vertices, mesh.faces
     if fmt == "obj":
-        out.extend(f"v {x!r} {y!r} {z!r}" for x, y, z in v)
-        out.extend(f"f {a + 1} {b + 1} {c + 1}" for a, b, c in f)
-    elif fmt == "off":
-        out.append("OFF")
-        out.append(f"{len(v)} {len(f)} 0")
-        out.extend(f"{x!r} {y!r} {z!r}" for x, y, z in v)
-        out.extend(f"3 {a} {b} {c}" for a, b, c in f)
+        out = _rows("v ", v) + _rows("f ", f + 1)
     else:
-        out.extend(["ply", "format ascii 1.0", f"element vertex {len(v)}",
-                    "property double x", "property double y", "property double z",
-                    f"element face {len(f)}",
-                    "property list uchar int vertex_indices", "end_header"])
-        out.extend(f"{x!r} {y!r} {z!r}" for x, y, z in v)
-        out.extend(f"3 {a} {b} {c}" for a, b, c in f)
+        head = (["OFF", f"{len(v)} {len(f)} 0"] if fmt == "off"
+                else _ply_header(len(v), len(f), normals=False))
+        out = head + _rows("", v) + _rows("3 ", f)
     return "\n".join(out) + ("\n" if out else "")
+
+
+def _rows(prefix: str, rows: np.ndarray, normals: np.ndarray | None = None) -> list[str]:
+    """One ``prefix a b c`` line per row, or ``prefix a b c nx ny nz`` with
+    normals; floats in their shortest round-trip form."""
+    if normals is None:
+        return [f"{prefix}{a!r} {b!r} {c!r}" for a, b, c in rows.tolist()]
+    return [f"{prefix}{a!r} {b!r} {c!r} {x!r} {y!r} {z!r}"
+            for (a, b, c), (x, y, z) in zip(rows.tolist(), normals.tolist())]
+
+
+def _ply_header(nv: int, nf: int, normals: bool) -> list[str]:
+    props = ("x", "y", "z", "nx", "ny", "nz")[:6 if normals else 3]
+    return ["ply", "format ascii 1.0", f"element vertex {nv}",
+            *(f"property double {p}" for p in props), f"element face {nf}",
+            "property list uchar int vertex_indices", "end_header"]
 
 
 def read_points(path, format: str | None = None) -> PointCloud:
@@ -370,27 +372,9 @@ def points_to_text(cloud: PointCloud, format: str) -> str:
     """Serialize a point cloud to file contents (same encoding as
     write_points)."""
     fmt = _infer_format("", format, POINT_FORMATS)
-    p = cloud.points.tolist()
-    n = None if cloud.normals is None else cloud.normals.tolist()
-    out: list[str] = []
-    if fmt == "xyz":
-        if n is None:
-            out.extend(f"{x!r} {y!r} {z!r}" for x, y, z in p)
-        else:
-            out.extend(f"{x!r} {y!r} {z!r} {a!r} {b!r} {c!r}"
-                       for (x, y, z), (a, b, c) in zip(p, n))
-    else:
-        props = ["property double x", "property double y", "property double z"]
-        if n is not None:
-            props += ["property double nx", "property double ny", "property double nz"]
-        out.extend(["ply", "format ascii 1.0", f"element vertex {len(p)}", *props,
-                    "element face 0",
-                    "property list uchar int vertex_indices", "end_header"])
-        if n is None:
-            out.extend(f"{x!r} {y!r} {z!r}" for x, y, z in p)
-        else:
-            out.extend(f"{x!r} {y!r} {z!r} {a!r} {b!r} {c!r}"
-                       for (x, y, z), (a, b, c) in zip(p, n))
+    p, n = cloud.points, cloud.normals
+    out = [] if fmt == "xyz" else _ply_header(len(p), 0, normals=n is not None)
+    out += _rows("", p, n)
     return "\n".join(out) + ("\n" if out else "")
 
 

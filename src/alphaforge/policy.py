@@ -79,8 +79,8 @@ class QPolicy:
 
     def __post_init__(self):
         actions = tuple(float(a) for a in self.actions)
-        if not actions or any(a <= 0 for a in actions):
-            raise ValueError("need at least one positive threshold action")
+        if not actions or not all(0.0 < a < math.inf for a in actions):
+            raise ValueError("threshold actions must be finite and positive")
         if not 0.0 <= self.epsilon <= 1.0:
             raise ValueError("epsilon must lie in [0, 1]")
         if not 0.0 <= self.epsilon_decay <= 1.0:

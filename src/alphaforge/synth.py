@@ -109,18 +109,13 @@ def torus_mesh(major: float, minor: float, n_u: int = 48, n_v: int = 24) -> Mesh
     ring = major + minor * np.cos(v)
     verts = np.stack([ring * np.cos(u), ring * np.sin(u),
                       minor * np.sin(v)], axis=2).reshape(-1, 3)
-
-    def vid(i, j):
-        return (i % n_u) * n_v + (j % n_v)
-
-    faces = []
-    for i in range(n_u):
-        for j in range(n_v):
-            a, b = vid(i, j), vid(i + 1, j)
-            c, d = vid(i + 1, j + 1), vid(i, j + 1)
-            faces.append((a, b, c))
-            faces.append((a, c, d))
-    return Mesh(verts, np.array(faces, dtype=np.int64))
+    # cell (i, j) has corners a = (i, j), b = (i + 1, j), c = (i + 1, j + 1)
+    # and d = (i, j + 1), indices wrapping; its faces are (a, b, c), (a, c, d)
+    i0, i1 = iu * n_v, (iu + 1) % n_u * n_v
+    j1 = (iv + 1) % n_v
+    a, b, c, d = i0 + iv, i1 + iv, i1 + j1, i0 + j1
+    faces = np.stack([a, b, c, a, c, d], axis=2).reshape(-1, 3)
+    return Mesh(verts, faces)
 
 
 def box_mesh(edge: float = 1.0) -> Mesh:

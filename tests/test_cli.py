@@ -18,6 +18,7 @@ from alphaforge import (
 )
 from alphaforge.cli import run
 from alphaforge.policy import QPolicy, load_policy, policy_to_json, save_policy
+from test_meshio import MALFORMED_PLY_HEADER_LINES, malformed_ply_header_index
 
 
 FRESH_POLICY = json.loads(policy_to_json(QPolicy.fresh((0.3, 0.9))))
@@ -86,6 +87,42 @@ class TestExitCodes:
         assert code == 1
         assert "func" in err
 
+    @pytest.mark.parametrize("doc, named", [
+        ({"n": 5.5}, "--n"),
+        ({"n": True}, "'n'"),
+        ({"fill": "cube"}, "--fill"),
+        ({"sigma": None}, "'sigma'"),
+    ], ids=["fractional-int", "boolean-int", "bad-choice", "null"])
+    def test_config_values_checked_like_flags(self, tmp_path, capsys, doc, named):
+        """A config value goes through the flag it sets: argparse converts
+        it and checks its choices, so a bad value is a usage error that
+        names the flag (or the key, for a value no flag could spell)."""
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps(doc))
+        code, _, err = invoke(
+            ["synth", "--shape", "sphere", "--config", str(cfg)], capsys)
+        assert code == 1
+        assert err.startswith("usage error: ") and named in err
+
+    def test_config_switch_takes_true_and_false(self, tmp_path, capsys):
+        cloud, _ = synth(SyntheticSpec("torus", n=300, fill="solid", seed=81))
+        cloud_path = tmp_path / "c.xyz"
+        write_points(cloud, cloud_path)
+        base = ["reconstruct", "--in", str(cloud_path), "--tau", "0.4", "--stages", "2",
+                "--iters", "1"]
+        outputs = []
+        for flags, doc in (([], {"subdivide": True}), (["--subdivide"], {}),
+                           ([], {"subdivide": False}), ([], {})):
+            cfg = tmp_path / "cfg.json"
+            cfg.write_text(json.dumps(doc))
+            code, out, err = invoke(base + ["--config", str(cfg), *flags], capsys)
+            assert code == 0, err
+            outputs.append(out)
+        assert outputs[0] == outputs[1] != outputs[2] == outputs[3]
+        cfg.write_text(json.dumps({"subdivide": 1}))
+        code, _, err = invoke(base + ["--config", str(cfg)], capsys)
+        assert code == 1 and "'subdivide'" in err
+
     def test_flags_win_over_config(self, tmp_path, capsys):
         cfg = tmp_path / "cfg.json"
         cfg.write_text(json.dumps({"n": 10}))
@@ -97,16 +134,18 @@ class TestExitCodes:
         assert code == 0
         assert len(config_only.splitlines()) == 10
 
-    @pytest.mark.parametrize("line", ["element vertex", "element", "format",
-                                      "element vertex x", "element vertex -2"])
+    @pytest.mark.parametrize("line", MALFORMED_PLY_HEADER_LINES)
     def test_malformed_ply_header_is_two(self, tmp_path, capsys, line):
+        header = ["ply", "format ascii 1.0", "element vertex 2", "property double x",
+                  "property double y", "property double z", "end_header"]
+        at = malformed_ply_header_index(line)
+        header[at] = line
         path = tmp_path / "c.ply"
-        path.write_text(f"ply\nformat ascii 1.0\n{line}\nproperty double x\n"
-                        "property double y\nproperty double z\nend_header\n0 0 0\n1 1 1\n")
+        path.write_text("\n".join(header + ["0 0 0", "1 1 1"]) + "\n")
         code, _, err = invoke(["triangulate", "--in", str(path), "--in-format", "ply",
                                "--tau", "0.3"], capsys)
         assert code == 2
-        assert err.startswith("error: line 3: ")
+        assert err.startswith(f"error: line {at + 1}: ")
 
     @pytest.mark.parametrize("command", ["reconstruct", "ablate"])
     @pytest.mark.parametrize("doc, problem", [
@@ -154,6 +193,22 @@ class TestExitCodes:
              "--epsilon-decay", decay, "--out", str(tmp_path / "p.json")], capsys)
         assert code == 2
         assert err == "error: epsilon_decay must lie in [0, 1]\n"
+        assert episodes == []
+        assert not (tmp_path / "p.json").exists()
+
+    @pytest.mark.parametrize("actions", ["nan,0.3", "inf"])
+    def test_non_finite_action_is_two(self, tmp_path, capsys, monkeypatch, actions):
+        """A NaN or infinite action is refused before training: reconstruct
+        and ablate could not read back a policy file that held one."""
+        episodes = []
+        monkeypatch.setattr("alphaforge.cli.train_policy",
+                            lambda *args, **kwargs: episodes.append(args))
+        root = make_dataset(tmp_path, n_per_class=1)
+        code, _, err = invoke(
+            ["train-policy", "--dataset", str(root), "--actions", actions,
+             "--out", str(tmp_path / "p.json")], capsys)
+        assert code == 2
+        assert err == "error: threshold actions must be finite and positive\n"
         assert episodes == []
         assert not (tmp_path / "p.json").exists()
 

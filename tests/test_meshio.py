@@ -1,3 +1,5 @@
+import hashlib
+import io
 from unittest import mock
 
 import numpy as np
@@ -36,6 +38,19 @@ end_header
 0 1 0
 3 0 1 2
 """
+
+
+MALFORMED_PLY_HEADER_LINES = [
+    "element vertex", "element", "format", "element vertex x", "element vertex -2",
+    "element vertex 2 extra", "property", "property double", "property double z extra",
+    "property list uchar int", "property list uchar int z extra",
+]
+
+
+def malformed_ply_header_index(line):
+    """Where a line of MALFORMED_PLY_HEADER_LINES goes in a header of 'ply',
+    'format', 'element vertex 2' and three property lines."""
+    return 1 if line == "format" else 5 if line.startswith("property") else 2
 
 
 def write(tmp_path, name, text):
@@ -89,21 +104,36 @@ class TestReadMesh:
         with pytest.raises(UnsupportedElement):
             read_mesh(write(tmp_path, "bin.ply", text))
 
-    @pytest.mark.parametrize("line", ["element vertex", "element", "format",
-                                      "element vertex x", "element vertex -2"])
+    @pytest.mark.parametrize("line", MALFORMED_PLY_HEADER_LINES)
     def test_malformed_ply_header_line_rejected_at_its_line(self, line):
-        """A header line that lacks its fields, or whose count is not a whole
-        number >= 0, is a ParseError at that line, also when vertex lines
-        follow that a count could take."""
+        """A header line that lacks a field or has one too many, or whose
+        count is not a whole number >= 0, is a ParseError at that line, also
+        when vertex lines follow that a count could take. Property lines
+        replace the vertex element's third property line."""
         header = ["ply", "format ascii 1.0", "element vertex 2", "property double x",
                   "property double y", "property double z", "end_header"]
-        at = 1 if line == "format" else 2
+        at = malformed_ply_header_index(line)
         header[at] = line
         text = "\n".join(header + ["0 0 0", "1 1 1"]) + "\n"
         for read in (meshio.mesh_from_text, meshio.points_from_text):
             with pytest.raises(ParseError) as err:
                 read(text, "ply")
             assert err.value.line == at + 1
+
+    @pytest.mark.parametrize("counts", ["3 -1 0", "-1 1 0", "3 x 0", "+3 1 0", "3"])
+    def test_off_counts_must_be_decimal_digits(self, counts):
+        """A count is decimal digits, as in PLY: a negative nf must not read
+        as no faces, nor a negative nv reach the mesh as a bad face index."""
+        with pytest.raises(ParseError) as err:
+            meshio.mesh_from_text(f"OFF\n{counts}\n0 0 0\n1 0 0\n0 1 0\n3 0 1 2\n", "off")
+        assert err.value.line == 2
+
+    def test_dash_reads_stdin(self, monkeypatch):
+        monkeypatch.setattr("sys.stdin", io.StringIO(MINIMAL_OFF))
+        mesh = read_mesh("-", "off")
+        np.testing.assert_array_equal(mesh.faces, [[0, 1, 2]])
+        monkeypatch.setattr("sys.stdin", io.StringIO("0 0 0\n1 2 3\n"))
+        np.testing.assert_array_equal(read_points("-", "xyz").points, [[0, 0, 0], [1, 2, 3]])
 
     def test_duplicate_vertices_kept_as_written(self, tmp_path):
         text = ("v 0 0 0\nv 1 0 0\nv 0 1 0\nv 1 0 0\nv 0 1 0\nv 0 0 1\n"
@@ -156,6 +186,41 @@ class TestRoundTrips:
             back = read_points(path)
             assert np.array_equal(back.points, cloud.points)
             assert np.array_equal(back.normals, cloud.normals)
+
+
+def sha256(text):
+    return hashlib.sha256(text.encode()).hexdigest()
+
+
+class TestWritersPinned:
+    """SHA-256 of the writers' output, recorded when each format had its
+    own row and header code."""
+
+    @pytest.mark.parametrize("fmt, solid, empty", [
+        ("obj", "8c8f1170122c510835e11b81a1dc38409e0cf3383aadd1ab52b283580656bb17",
+         "e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855"),
+        ("off", "38d87ea7c09d8004f95c0806e92c03e5dbdc521062d76579e6c9e3a1a8123614",
+         "3e5911a056895b33a80f0c2b8a4ffbe28896d4eb287627c837eb156ad5ddd3ce"),
+        ("ply", "002d07ac7bef77a1c4f26f60bd498707fef3649397691d2807e9716c14a9ca44",
+         "cc4b73a93f144324e887588632025591e3f12d585a937d4d09e97f9a3031db89"),
+    ])
+    def test_mesh_bytes_pinned(self, fmt, solid, empty):
+        cloud, _ = synth(SyntheticSpec("torus", n=500, fill="solid", seed=3))
+        mesh = triangulate(cloud, 0.3)
+        assert sha256(meshio.mesh_to_text(mesh, fmt)) == solid
+        assert sha256(meshio.mesh_to_text(Mesh(np.zeros((0, 3))), fmt)) == empty
+
+    @pytest.mark.parametrize("fmt, plain, with_normals", [
+        ("xyz", "8387da1b8eb8decfbc899e38750fe1a349f1bc83a7e01c2de85c5b877abf808e",
+         "14de9e6017e6f068d55bc7b979bb54b45e3066c91a3dadd5fe62b517754c0649"),
+        ("ply", "a3380e5c0ed19c2f861ddb2029cd97104adad66a28ae7e4af3228fee0b1caae0",
+         "67c4f4b6eeaf8793efa15a9af7fb26b56b138e9026045d7364893ca7da3ce93c"),
+    ])
+    def test_points_bytes_pinned(self, fmt, plain, with_normals):
+        cloud, _ = synth(SyntheticSpec("torus", n=300, fill="surface", seed=5))
+        assert cloud.has_normals
+        assert sha256(meshio.points_to_text(PointCloud(cloud.points), fmt)) == plain
+        assert sha256(meshio.points_to_text(cloud, fmt)) == with_normals
 
 
 class TestReadPoints:

@@ -229,6 +229,12 @@ class TestUpdate:
         with pytest.raises(ValueError, match=r"epsilon_decay must lie in \[0, 1\]"):
             QPolicy.fresh((0.1,), epsilon_decay=decay)
 
+    @pytest.mark.parametrize("actions", [(float("nan"), 0.3), (float("inf"),),
+                                         (0.3, -float("inf")), (0.0,), ()])
+    def test_non_finite_or_non_positive_actions_rejected(self, actions):
+        with pytest.raises(ValueError, match="threshold actions must be finite and positive"):
+            QPolicy.fresh(actions)
+
     @pytest.mark.parametrize("decay", [0.0, 1.0])
     def test_epsilon_decay_bounds_accepted(self, decay):
         assert QPolicy.fresh((0.1,), epsilon_decay=decay).epsilon_decay == decay

@@ -1,3 +1,5 @@
+import hashlib
+
 import numpy as np
 import pytest
 
@@ -10,7 +12,7 @@ from alphaforge import (
     synth,
 )
 from alphaforge.errors import ConfigError
-from alphaforge.synth import FILLS, SHAPES
+from alphaforge.synth import FILLS, SHAPES, torus_mesh
 import oracles
 from test_mesh import brute_force_euler
 
@@ -52,6 +54,40 @@ class TestReferenceMeshes:
         mesh = reference_mesh(SyntheticSpec("stacked"))
         expected = 3.0 * 1.5 * 0.75 - 2 * (0.5 * 0.5 * 0.75)
         assert enclosed_volume(mesh) == pytest.approx(expected, rel=1e-12)
+
+
+    @pytest.mark.parametrize("shape, verts, faces", [
+        ("sphere", "019f578bcdb2da418031e5b6401633835c02122f106ddb3565a70335f8d2ab8b",
+         "5f972a407b51f0a2903c5191c6d33b38831a568ac570fb14b8327a35f5505e95"),
+        ("torus", "433897600c61ec1887c71600239d415e9bebfa66f09eaccb68f0f466415983fb",
+         "b7502c3eb6450750be1b900c7c9b47b38202037c4005a2caa74caacb7dfcab15"),
+        ("box", "6040f86a7df7863ef75c589fa6f4f6dc2696f9a8634d001b85dbd62103cc6e1f",
+         "b23d475faed4c6b4ef73d7c31eb0afa9aa0c5696a6ee66ce4eee81c68aef55db"),
+        ("stacked", "1b49ae4a388ebcbb90e9a1d35bd59c07e3460101a6fd47ff73609410c2ee0e01",
+         "4f49ceb339dbfacff6dcfe1d9858775f8a3dbf4cfb3388d67da73883d0a72895"),
+    ])
+    def test_reference_mesh_bytes_pinned(self, shape, verts, faces):
+        """SHA-256 of the int64 faces and float64 vertices, recorded when
+        the torus faces came from a per-face Python loop."""
+        mesh = reference_mesh(SyntheticSpec(shape))
+        assert mesh.faces.dtype == np.int64
+        assert hashlib.sha256(mesh.vertices.tobytes()).hexdigest() == verts
+        assert hashlib.sha256(mesh.faces.tobytes()).hexdigest() == faces
+
+
+    @pytest.mark.parametrize("n_u, n_v", [(3, 3), (5, 4), (4, 7), (48, 24)])
+    def test_torus_faces_match_the_per_cell_loop(self, n_u, n_v):
+        """Two faces per grid cell, (a, b, c) and (a, c, d), cells in
+        row-major order, indices wrapping around both circles."""
+        def vid(i, j):
+            return (i % n_u) * n_v + (j % n_v)
+
+        want = []
+        for i in range(n_u):
+            for j in range(n_v):
+                a, b, c, d = vid(i, j), vid(i + 1, j), vid(i + 1, j + 1), vid(i, j + 1)
+                want += [(a, b, c), (a, c, d)]
+        np.testing.assert_array_equal(torus_mesh(1.0, 0.4, n_u, n_v).faces, want)
 
 
 class TestSurfaceSampling:
