@@ -2,9 +2,10 @@
 
 Vertices move by tanh of a free offset, so no vertex can drift more than
 one unit per stage. The objective combines the Chamfer data terms with the
-Laplacian, edge-length, and normal regularizers, with the Taubin-smoothed
-input serving as the regularization target. The loss trace is written as
-CSV into a temporary directory that is removed when the demo ends.
+Laplacian, edge-length, and normal regularizers; refinement builds the
+regularization target itself, a Taubin-smoothed copy of the input. The loss
+trace is written as CSV into a temporary directory that is removed when the
+demo ends.
 """
 
 import tempfile
@@ -14,13 +15,11 @@ import numpy as np
 
 from alphaforge import (
     RefineConfig,
-    TaubinConfig,
     evaluate,
     icosphere,
     refine_mesh,
     sample_surface,
     smooth_weights,
-    taubin_smooth,
     trace_to_csv,
 )
 
@@ -28,7 +27,6 @@ rng = np.random.Generator(np.random.Philox(11))
 clean = icosphere(3)
 noisy = clean.with_vertices(clean.vertices + 0.05 * rng.normal(size=clean.vertices.shape))
 gt_samples = sample_surface(icosphere(4), 2000, seed=21)
-baseline = taubin_smooth(noisy, TaubinConfig())
 
 
 def surface_error(mesh):
@@ -39,7 +37,7 @@ def surface_error(mesh):
 before = surface_error(noisy)
 cfg = RefineConfig(stages=2, iters_per_stage=100, step_size=3e-5,
                    weights=smooth_weights())
-refined, trace = refine_mesh(noisy, gt_samples, baseline, cfg, seed=5)
+refined, trace = refine_mesh(noisy, gt_samples, cfg, seed=5)
 after = surface_error(refined)
 
 totals = [b.total for b in trace]

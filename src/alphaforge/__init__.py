@@ -63,7 +63,6 @@ from .policy import (
 )
 from .refine import (
     RefineConfig,
-    TaubinConfig,
     refine_mesh,
     subdivide,
     taubin_smooth,
@@ -78,7 +77,7 @@ __all__ = [
     "DelaunayComplex", "EvalReport", "LossBreakdown", "LossPlan",
     "LossWeights", "Mesh", "METRIC_SAMPLES", "PRETTY_TAUS", "PointCloud", "QPolicy", "REWARD_SAMPLES",
     "RefineConfig", "RigidTransform", "SMOOTH_TAUS", "SyntheticSpec",
-    "TAU_PRESETS", "TaubinConfig", "TrainLog", "apply_protocol_scaling",
+    "TAU_PRESETS", "TrainLog", "apply_protocol_scaling",
     "boundary_edges", "boundary_meshes", "delaunay_complex", "enclosed_volume", "errors",
     "euler_characteristic", "evaluate", "extract_boundary_faces", "f1_score",
     "filter_tetrahedra", "greedy_tau", "icosphere", "icp_align", "laplacian_coords",

@@ -3,7 +3,7 @@
 Subcommands: synth, triangulate, sample, evaluate, train-policy,
 reconstruct, ablate. Reports go to stdout (or --out); diagnostics to
 stderr. Exit codes: 0 success, 1 usage error, 2 data/geometry error.
-Cloud/mesh arguments accept "-" for stdin/stdout so stages compose:
+File arguments but --ref-out accept "-" for stdin/stdout so stages compose:
 
     alphaforge synth --shape torus --n 2000 --seed 7 | \
         alphaforge triangulate --tau 0.3 > torus.obj
@@ -40,13 +40,7 @@ from .policy import (
     tau_meshes,
     train_policy,
 )
-from .refine import (
-    RefineConfig,
-    TaubinConfig,
-    refine_mesh,
-    taubin_smooth,
-    trace_to_csv,
-)
+from .refine import RefineConfig, refine_mesh, trace_to_csv
 from .sampling import METRIC_SAMPLES, REWARD_SAMPLES, sample_surface
 from .synth import FILLS, SHAPES, SyntheticSpec, synth
 
@@ -69,31 +63,27 @@ class _Parser(argparse.ArgumentParser):
         raise _UsageError(f"{message}\n{self.format_usage()}")
 
 
-def _emit(text: str, out: str) -> None:
-    if out == "-":
-        sys.stdout.write(text)
-    else:
-        with open(out, "w", encoding="ascii", newline="\n") as fh:
-            fh.write(text)
-
-
-def _apply_config(parser: _Parser, argv: list[str] | None,
-                  args: argparse.Namespace) -> argparse.Namespace:
-    """Parse argv again with a JSON config document's values as flags right
-    after the subcommand name: argparse converts and checks them as it does
-    the command line's own flags, which come later and so win. Unknown keys,
-    and values no flag could spell, are usage errors."""
-    if not getattr(args, "config", None):
-        return args
-    with open(args.config, encoding="utf-8") as fh:
-        doc = json.load(fh)
+def _parse(parser: _Parser, argv: list[str] | None) -> argparse.Namespace:
+    """Parse argv, with a ``--config`` JSON document's values spliced in as
+    flags right after the subcommand name: argparse converts and checks them
+    as it does the command line's own flags, which come later and so win.
+    Keys are flag names (``in``, ``in-format``; ``_`` for ``-`` too). Unknown
+    keys, and values no flag could spell, are usage errors."""
+    argv = sys.argv[1:] if argv is None else list(argv)
+    find = _Parser(add_help=False)
+    find.add_argument("--config", nargs="?")  # a bare --config is the parse's to report
+    path = find.parse_known_args(argv[1:])[0].config
+    command = parser.commands.get(argv[0]) if argv else None
+    if not path or command is None:
+        return parser.parse_args(argv)
+    doc = json.loads(meshio._text(path))
     if not isinstance(doc, dict):
         raise _UsageError("config document must be a JSON object")
-    actions = {a.dest: a for a in parser.commands[args.command]._actions
-               if a.dest in vars(args)}  # not --help, nor the handler func
+    flags = {opt[2:]: a for a in command._actions if a.dest not in ("help", "config")
+             for opt in a.option_strings}
     tokens = []
     for key, value in doc.items():
-        action = actions.get(key.replace("-", "_"))
+        action = flags.get(key.replace("_", "-"))
         if action is None:
             raise _UsageError(f"unknown config key {key!r}")
         flag, switch = action.option_strings[0], action.nargs == 0
@@ -101,9 +91,7 @@ def _apply_config(parser: _Parser, argv: list[str] | None,
             raise _UsageError(f"config key {key!r} cannot be {json.dumps(value)}")
         if value is not False:  # a switch (--subdivide) is true or false
             tokens.append(flag if switch else f"{flag}={value}")
-    argv = sys.argv[1:] if argv is None else list(argv)
-    at = argv.index(args.command) + 1
-    return parser.parse_args(argv[:at] + tokens + argv[at:])
+    return parser.parse_args(argv[:1] + tokens + argv[1:])
 
 
 def _load_dataset(root: str):
@@ -146,7 +134,7 @@ def _cmd_synth(args) -> int:
                          major_radius=args.major_radius,
                          minor_radius=args.minor_radius)
     cloud, ref = synth(spec)
-    _emit(meshio.points_to_text(cloud, args.format), args.out)
+    meshio._write_text(args.out, meshio.points_to_text(cloud, args.format))
     if args.ref_out:
         meshio.write_mesh(ref, args.ref_out)
     return 0
@@ -160,14 +148,14 @@ def _cmd_triangulate(args) -> int:
           f"chi={mesh.num_vertices - len(edges) + mesh.num_faces}, "
           f"boundary_edges={np.count_nonzero(faces_per_edge == 1)}, "
           f"nonmanifold_edges={np.count_nonzero(faces_per_edge > 2)}", file=sys.stderr)
-    _emit(meshio.mesh_to_text(mesh, args.format), args.out)
+    meshio._write_text(args.out, meshio.mesh_to_text(mesh, args.format))
     return 0
 
 
 def _cmd_sample(args) -> int:
     mesh = meshio.read_mesh(args.mesh, args.in_format)
     cloud = sample_surface(mesh, args.n, args.seed + SEED_SAMPLE)
-    _emit(meshio.points_to_text(cloud, args.format), args.out)
+    meshio._write_text(args.out, meshio.points_to_text(cloud, args.format))
     return 0
 
 
@@ -176,7 +164,7 @@ def _cmd_evaluate(args) -> int:
     gt = meshio.read_mesh(args.gt)
     report = evaluate(pred, gt, args.protocol, n_samples=args.n_samples,
                       seed=args.seed + SEED_EVAL, class_label=args.class_label)
-    _emit(json.dumps(report.to_dict(), indent=2, sort_keys=True) + "\n", args.out)
+    meshio._write_text(args.out, json.dumps(report.to_dict(), indent=2, sort_keys=True) + "\n")
     return 0
 
 
@@ -187,9 +175,9 @@ def _cmd_train_policy(args) -> int:
     policy, log = train_policy(dataset, policy, episodes=args.episodes,
                                seed=args.seed + SEED_POLICY, nu=args.nu,
                                n_samples=args.n_samples)
-    _emit(policy_to_json(policy), args.out)
+    meshio._write_text(args.out, policy_to_json(policy))
     if args.log:
-        _emit(log.to_csv(), args.log)
+        meshio._write_text(args.log, log.to_csv())
     print(f"train-policy: {len(log.records)} transitions, "
           f"final epsilon {policy.epsilon:.4f}", file=sys.stderr)
     return 0
@@ -209,22 +197,18 @@ def _cmd_reconstruct(args) -> int:
 
     weights = {"smooth": smooth_weights, "pretty": pretty_weights}[args.preset]()
     initial = triangulate(cloud, tau)
-    baseline = None
-    if weights.lambda3 > 0:
-        baseline = taubin_smooth(initial, TaubinConfig(iterations=args.taubin_iters))
-    gt_samples = cloud
     if weights.lambda6 > 0 and not cloud.has_normals:
         print("reconstruct: input cloud has no normals; disabling the "
               "normal-loss term", file=sys.stderr)
         weights = replace(weights, lambda6=0.0)
     cfg = RefineConfig(stages=args.stages, iters_per_stage=args.iters,
                        step_size=args.step, weights=weights,
-                       subdivide_between_stages=args.subdivide)
-    refined, trace = refine_mesh(initial, gt_samples, baseline, cfg,
-                                 seed=args.seed + SEED_REFINE)
+                       subdivide_between_stages=args.subdivide,
+                       taubin_iters=args.taubin_iters)
+    refined, trace = refine_mesh(initial, cloud, cfg, seed=args.seed + SEED_REFINE)
     if args.trace:
-        _emit(trace_to_csv(trace), args.trace)
-    _emit(meshio.mesh_to_text(refined, args.format), args.out)
+        meshio._write_text(args.trace, trace_to_csv(trace))
+    meshio._write_text(args.out, meshio.mesh_to_text(refined, args.format))
     return 0
 
 
@@ -266,7 +250,7 @@ def _cmd_ablate(args) -> int:
                 total += row[key]
             means.append(repr(100.0 * total / len(rows)))
         lines.append(f"{label}," + ",".join(means))
-    _emit("\n".join(lines) + "\n", args.out)
+    meshio._write_text(args.out, "\n".join(lines) + "\n")
     return 0
 
 
@@ -396,9 +380,7 @@ def _build_parser() -> _Parser:
 def run(argv: list[str] | None = None) -> int:
     """Dispatch a CLI invocation; never raises on malformed input."""
     try:
-        parser = _build_parser()
-        args = parser.parse_args(argv)
-        args = _apply_config(parser, argv, args)
+        args = _parse(_build_parser(), argv)
         return args.func(args)
     except _UsageError as exc:
         print(f"usage error: {exc}", file=sys.stderr)

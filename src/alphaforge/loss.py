@@ -219,28 +219,16 @@ class _NeighborList:
         return idx, d1**2
 
 
-def _scatter(n: int, terms, initial: np.ndarray | None = None) -> np.ndarray:
+def _scatter(n: int, terms) -> np.ndarray:
     """What scattering vals at rows idx with ``np.add``'s ``ufunc.at``, for
-    each (idx, vals) of terms in turn, leaves in out, an (n, ...) array
-    starting as initial (zeros when None), bit for bit, by one np.bincount
-    per column. bincount adds each row's values in order from +0.0, as that
-    scatter does on zeros; an initial array goes first. A row starting at
-    -0.0 that gains only -0.0 stays -0.0 under the scatter, not under
-    bincount, so it gets its sign back."""
-    if initial is not None:
-        terms = [(np.arange(n), initial), *terms]
+    each (idx, vals) of terms in turn, leaves in an (n, ...) array of zeros,
+    bit for bit, by one np.bincount per column: bincount adds each row's
+    values in order from +0.0, as that scatter does on zeros."""
     idx = np.concatenate([i for i, _ in terms])
     vals = np.concatenate([v for _, v in terms])
-
-    def sums(weights):  # as floats, also for no entries, where bincount gives ints
-        cols = [np.bincount(idx, col, n) for col in (weights.T if weights.ndim > 1 else [weights])]
-        return np.stack(cols, axis=-1).reshape((n,) + weights.shape[1:]).astype(np.float64)
-
-    out = sums(vals)
-    if initial is not None and np.signbit(initial[initial == 0]).any():
-        gains = sums((vals != 0) | ~np.signbit(vals))
-        out[(initial == 0) & np.signbit(initial) & (gains == 0)] = -0.0
-    return out
+    cols = [np.bincount(idx, col, n) for col in (vals.T if vals.ndim > 1 else [vals])]
+    # as floats, also for no entries, where bincount gives ints
+    return np.stack(cols, axis=-1).reshape((n,) + vals.shape[1:]).astype(np.float64)
 
 
 class _Match(NamedTuple):
@@ -272,7 +260,7 @@ def _chamfer_value(m: _Match) -> float:
 def _chamfer_grad(pp: np.ndarray, qq: np.ndarray, m: _Match) -> np.ndarray:
     grad = (2.0 / len(pp)) * (pp - np.take(qq, m.idx_pq, axis=0))
     rev = (2.0 / len(qq)) * (np.take(pp, m.idx_qp, axis=0) - qq)
-    return _scatter(len(pp), [(m.idx_qp, rev)], initial=grad)
+    return _scatter(len(pp), [(np.arange(len(pp)), grad), (m.idx_qp, rev)])
 
 
 def _log_chamfer_value(m: _Match, mu: float) -> float:
@@ -282,7 +270,7 @@ def _log_chamfer_value(m: _Match, mu: float) -> float:
 def _log_chamfer_grad(pp: np.ndarray, qq: np.ndarray, m: _Match, mu: float) -> np.ndarray:
     grad = 2.0 * (pp - np.take(qq, m.idx_pq, axis=0)) / ((m.d2_pq + mu) * LN10)[:, None]
     rev = 2.0 * (np.take(pp, m.idx_qp, axis=0) - qq) / ((m.d2_qp + mu) * LN10)[:, None]
-    return _scatter(len(pp), [(m.idx_qp, rev)], initial=grad)
+    return _scatter(len(pp), [(np.arange(len(pp)), grad), (m.idx_qp, rev)])
 
 
 def _normal_cosines(pn: np.ndarray, qn: np.ndarray, m: _Match):

@@ -3,7 +3,7 @@
 Writers emit shortest round-trip decimal floats (Python repr), so files are
 diff-stable and re-reading reproduces coordinates bit-for-bit. Parsers
 reject non-finite coordinates and report 1-based line numbers on failure.
-Readers take the path ``-`` as standard input.
+Readers take the path ``-`` as standard input, writers as standard output.
 
 OBJ and XYZ files laid out as the writers lay them out (only ``v x y z``
 lines followed by only ``f a b c`` lines; only ``x y z`` lines) are read
@@ -166,6 +166,8 @@ def _read_obj_lines(lines):
                     raise ParseError("OBJ indices are 1-based; got 0", lineno)
                 idx.append(k - 1 if k > 0 else len(verts) + k)
             faces.extend(_fan(idx, lineno))
+        elif tag[0] in "0123456789+-.":  # no OBJ keyword does: an OFF/PLY body
+            raise ParseError(f"record {tag!r} has no OBJ keyword", lineno)
         # vn/vt/usemtl and friends are ignored
     return np.array(verts, dtype=np.float64).reshape(-1, 3), faces
 
@@ -379,7 +381,11 @@ def points_to_text(cloud: PointCloud, format: str) -> str:
 
 
 def _write_text(path, text: str) -> None:
+    """Write text to ``path``, or to standard output when it is ``-``."""
     try:
+        if path == "-":
+            sys.stdout.write(text)
+            return
         with open(path, "w", encoding="ascii", newline="\n") as fh:
             fh.write(text)
     except OSError as exc:

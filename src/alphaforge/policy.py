@@ -21,6 +21,7 @@ from .alphashape import boundary_meshes
 from .delaunay import delaunay_complex
 from .errors import EmptyMesh, GeometryError, RewardOutOfRange, TooFewPoints
 from .mesh import Mesh, PointCloud
+from .meshio import _text, _write_text
 from .metrics import f1_score
 from .sampling import REWARD_SAMPLES, sample_surface
 
@@ -280,8 +281,7 @@ def policy_to_json(policy: QPolicy) -> str:
 
 
 def save_policy(policy: QPolicy, path) -> None:
-    with open(path, "w", encoding="ascii") as fh:
-        fh.write(policy_to_json(policy))
+    _write_text(path, policy_to_json(policy))
 
 
 def _is_number(x) -> bool:
@@ -294,8 +294,7 @@ def _is_number(x) -> bool:
 def load_policy(path) -> QPolicy:
     """The policy in a ``save_policy`` document; ValueError names what is
     wrong with a malformed one."""
-    with open(path, encoding="ascii") as fh:
-        doc = json.load(fh)
+    doc = json.loads(_text(path))
     if not isinstance(doc, dict):
         raise ValueError(f"policy document is a JSON {type(doc).__name__}, not an object")
     version = doc.get("version")

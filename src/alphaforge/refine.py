@@ -1,7 +1,8 @@
 """Taubin smoothing, subdivision, and mesh refinement.
 
-The Laplacian regularizer's baseline is a Taubin-smoothed copy of the
-initial mesh, so it shares the initial mesh's vertices and faces.
+Refinement anchors its Laplacian regularizer to a baseline it builds
+itself: the initial mesh after ``RefineConfig.taubin_iters`` Taubin
+iterations, so it shares the initial mesh's vertices and faces.
 
 Refinement optimizes a bounded offset per vertex: stage vertices are
 ``v + tanh(o)`` with the offsets driven by plain gradient descent on the
@@ -27,23 +28,10 @@ from .mesh import Mesh, PointCloud, _edge_table, unique_edges
 OFFSET_CLIP = 14.0
 DISPLACEMENT_BOUND = 1.0 - 1e-12
 
-
-@dataclass(frozen=True)
-class TaubinConfig:
-    """Alternating smooth/inflate passes: positive lam then negative
-    mu_shrink, |mu_shrink| > lam, per iteration."""
-
-    lam: float = 0.5
-    mu_shrink: float = -0.53
-    iterations: int = 10
-
-    def __post_init__(self):
-        if not 0.0 < self.lam < 1.0:
-            raise ConfigError("lam must lie in (0, 1) exclusive")
-        if self.mu_shrink >= 0 or abs(self.mu_shrink) <= self.lam:
-            raise ConfigError("mu_shrink must be negative with |mu_shrink| > lam")
-        if self.iterations < 0:
-            raise ConfigError("iterations must be >= 0")
+# Taubin's smooth and inflate factors: TAUBIN_LAM in (0, 1), TAUBIN_MU
+# negative with |TAUBIN_MU| > TAUBIN_LAM.
+TAUBIN_LAM = 0.5
+TAUBIN_MU = -0.53
 
 
 @dataclass(frozen=True)
@@ -53,6 +41,7 @@ class RefineConfig:
     step_size: float = 1e-3
     weights: LossWeights = field(default_factory=LossWeights)
     subdivide_between_stages: bool = False
+    taubin_iters: int = 10
 
     def __post_init__(self):
         if self.stages < 1:
@@ -76,15 +65,17 @@ def _umbrella(vertices: np.ndarray, edges: np.ndarray) -> np.ndarray:
     return delta
 
 
-def taubin_smooth(mesh: Mesh, cfg: TaubinConfig) -> Mesh:
+def taubin_smooth(mesh: Mesh, iterations: int) -> Mesh:
     """Shrink-resistant smoothing: per iteration apply the umbrella step with
-    factor lam, then again with the negative factor mu_shrink. Connectivity
-    is unchanged."""
+    factor TAUBIN_LAM, then again with the negative factor TAUBIN_MU.
+    Connectivity is unchanged."""
+    if iterations < 0:
+        raise ConfigError("iterations must be >= 0")
     edges = unique_edges(mesh)
     v = mesh.vertices.copy()
-    for _ in range(cfg.iterations):
-        v = v + cfg.lam * _umbrella(v, edges)
-        v = v + cfg.mu_shrink * _umbrella(v, edges)
+    for _ in range(iterations):
+        v = v + TAUBIN_LAM * _umbrella(v, edges)
+        v = v + TAUBIN_MU * _umbrella(v, edges)
     return mesh.with_vertices(v)
 
 
@@ -103,7 +94,6 @@ def subdivide(mesh: Mesh) -> Mesh:
 def refine_mesh(
     initial: Mesh,
     gt_samples: PointCloud,
-    baseline: Mesh | None,
     cfg: RefineConfig,
     seed: int = 0,
 ) -> tuple[Mesh, list[LossBreakdown]]:
@@ -111,7 +101,9 @@ def refine_mesh(
 
     Per stage, per-vertex offsets (initialized to zero) are optimized so the
     working vertices are ``v + tanh(o)``; offsets are baked in at the end of
-    the stage. Face connectivity never changes within a stage; with
+    the stage. When the Laplacian term is active (``weights.lambda3 > 0``)
+    its baseline is ``taubin_smooth(initial, cfg.taubin_iters)``. Face
+    connectivity never changes within a stage; with
     ``subdivide_between_stages`` both mesh and baseline are midpoint
     subdivided between stages. Each stage builds one loss plan
     (:func:`alphaforge.loss.loss_plan`), and each iteration evaluates
@@ -126,7 +118,7 @@ def refine_mesh(
     too large for the geometry).
     """
     mesh = initial
-    base = baseline
+    base = taubin_smooth(initial, cfg.taubin_iters) if cfg.weights.lambda3 > 0 else None
     n_samples = max(len(gt_samples), 1)
     trace: list[LossBreakdown] = []
     for stage in range(cfg.stages):

@@ -15,7 +15,6 @@ from alphaforge import (
     RefineConfig,
     RigidTransform,
     SyntheticSpec,
-    TaubinConfig,
     apply_protocol_scaling,
     boundary_edges,
     delaunay_complex,
@@ -46,7 +45,7 @@ from alphaforge.cli import run as cli_run
 from alphaforge.errors import EmptyMesh
 from alphaforge.loss import _log_chamfer_grad, _Match
 from alphaforge.metrics import PROTOCOLS
-from alphaforge.refine import _umbrella
+from alphaforge.refine import TAUBIN_LAM, _umbrella
 import oracles
 from test_delaunay import (
     empty_circumsphere_violations,
@@ -223,7 +222,6 @@ def test_criterion_5_refinement_efficacy():
     noisy = clean.with_vertices(clean.vertices
                                 + 0.05 * rng.normal(size=clean.vertices.shape))
     gt = sample_surface(icosphere(4), 2000, seed=21)
-    baseline = taubin_smooth(noisy, TaubinConfig())
 
     def metric(mesh):
         return oracles.chamfer(sample_surface(mesh, 10000, seed=77),
@@ -232,7 +230,7 @@ def test_criterion_5_refinement_efficacy():
     before = metric(noisy)
     cfg = RefineConfig(stages=2, iters_per_stage=100, step_size=3e-5,
                        weights=smooth_weights())
-    refined, trace = refine_mesh(noisy, gt, baseline, cfg, seed=5)
+    refined, trace = refine_mesh(noisy, gt, cfg, seed=5)
     after = metric(refined)
 
     totals = np.array([b.total for b in trace])
@@ -357,13 +355,12 @@ def test_criterion_7_determinism_and_round_trips(tmp_path, capsys):
 
 def test_criterion_8_taubin_anti_shrinkage():
     mesh = icosphere(3)
-    cfg = TaubinConfig(lam=0.5, mu_shrink=-0.53, iterations=10)
-    taubin = taubin_smooth(mesh, cfg)
+    taubin = taubin_smooth(mesh, 10)
 
     v = mesh.vertices.copy()
     edges = unique_edges(mesh)
-    for _ in range(cfg.iterations):
-        v = v + cfg.lam * _umbrella(v, edges)
+    for _ in range(10):
+        v = v + TAUBIN_LAM * _umbrella(v, edges)
     lam_only = mesh.with_vertices(v)
 
     v0 = enclosed_volume(mesh)

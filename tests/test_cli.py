@@ -1,4 +1,5 @@
 import hashlib
+import io
 import json
 
 import numpy as np
@@ -17,6 +18,7 @@ from alphaforge import (
     write_points,
 )
 from alphaforge.cli import run
+from alphaforge.meshio import mesh_to_text
 from alphaforge.policy import QPolicy, load_policy, policy_to_json, save_policy
 from test_meshio import MALFORMED_PLY_HEADER_LINES, malformed_ply_header_index
 
@@ -133,6 +135,64 @@ class TestExitCodes:
         code, config_only, _ = invoke(base, capsys)
         assert code == 0
         assert len(config_only.splitlines()) == 10
+
+    def test_config_sets_a_required_flag(self, tmp_path, capsys):
+        cloud, _ = synth(SyntheticSpec("sphere", n=300, fill="solid", seed=1))
+        write_points(cloud, tmp_path / "c.xyz")
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps({"tau": 0.5}))
+        base = ["triangulate", "--in", str(tmp_path / "c.xyz")]
+        code, from_config, err = invoke(base + ["--config", str(cfg)], capsys)
+        assert code == 0, err
+        assert (0, from_config) == invoke(base + ["--tau", "0.5"], capsys)[:2]
+
+    def test_config_keys_are_flag_names(self, tmp_path, capsys):
+        """``in`` and ``in-format`` (or ``in_format``) name the flags; the
+        argparse destination ``infile`` is no key."""
+        cloud, _ = synth(SyntheticSpec("sphere", n=300, fill="solid", seed=1))
+        write_points(cloud, tmp_path / "c.xyz")
+        want = invoke(["triangulate", "--in", str(tmp_path / "c.xyz"), "--tau", "0.5"],
+                      capsys)[1]
+        cfg = tmp_path / "cfg.json"
+        for doc in ({"in": str(tmp_path / "c.xyz")},
+                    {"in": str(tmp_path / "c.xyz"), "in-format": "xyz"},
+                    {"in": str(tmp_path / "c.xyz"), "in_format": "xyz"}):
+            cfg.write_text(json.dumps(doc))
+            code, out, err = invoke(["triangulate", "--tau", "0.5", "--config", str(cfg)],
+                                    capsys)
+            assert (code, out) == (0, want), err
+        cfg.write_text(json.dumps({"infile": str(tmp_path / "c.xyz")}))
+        code, _, err = invoke(["triangulate", "--tau", "0.5", "--config", str(cfg)], capsys)
+        assert code == 1 and "unknown config key 'infile'" in err
+
+    @pytest.mark.parametrize("flag", ["out", "ref-out", "policy", "config"])
+    def test_unreadable_or_unwritable_path_is_two(self, tmp_path, capsys, flag):
+        """Every failed read or write is an error that names the path."""
+        cloud, _ = synth(SyntheticSpec("sphere", n=300, fill="solid", seed=1))
+        write_points(cloud, tmp_path / "c.xyz")
+        missing = str(tmp_path / "no-such-dir" / "x.obj")
+        argv = {"out": ["triangulate", "--in", str(tmp_path / "c.xyz"), "--tau", "0.5"],
+                "ref-out": ["synth", "--shape", "sphere", "--n", "10",
+                            "--out", str(tmp_path / "s.xyz")],
+                "policy": ["reconstruct", "--in", str(tmp_path / "c.xyz")],
+                "config": ["triangulate", "--in", str(tmp_path / "c.xyz")]}[flag]
+        code, _, err = invoke(argv + [f"--{flag}", missing], capsys)
+        verb = "write" if flag.endswith("out") else "read"
+        assert code == 2
+        assert err.splitlines()[-1].startswith(f"error: cannot {verb} {missing}: ")
+
+    @pytest.mark.parametrize("fmt, line", [("off", 2), ("ply", 10)])
+    def test_piped_off_or_ply_prediction_is_two(self, tmp_path, capsys, monkeypatch,
+                                                fmt, line):
+        """``evaluate --pred -`` reads OBJ; an OFF or PLY mesh is refused at
+        its first numeric record, not read as an empty mesh."""
+        _, ref = synth(SyntheticSpec("sphere", n=10, seed=1))
+        write_mesh(ref, tmp_path / "gt.obj")
+        monkeypatch.setattr("sys.stdin", io.StringIO(mesh_to_text(ref, fmt)))
+        code, _, err = invoke(["evaluate", "--pred", "-", "--gt", str(tmp_path / "gt.obj"),
+                               "--protocol", "meshrcnn"], capsys)
+        assert code == 2
+        assert err.startswith(f"error: line {line}: ")
 
     @pytest.mark.parametrize("line", MALFORMED_PLY_HEADER_LINES)
     def test_malformed_ply_header_is_two(self, tmp_path, capsys, line):
@@ -455,6 +515,19 @@ class TestReconstruct:
         assert code == 0, err
         assert "baseline" not in err
         assert "falling back" not in err
+
+    def test_negative_taubin_iters(self, tmp_path, capsys):
+        """Only the smooth preset builds the Taubin baseline, so only it
+        checks the count."""
+        cloud, _ = synth(SyntheticSpec("sphere", n=200, fill="solid", seed=78))
+        write_points(cloud, tmp_path / "c.xyz")
+        base = ["reconstruct", "--in", str(tmp_path / "c.xyz"), "--tau", "0.4",
+                "--stages", "1", "--iters", "1", "--taubin-iters", "-1",
+                "--out", str(tmp_path / "r.obj")]
+        code, _, err = invoke(base + ["--preset", "smooth"], capsys)
+        assert code == 2 and err.endswith("error: iterations must be >= 0\n")
+        code, _, err = invoke(base + ["--preset", "pretty"], capsys)
+        assert code == 0, err
 
     def test_policy_picks_tau_and_rejects_undescribable_cloud(self, tmp_path, capsys):
         cloud, _ = synth(SyntheticSpec("sphere", n=200, fill="solid", seed=78))

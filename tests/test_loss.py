@@ -649,8 +649,8 @@ class TestScatter:
            n_terms=st.integers(1, 3), with_initial=st.booleans())
     def test_matches_add_at(self, data, n, width, n_terms, with_initial):
         """Terms of 0 to 30 repeated indices each, 1-D or (n, 3) values,
-        onto zeros or onto an initial array with -0.0 rows, some of which no
-        index touches and some of which gain only -0.0."""
+        onto zeros, optionally after a leading term that adds an initial
+        array with -0.0 rows to every row, as the Chamfer gradients do."""
         shape = (n,) if width is None else (n, width)
         elements = st.lists(SCATTER_VALUES, min_size=int(np.prod(shape)),
                             max_size=int(np.prod(shape)))
@@ -662,24 +662,25 @@ class TestScatter:
             vals = np.array(data.draw(st.lists(SCATTER_VALUES, min_size=count,
                                                max_size=count)), dtype=float)
             terms.append((idx, vals.reshape((len(idx),) + shape[1:])))
-        initial = None
-        want = np.zeros(shape)
         if with_initial:
             initial = np.array(data.draw(elements), dtype=float).reshape(shape)
             initial[0] = -0.0
-            want = initial.copy()
+            terms.insert(0, (np.arange(n), initial))
+        want = np.zeros(shape)
         for idx, vals in terms:
             np.add.at(want, idx, vals)
-        got = _scatter(n, terms, initial=initial)
+        got = _scatter(n, terms)
         assert got.shape == want.shape and got.dtype == want.dtype
         assert got.tobytes() == want.tobytes()
-        if initial is not None:
+        if with_initial:
             assert initial[0].tobytes() == np.full(shape[1:], -0.0).tobytes()
 
     def test_empty_index_keeps_the_initial_bits(self):
+        """Up to the sign of a zero: sums start from +0.0."""
         initial = np.array([[-0.0, 1.5, 0.0], [2.0, -0.0, -3.0]])
-        got = _scatter(2, [(np.zeros(0, dtype=np.intp), np.zeros((0, 3)))], initial=initial)
-        assert got.tobytes() == initial.tobytes()
+        got = _scatter(2, [(np.arange(2), initial),
+                           (np.zeros(0, dtype=np.intp), np.zeros((0, 3)))])
+        assert got.tobytes() == (initial + 0.0).tobytes()
         assert _scatter(4, [(np.zeros(0, dtype=np.intp), np.zeros(0))]).tobytes() == (
             np.zeros(4).tobytes())
 

@@ -135,6 +135,24 @@ class TestReadMesh:
         monkeypatch.setattr("sys.stdin", io.StringIO("0 0 0\n1 2 3\n"))
         np.testing.assert_array_equal(read_points("-", "xyz").points, [[0, 0, 0], [1, 2, 3]])
 
+    @pytest.mark.parametrize("text, line", [
+        (MINIMAL_OFF, 2), (MINIMAL_PLY, 10), ("v 0 0 0\n-1 2 3\n", 2),
+        ("v 0 0 0\n+1 2 3\n", 2), ("# a comment\n.5 1 2\n", 2),
+    ], ids=["off", "ply", "minus", "plus", "dot"])
+    def test_obj_record_starting_like_a_number_rejected_at_its_line(self, text, line):
+        """No OBJ keyword starts with a digit, a sign or '.', so an OFF or
+        PLY body read as OBJ is a ParseError, not an empty mesh."""
+        with pytest.raises(ParseError) as err:
+            meshio.mesh_from_text(text, "obj")
+        assert err.value.line == line
+
+    def test_dash_writes_stdout(self, capsys):
+        write_mesh(meshio.mesh_from_text(MINIMAL_OBJ, "obj"), "-", "obj")
+        write_points(PointCloud(np.array([[0.0, 0.0, 0.0], [1.0, 2.0, 3.0]])), "-", "xyz")
+        assert capsys.readouterr().out == (
+            "v 0.0 0.0 0.0\nv 1.0 0.0 0.0\nv 0.0 1.0 0.0\nf 1 2 3\n"
+            "0.0 0.0 0.0\n1.0 2.0 3.0\n")
+
     def test_duplicate_vertices_kept_as_written(self, tmp_path):
         text = ("v 0 0 0\nv 1 0 0\nv 0 1 0\nv 1 0 0\nv 0 1 0\nv 0 0 1\n"
                 "f 1 2 3\nf 4 5 6\n")

@@ -10,15 +10,16 @@ from alphaforge import (
     Mesh,
     PointCloud,
     RefineConfig,
-    TaubinConfig,
     enclosed_volume,
     euler_characteristic,
     icosphere,
+    loss_plan,
     refine_mesh,
     sample_surface,
     smooth_weights,
     subdivide,
     taubin_smooth,
+    total_loss,
     trace_to_csv,
     unique_edges,
 )
@@ -26,46 +27,35 @@ from alphaforge.errors import ConfigError, NonFinite
 import oracles
 
 
-class TestTaubinConfig:
-    def test_lambda_bounds_exclusive(self):
-        with pytest.raises(ConfigError):
-            TaubinConfig(lam=0.0)
-        with pytest.raises(ConfigError):
-            TaubinConfig(lam=1.0)
-
-    def test_mu_must_dominate(self):
-        with pytest.raises(ConfigError):
-            TaubinConfig(lam=0.5, mu_shrink=-0.4)
-        with pytest.raises(ConfigError):
-            TaubinConfig(lam=0.5, mu_shrink=0.53)
-
-
 class TestTaubinSmooth:
     def test_zero_iterations_identity(self, tetra_mesh):
-        out = taubin_smooth(tetra_mesh, TaubinConfig(iterations=0))
+        out = taubin_smooth(tetra_mesh, 0)
         np.testing.assert_array_equal(out.vertices, tetra_mesh.vertices)
 
     def test_connectivity_unchanged(self):
         mesh = icosphere(2)
-        out = taubin_smooth(mesh, TaubinConfig(iterations=5))
+        out = taubin_smooth(mesh, 5)
         np.testing.assert_array_equal(out.faces, mesh.faces)
 
     def test_isolated_vertices_pass_through(self):
         mesh = Mesh(np.vstack([np.eye(3), [9.0, 9.0, 9.0]]), np.array([[0, 1, 2]]))
-        out = taubin_smooth(mesh, TaubinConfig(iterations=3))
+        out = taubin_smooth(mesh, 3)
         np.testing.assert_array_equal(out.vertices[3], [9.0, 9.0, 9.0])
+
+    def test_negative_count_rejected(self, tetra_mesh):
+        with pytest.raises(ConfigError, match="iterations must be >= 0"):
+            taubin_smooth(tetra_mesh, -1)
 
     def test_anti_shrinkage_vs_lambda_only(self):
         mesh = icosphere(3)
-        cfg = TaubinConfig(lam=0.5, mu_shrink=-0.53, iterations=10)
-        taubin = taubin_smooth(mesh, cfg)
+        taubin = taubin_smooth(mesh, 10)
 
         # oracle: plain lambda-only umbrella smoothing, same lam/iterations
-        from alphaforge.refine import _umbrella
+        from alphaforge.refine import TAUBIN_LAM, _umbrella
         v = mesh.vertices.copy()
         edges = unique_edges(mesh)
-        for _ in range(cfg.iterations):
-            v = v + cfg.lam * _umbrella(v, edges)
+        for _ in range(10):
+            v = v + TAUBIN_LAM * _umbrella(v, edges)
         lam_only = mesh.with_vertices(v)
 
         v0 = enclosed_volume(mesh)
@@ -122,31 +112,47 @@ class TestRefineMesh:
         noisy = mesh.with_vertices(mesh.vertices
                                    + noise * rng.normal(size=mesh.vertices.shape))
         gt = sample_surface(icosphere(3), 800, seed=31)
-        baseline = taubin_smooth(noisy, TaubinConfig())
-        return noisy, gt, baseline
+        return noisy, gt
 
     def test_zero_iterations_identity(self):
-        noisy, gt, baseline = self.make_fixture()
+        noisy, gt = self.make_fixture()
         cfg = RefineConfig(stages=1, iters_per_stage=0, weights=smooth_weights())
-        out, trace = refine_mesh(noisy, gt, baseline, cfg, seed=1)
+        out, trace = refine_mesh(noisy, gt, cfg, seed=1)
         np.testing.assert_array_equal(out.vertices, noisy.vertices)
         assert trace == []
+
+    def test_laplacian_baseline_is_the_taubin_smoothed_initial_mesh(self):
+        """The first trace entry is the loss against a baseline of
+        taubin_iters Taubin iterations; with none, the baseline is the
+        initial mesh itself and the Laplacian term is exactly 0."""
+        noisy, gt = self.make_fixture()
+        w = smooth_weights()
+        firsts = []
+        for k in (0, 3, 10):
+            cfg = RefineConfig(stages=1, iters_per_stage=1, step_size=3e-5, weights=w,
+                               taubin_iters=k)
+            _, trace = refine_mesh(noisy, gt, cfg, seed=10)
+            plan = loss_plan(noisy, gt, taubin_smooth(noisy, k), w, len(gt), 10)
+            assert trace[0] == total_loss(noisy, plan)[0]
+            firsts.append(trace[0].laplacian_reg)
+        assert firsts[0] == 0.0
+        assert 0.0 < firsts[1] < firsts[2]
 
     def test_ground_truth_fixed_point(self):
         mesh = icosphere(2)
         gt = sample_surface(mesh, 800, seed=32)
         cfg = RefineConfig(stages=1, iters_per_stage=30, step_size=3e-5,
                            weights=LossWeights(lambda1=0, lambda2=1))
-        out, _ = refine_mesh(mesh, gt, None, cfg, seed=2)
+        out, _ = refine_mesh(mesh, gt, cfg, seed=2)
         before = oracles.chamfer(sample_surface(mesh, 800, seed=33), gt)
         after = oracles.chamfer(sample_surface(out, 800, seed=33), gt)
         assert after <= before * 1.01
 
     def test_noisy_sphere_improves(self):
-        noisy, gt, baseline = self.make_fixture()
+        noisy, gt = self.make_fixture()
         cfg = RefineConfig(stages=2, iters_per_stage=40, step_size=3e-5,
                            weights=smooth_weights())
-        out, trace = refine_mesh(noisy, gt, baseline, cfg, seed=3)
+        out, trace = refine_mesh(noisy, gt, cfg, seed=3)
         before = oracles.chamfer(sample_surface(noisy, 1000, seed=34), gt)
         after = oracles.chamfer(sample_surface(out, 1000, seed=34), gt)
         assert after < before * 0.75
@@ -155,33 +161,33 @@ class TestRefineMesh:
         assert drops / (len(totals) - 1) >= 0.9
 
     def test_connectivity_never_changes(self):
-        noisy, gt, baseline = self.make_fixture()
+        noisy, gt = self.make_fixture()
         cfg = RefineConfig(stages=2, iters_per_stage=5, step_size=3e-5,
                            weights=smooth_weights())
-        out, _ = refine_mesh(noisy, gt, baseline, cfg, seed=4)
+        out, _ = refine_mesh(noisy, gt, cfg, seed=4)
         np.testing.assert_array_equal(out.faces, noisy.faces)
 
     def test_tanh_displacement_bound(self):
-        noisy, gt, baseline = self.make_fixture()
+        noisy, gt = self.make_fixture()
         cfg = RefineConfig(stages=1, iters_per_stage=20, step_size=5.0,
                            weights=LossWeights(lambda1=1, lambda2=0))
-        out, _ = refine_mesh(noisy, gt, None, cfg, seed=5)
+        out, _ = refine_mesh(noisy, gt, cfg, seed=5)
         assert np.abs(out.vertices - noisy.vertices).max() < 1.0 - 1e-12
 
     def test_subdivide_between_stages(self):
-        noisy, gt, baseline = self.make_fixture()
+        noisy, gt = self.make_fixture()
         cfg = RefineConfig(stages=2, iters_per_stage=2, step_size=3e-5,
                            weights=smooth_weights(), subdivide_between_stages=True)
-        out, _ = refine_mesh(noisy, gt, baseline, cfg, seed=6)
+        out, _ = refine_mesh(noisy, gt, cfg, seed=6)
         assert out.num_faces == 4 * noisy.num_faces
 
     def test_nonfinite_loss_raises(self):
-        noisy, gt, baseline = self.make_fixture()
+        noisy, gt = self.make_fixture()
         huge = LossWeights(lambda1=1e308, lambda2=0)  # total overflows to -inf
         cfg = RefineConfig(stages=1, iters_per_stage=5, step_size=1e-5,
                            weights=huge)
         with np.errstate(all="ignore"), pytest.raises(NonFinite):
-            refine_mesh(noisy, gt, None, cfg, seed=7)
+            refine_mesh(noisy, gt, cfg, seed=7)
 
     @pytest.mark.parametrize("with_normals", [False, True])
     def test_forward_queries_only_uncertified_samples(self, monkeypatch, with_normals):
@@ -190,7 +196,7 @@ class TestRefineMesh:
         over the samples. Each stage's first iteration queries every sample
         and every target; later ones re-query only the rows whose
         certificate lapsed."""
-        noisy, gt, baseline = self.make_fixture()
+        noisy, gt = self.make_fixture()
         weights = smooth_weights()
         if not with_normals:
             gt = PointCloud(gt.points)
@@ -215,7 +221,7 @@ class TestRefineMesh:
         monkeypatch.setattr(alphaforge.loss, "cKDTree", CountingTree)
         monkeypatch.setattr(alphaforge.loss, "_certified_match", counting)
         cfg = RefineConfig(stages=2, iters_per_stage=5, step_size=3e-5, weights=weights)
-        _, trace = refine_mesh(noisy, gt, baseline, cfg, seed=9)
+        _, trace = refine_mesh(noisy, gt, cfg, seed=9)
         assert len(per_iteration) == len(trace) == 10
         n = len(gt)  # refine_mesh draws one sample per target point
         forward_rows, reverse_rows = (list(rows) for rows in zip(*per_iteration))
@@ -225,10 +231,10 @@ class TestRefineMesh:
         assert all(rows < n for rows in reverse_rows[1:5] + reverse_rows[6:])
 
     def test_trace_csv_shape(self):
-        noisy, gt, baseline = self.make_fixture()
+        noisy, gt = self.make_fixture()
         cfg = RefineConfig(stages=1, iters_per_stage=3, step_size=3e-5,
                            weights=smooth_weights())
-        _, trace = refine_mesh(noisy, gt, baseline, cfg, seed=8)
+        _, trace = refine_mesh(noisy, gt, cfg, seed=8)
         csv = trace_to_csv(trace)
         lines = csv.strip().splitlines()
         assert lines[0].startswith("iteration,logcmd,cmd,")
