@@ -13,9 +13,8 @@ from alphaforge import (
     QPolicy,
     SyntheticSpec,
     greedy_tau,
-    score,
+    score_row,
     synth,
-    tau_meshes,
     train_policy,
 )
 
@@ -45,7 +44,7 @@ hits = 0
 for kind, seed0 in (("torus", 5000), ("blob", 6000)):
     for k in range(5):
         cloud, gt = instance(kind, seed0 + k)
-        rs = [score(mesh, gt, NU, 800, 999) for mesh in tau_meshes(cloud, ACTIONS)]
+        rs = score_row(cloud, gt, ACTIONS, NU, 800, 999)
         pick = greedy_tau(policy, cloud)
         hits += pick == ACTIONS[int(np.argmax(rs))]
         print(f"{kind:<8}{str([round(r, 2) for r in rs]):>22}{f'tau={pick}':>14}")

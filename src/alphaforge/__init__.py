@@ -54,7 +54,7 @@ from .policy import (
     q_values,
     reward,
     save_policy,
-    score,
+    score_row,
     select_action,
     state_descriptor,
     tau_meshes,
@@ -83,7 +83,7 @@ __all__ = [
     "filter_tetrahedra", "greedy_tau", "icosphere", "icp_align", "laplacian_coords",
     "load_policy", "loss_plan", "nonmanifold_edges", "normal_cosine", "pretty_weights",
     "q_values", "read_mesh", "read_points", "reference_mesh", "refine_mesh",
-    "reward", "sample_surface", "save_policy", "score", "select_action",
+    "reward", "sample_surface", "save_policy", "score_row", "select_action",
     "smooth_weights", "state_descriptor", "subdivide", "synth",
     "tau_meshes", "taubin_smooth", "total_loss",
     "trace_to_csv", "train_policy", "triangulate", "unique_edges", "update",

@@ -36,8 +36,7 @@ from .policy import (
     greedy_tau,
     load_policy,
     policy_to_json,
-    score,
-    tau_meshes,
+    score_row,
     train_policy,
 )
 from .refine import RefineConfig, refine_mesh, trace_to_csv
@@ -50,6 +49,8 @@ SEED_SAMPLE = 1
 SEED_POLICY = 2
 SEED_REFINE = 3
 SEED_EVAL = 4
+
+NU_HELP = "reward F1 radius; None: 3%% of each ground truth's longest bounding-box edge"
 
 
 class _UsageError(Exception):
@@ -178,6 +179,9 @@ def _cmd_train_policy(args) -> int:
     meshio._write_text(args.out, policy_to_json(policy))
     if args.log:
         meshio._write_text(args.log, log.to_csv())
+    if log.records and not any(r["reward"] for r in log.records):
+        print("train-policy: every reward was 0, so the policy learned nothing; "
+              "a larger --nu may help", file=sys.stderr)
     print(f"train-policy: {len(log.records)} transitions, "
           f"final epsilon {policy.epsilon:.4f}", file=sys.stderr)
     return 0
@@ -213,19 +217,19 @@ def _cmd_reconstruct(args) -> int:
 
 
 def _ablate_instance(item, taus, policy, nu, n_samples, seed):
-    """One instance's scores by tau, all read off one complex, plus "policy"
+    """One instance's scores by tau, all in one ``score_row``, plus "policy"
     for the policy's pick. A pick among the taus shares their cell (the same
     mesh and seed); a cloud the policy cannot describe picks None, no mesh."""
     cls, name, cloud, gt = item
     pick = None if policy is None else greedy_tau(policy, cloud)
-    cells = list(dict.fromkeys([*taus, pick]))
-    meshed = [tau for tau in cells if tau is not None]
-    meshes = dict(zip(meshed, tau_meshes(cloud, meshed)))
-    scores = {tau: score(meshes.get(tau), gt, nu, n_samples, seed) for tau in cells}
-    return cls, {**scores, "policy": scores[pick]}
+    cells = [tau for tau in dict.fromkeys([*taus, pick]) if tau is not None]
+    scores = dict(zip(cells, score_row(cloud, gt, cells, nu, n_samples, seed)))
+    return cls, {**scores, "policy": scores.get(pick, 0.0)}
 
 
 def _cmd_ablate(args) -> int:
+    if args.jobs < 1:
+        raise _UsageError(f"--jobs (or ALPHAFORGE_JOBS) must be >= 1, not {args.jobs}")
     records = _load_dataset(args.dataset)
     taus = _parse_taus(args.taus)
     policy = load_policy(args.policy) if args.policy else None
@@ -234,7 +238,7 @@ def _cmd_ablate(args) -> int:
     def work(item):
         return _ablate_instance(item, taus, policy, args.nu, args.n_samples, seed)
 
-    with ThreadPoolExecutor(max_workers=max(1, args.jobs)) as pool:
+    with ThreadPoolExecutor(max_workers=args.jobs) as pool:
         results = list(pool.map(work, records))  # input order preserved
 
     by_class = {c: [row for cls, row in results if cls == c]
@@ -335,8 +339,7 @@ def _build_parser() -> _Parser:
     p.add_argument("--epsilon-decay", type=float, default=0.99)
     p.add_argument("--period", type=int, default=2,
                    help="transitions between replay passes")
-    p.add_argument("--nu", type=float, default=1e-4,
-                   help="reward F1 radius")
+    p.add_argument("--nu", type=float, default=None, help=NU_HELP)
     p.add_argument("--n-samples", type=int, default=REWARD_SAMPLES)
     p.add_argument("--log", default=None, help="write the training log CSV here")
     p.set_defaults(func=_cmd_train_policy, out="policy.json")
@@ -368,7 +371,7 @@ def _build_parser() -> _Parser:
     p.add_argument("--taus", default="smooth",
                    help="comma-separated taus or preset")
     p.add_argument("--policy", default=None)
-    p.add_argument("--nu", type=float, default=1e-4)
+    p.add_argument("--nu", type=float, default=None, help=NU_HELP)
     p.add_argument("--n-samples", type=int, default=REWARD_SAMPLES)
     p.add_argument("--jobs", type=int, default=jobs,
                    help="parallel instances ($ALPHAFORGE_JOBS)")

@@ -124,8 +124,8 @@ def f1_score(p: PointCloud, q: PointCloud, r: float) -> tuple[float, float, floa
     """
     if len(p) == 0 or len(q) == 0:
         raise EmptyCloud("f1_score needs non-empty clouds")
-    if r <= 0:
-        raise ValueError("radius must be positive")
+    if not 0.0 < r < np.inf:
+        raise ValueError("radius must be finite and positive")
     return _f1(_match(p.points, q.points), r)
 
 

@@ -5,6 +5,8 @@ each candidate filtering threshold with a linear value model, and picks the
 argmax (or explores uniformly with probability epsilon). Training regresses
 each chosen action's predicted value onto the observed F1 reward with an
 RMS-adaptive step, replaying buffered transitions every ``period`` steps.
+Training keeps each cloud's rewards at every threshold (``score_row``, at
+the run's seed), not its meshes: a reward depends on (cloud, tau, run) alone.
 """
 
 from __future__ import annotations
@@ -20,9 +22,10 @@ from scipy.spatial import cKDTree
 from .alphashape import boundary_meshes
 from .delaunay import delaunay_complex
 from .errors import EmptyMesh, GeometryError, RewardOutOfRange, TooFewPoints
+from .loss import _match
 from .mesh import Mesh, PointCloud
 from .meshio import _text, _write_text
-from .metrics import f1_score
+from .metrics import _f1
 from .sampling import REWARD_SAMPLES, sample_surface
 
 STATE_DIM = 16
@@ -31,6 +34,10 @@ EPSILON_FLOOR = 0.01
 RMS_DECAY = 0.99
 RMS_STEP = 1e-2
 RMS_EPS = 1e-8
+
+# Default reward radius over gt's longest bounding-box edge: Mesh R-CNN's
+# F1@0.3 at a longest edge of 10.
+NU_FRACTION = 0.03
 
 
 def state_descriptor(points: PointCloud | np.ndarray) -> np.ndarray:
@@ -149,18 +156,38 @@ def select_action(policy: QPolicy, s: np.ndarray,
     return int(np.argmax(q_values(policy, s))), True
 
 
-def reward(pred: Mesh, gt: Mesh, nu: float = 1e-4,
+def reward(pred: Mesh, gt: Mesh, nu: float | None = None,
            n_samples: int = REWARD_SAMPLES, seed: int = 0) -> float:
     """Mesh-fidelity reward: F1 at radius nu between equal-seed surface
-    samplings of the two meshes, on a 0..1 scale."""
+    samplings of the two meshes, on a 0..1 scale. Without nu the radius is
+    ``NU_FRACTION`` of gt's longest bounding-box edge."""
+    return _reward_against(gt, nu, n_samples, seed)(pred)
+
+
+def _check_reward_args(nu: float | None, n_samples: int) -> None:
+    if nu is not None and not 0.0 < nu < math.inf:
+        raise ValueError(f"reward radius nu must be finite and positive, not {nu!r}")
     if n_samples < 1:
         raise ValueError("n_samples must be >= 1")
-    if pred.num_faces == 0 or gt.num_faces == 0:
+
+
+def _reward_against(gt: Mesh, nu: float | None, n_samples: int, seed: int):
+    """``reward`` against gt as a function of pred, with gt sampled, and its
+    kd-tree built, once."""
+    _check_reward_args(nu, n_samples)
+    if gt.num_faces == 0:
         raise EmptyMesh("reward needs non-empty meshes")
-    p = sample_surface(pred, n_samples, seed)
-    q = sample_surface(gt, n_samples, seed)
-    _, _, f1 = f1_score(p, q, nu)
-    return f1 / 100.0
+    q = sample_surface(gt, n_samples, seed).points
+    tree = cKDTree(q)
+    radius = nu or NU_FRACTION * float(np.ptp(gt.vertices, axis=0).max())
+
+    def of(pred: Mesh) -> float:
+        if pred.num_faces == 0:
+            raise EmptyMesh("reward needs non-empty meshes")
+        p = sample_surface(pred, n_samples, seed).points
+        return _f1(_match(p, q, tree), radius)[2] / 100.0
+
+    return of
 
 
 def greedy_tau(policy: QPolicy, cloud: PointCloud) -> float | None:
@@ -184,15 +211,29 @@ def tau_meshes(cloud: PointCloud, taus) -> list[Mesh | None]:
     return boundary_meshes(complex_, taus)
 
 
-def score(mesh: Mesh | None, gt: Mesh, nu: float, n_samples: int, seed: int) -> float:
-    """One (cloud, tau) cell's ``reward``; 0 when there is no mesh or the
-    reward raises a GeometryError. Every other error propagates."""
-    if mesh is None:
-        return 0.0
+def score_row(cloud: PointCloud, gt: Mesh, taus, nu: float | None = None,
+              n_samples: int = REWARD_SAMPLES, seed: int = 0) -> list[float]:
+    """Each tau's ``reward`` of the cloud's alpha-shape mesh against gt, bit
+    for bit, with the meshes read off one complex (``tau_meshes``) and gt
+    sampled once. A cell with no mesh, or whose reward raises a
+    GeometryError, scores 0; bad arguments raise before any Qhull run."""
+    return [r or 0.0 for r in _row(cloud, gt, taus, nu, n_samples, seed)]
+
+
+def _row(cloud: PointCloud, gt: Mesh, taus, nu: float | None, n_samples: int,
+         seed: int) -> list[float | None]:
+    """``score_row``'s cells, None where the tau keeps no mesh."""
     try:
-        return reward(mesh, gt, nu=nu, n_samples=n_samples, seed=seed)
-    except GeometryError:
-        return 0.0
+        of = _reward_against(gt, nu, n_samples, seed)
+    except GeometryError:  # every cell with a mesh scores 0
+        return [None if mesh is None else 0.0 for mesh in tau_meshes(cloud, taus)]
+    cells = []
+    for mesh in tau_meshes(cloud, taus):
+        try:
+            cells.append(None if mesh is None else of(mesh))
+        except GeometryError:
+            cells.append(0.0)
+    return cells
 
 
 def update(policy: QPolicy, s: np.ndarray, action: int, observed: float) -> QPolicy:
@@ -219,25 +260,29 @@ def train_policy(
     policy: QPolicy,
     episodes: int,
     seed: int,
-    nu: float = 1e-4,
+    nu: float | None = None,
     n_samples: int = REWARD_SAMPLES,
 ) -> tuple[QPolicy, TrainLog]:
     """Train on (cloud, ground-truth mesh) pairs for ``episodes`` transitions.
 
     Each transition: build the descriptor, epsilon-greedily pick a threshold,
-    take the cloud's alpha-shape mesh at it, ``score`` it, and buffer the
-    transition. Every ``period`` transitions the buffer is replayed once
-    through the update rule and cleared. The dataset order is reshuffled
-    every pass. A cloud the descriptor cannot describe is an error.
+    read its reward off the cloud's reward row, and buffer the transition.
+    Every ``period`` transitions the buffer is replayed once through the
+    update rule and cleared. The dataset order is reshuffled every pass. A
+    cloud the descriptor cannot describe is an error.
 
-    A cloud is tetrahedralized once, at its first visit, and its meshes for
-    every action are read off that one complex; only the meshes are kept.
+    A cloud's row (``score_row``: every action's reward, from one complex
+    and one ground-truth sample) is computed at its first visit, with the
+    run's ``seed`` as the reward seed, and only the row is kept.
     """
     if not dataset:
         raise ValueError("dataset must be non-empty")
+    if episodes < 0:
+        raise ValueError("episodes must be >= 0")
+    _check_reward_args(nu, n_samples)
     rng = np.random.Generator(np.random.Philox(seed))
     descriptors = [state_descriptor(cloud) for cloud, _ in dataset]
-    meshes: dict[int, list[Mesh | None]] = {}
+    rows: dict[int, list[float | None]] = {}
     log = TrainLog()
     buffer: list[tuple[np.ndarray, int, float]] = []
     step = 0
@@ -249,12 +294,15 @@ def train_policy(
             cloud, gt = dataset[i]
             s = descriptors[i]
             action, greedy = select_action(policy, s, rng)
-            if i not in meshes:
-                meshes[i] = tau_meshes(cloud, policy.actions)
-            mesh = meshes[i][action]
-            # the reward seed is drawn only for a mesh
-            r = score(mesh, gt, nu, n_samples,
-                      0 if mesh is None else int(rng.integers(2**62)))
+            if i not in rows:
+                rows[i] = _row(cloud, gt, policy.actions, nu, n_samples, seed)
+            r = rows[i][action]
+            if r is not None:
+                # One draw per episode with a mesh, its value unused: the linear
+                # learner has near ties (tori at nu 0.2), so shifting the
+                # exploration stream changes which seeds collapse onto one action.
+                rng.integers(2**62)
+            r = r or 0.0
             buffer.append((s, action, r))
             log.append(state_hash(s), action, r, policy.epsilon, greedy)
             step += 1

@@ -60,6 +60,15 @@ def complex_builds(monkeypatch):
 
 
 @pytest.fixture
+def surface_samplings(monkeypatch):
+    """Counts ``sample_surface`` calls made through any alphaforge module;
+    each entry's first item is the sampled mesh."""
+    from alphaforge import sampling
+
+    return _count_calls(monkeypatch, sampling.sample_surface, "sample_surface")
+
+
+@pytest.fixture
 def nn_calls(monkeypatch):
     """Counts ``loss.nearest_neighbors`` calls made through any alphaforge
     module."""

@@ -449,7 +449,8 @@ class TestPolicyCommands:
         assert code == 0, err
         assert len(log_path.read_text().splitlines()) == 11
 
-    def test_no_samples_is_an_error_not_a_zero_score(self, tmp_path, capsys):
+    def test_no_samples_is_an_error_not_a_zero_score(self, tmp_path, capsys,
+                                                     complex_builds):
         root = make_dataset(tmp_path, n_per_class=1)
         common = ["--dataset", str(root), "--nu", "0.2", "--n-samples", "0",
                   "--out", str(tmp_path / "out")]
@@ -458,6 +459,58 @@ class TestPolicyCommands:
             code, _, err = invoke(argv, capsys)
             assert code == 2
             assert err == "error: n_samples must be >= 1\n"
+        assert complex_builds == []  # refused before any cloud is tetrahedralized
+
+    @pytest.mark.parametrize("nu", ["nan", "inf", "0", "-0.2"])
+    def test_bad_radius_is_two(self, tmp_path, capsys, nu):
+        root = make_dataset(tmp_path, n_per_class=1)
+        out = tmp_path / "out"
+        common = ["--dataset", str(root), "--nu", nu, "--n-samples", "300",
+                  "--out", str(out)]
+        for argv in (["ablate", "--taus", "0.3"] + common,
+                     ["train-policy", "--actions", "0.3", "--episodes", "2"] + common):
+            code, _, err = invoke(argv, capsys)
+            assert code == 2
+            assert err == (f"error: reward radius nu must be finite and positive, "
+                           f"not {float(nu)!r}\n")
+            assert not out.exists()
+
+    def test_negative_episodes_is_two(self, tmp_path, capsys):
+        root = make_dataset(tmp_path, n_per_class=1)
+        code, _, err = invoke(
+            ["train-policy", "--dataset", str(root), "--episodes", "-3",
+             "--out", str(tmp_path / "p.json")], capsys)
+        assert code == 2
+        assert err == "error: episodes must be >= 0\n"
+        assert not (tmp_path / "p.json").exists()
+
+    def test_default_radius_gives_non_zero_rewards(self, tmp_path, capsys):
+        """Without --nu the radius follows each ground truth's extent; an
+        absolute radius far below the clouds' spacing scores every cell 0,
+        and train-policy says so."""
+        root = make_dataset(tmp_path, n_per_class=1)
+        log_path = tmp_path / "train.csv"
+        common = ["train-policy", "--dataset", str(root), "--actions", "0.3,0.9",
+                  "--episodes", "8", "--n-samples", "300",
+                  "--out", str(tmp_path / "p.json"), "--log", str(log_path)]
+        for extra, rewarded in (([], True), (["--nu", "1e-9"], False)):
+            code, _, err = invoke(common + extra, capsys)
+            assert code == 0, err
+            rewards = [float(line.split(",")[3])
+                       for line in log_path.read_text().splitlines()[1:]]
+            assert len(rewards) == 8
+            assert all(r > 0 for r in rewards) == rewarded
+            assert ("every reward was 0" in err) != rewarded
+
+    def test_ablate_samples_each_ground_truth_once(self, tmp_path, capsys,
+                                                   surface_samplings):
+        root = make_dataset(tmp_path)
+        code, _, err = invoke(
+            ["ablate", "--dataset", str(root), "--taus", "0.3,0.9", "--nu", "0.2",
+             "--n-samples", "300", "--out", str(tmp_path / "table.csv")], capsys)
+        assert code == 0, err
+        sampled = [id(args[0]) for args in surface_samplings]
+        assert len(set(sampled)) == len(sampled) == 4 + 4 * 2  # each gt, each cell's mesh
 
     def test_jobs_env_default(self, monkeypatch):
         from alphaforge.cli import _build_parser
@@ -472,6 +525,20 @@ class TestPolicyCommands:
         code, _, err = invoke(argv, capsys)
         assert code == 1
         assert err == "usage error: ALPHAFORGE_JOBS must be an integer, not 'x'\n"
+
+    @pytest.mark.parametrize("jobs, env", [("0", None), ("-2", None), (None, "0")])
+    def test_jobs_below_one_is_usage_error(self, tmp_path, capsys, monkeypatch,
+                                           jobs, env):
+        if env is not None:
+            monkeypatch.setenv("ALPHAFORGE_JOBS", env)
+        root = make_dataset(tmp_path, n_per_class=1)
+        argv = ["ablate", "--dataset", str(root), "--taus", "0.3", "--nu", "0.2",
+                "--out", str(tmp_path / "table.csv")]
+        code, _, err = invoke(argv + (["--jobs", jobs] if jobs else []), capsys)
+        assert code == 1
+        assert err == (f"usage error: --jobs (or ALPHAFORGE_JOBS) must be >= 1, "
+                       f"not {int(jobs or env)}\n")
+        assert not (tmp_path / "table.csv").exists()
 
     def test_ablate_deterministic_and_parallel_stable(self, tmp_path, capsys):
         root = make_dataset(tmp_path)

@@ -60,6 +60,12 @@ class TestF1:
         with pytest.raises(EmptyCloud):
             f1_score(PointCloud(np.zeros((0, 3))), PointCloud([[0, 0, 0]]), 0.1)
 
+    @pytest.mark.parametrize("r", [0.0, -0.1, float("nan"), float("inf")])
+    def test_radius_must_be_finite_and_positive(self, r):
+        p = PointCloud([[0, 0, 0]])
+        with pytest.raises(ValueError, match="radius must be finite and positive"):
+            f1_score(p, p, r)
+
 
 class TestNormalCosine:
     def test_identical(self):

@@ -13,7 +13,7 @@ from alphaforge import (
     icosphere,
     q_values,
     reward,
-    score,
+    score_row,
     select_action,
     state_descriptor,
     synth,
@@ -34,17 +34,17 @@ from alphaforge.policy import (
 
 PINNED_LOG = """\
 step,state_hash,action,reward,epsilon,greedy
-0,e9734223b020c379,1,0.6088166214995483,0.9,0
+0,e9734223b020c379,1,0.645228426395939,0.9,0
 1,5e7f542963e9b815,0,0.0,0.9,1
 2,2a809b9645970cf9,0,0.0,0.88209,0
-3,2a809b9645970cf9,1,0.7007025761124122,0.88209,1
-4,e9734223b020c379,2,0.8766666666666667,0.8645364090000001,0
-5,5e7f542963e9b815,2,0.8503891050583658,0.8645364090000001,0
-6,5e7f542963e9b815,2,0.8303777335984095,0.8473321344609,1
+3,2a809b9645970cf9,1,0.7021226415094339,0.88209,1
+4,e9734223b020c379,2,0.869948914431673,0.8645364090000001,0
+5,5e7f542963e9b815,2,0.8539510939510939,0.8645364090000001,0
+6,5e7f542963e9b815,2,0.8539510939510939,0.8473321344609,1
 7,e9734223b020c379,0,0.0,0.8473321344609,0
-8,2a809b9645970cf9,2,0.9332857142857143,0.8304702249851281,0
-9,5e7f542963e9b815,2,0.8153629032258065,0.8304702249851281,1
-10,2a809b9645970cf9,2,0.9532284382284384,0.8139438675079241,0
+8,2a809b9645970cf9,2,0.9530419580419581,0.8304702249851281,0
+9,5e7f542963e9b815,2,0.8539510939510939,0.8304702249851281,1
+10,2a809b9645970cf9,2,0.9530419580419581,0.8139438675079241,0
 11,e9734223b020c379,0,0.0,0.8139438675079241,0
 """
 
@@ -158,11 +158,33 @@ class TestReward:
         with pytest.raises(EmptyMesh):
             reward(Mesh(np.zeros((0, 3))), icosphere(0))
 
-    def test_no_samples_is_a_usage_error_not_a_score(self):
+    def test_no_samples_is_a_usage_error_not_a_score(self, complex_builds):
         mesh = icosphere(1)
-        for call in (reward, score):
-            with pytest.raises(ValueError, match="n_samples"):
-                call(mesh, mesh, 1e-4, 0, 3)
+        with pytest.raises(ValueError, match="n_samples"):
+            reward(mesh, mesh, 1e-4, 0, 3)
+        with pytest.raises(ValueError, match="n_samples"):
+            score_row(sphere_cloud(n=100), mesh, (0.3,), 1e-4, 0, 3)
+        assert complex_builds == []  # refused before the cloud is tetrahedralized
+
+    @pytest.mark.parametrize("nu", [0.0, -0.2, float("nan"), float("inf")])
+    def test_radius_must_be_finite_and_positive(self, complex_builds, nu):
+        mesh = icosphere(1)
+        cloud = sphere_cloud(n=100)
+        for call in (lambda: reward(mesh, mesh, nu, 100, 3),
+                     lambda: score_row(cloud, mesh, (0.3,), nu, 100, 3),
+                     lambda: train_policy([(cloud, mesh)], QPolicy.fresh((0.3,)), 2, 3,
+                                          nu, 100)):
+            with pytest.raises(ValueError, match="nu must be finite and positive"):
+                call()
+        assert complex_builds == []
+
+    def test_default_radius_is_three_percent_of_the_ground_truth_extent(self):
+        gt, pred = icosphere(2), icosphere(1)
+        want = reward(pred, gt, 0.03 * float(np.ptp(gt.vertices, axis=0).max()), 500, 3)
+        assert 0.0 < want < 1.0
+        for k in (-10, 0, 40):  # scaling by a power of two is exact, radius included
+            assert reward(pred.with_vertices(pred.vertices * 2.0**k),
+                          gt.with_vertices(gt.vertices * 2.0**k), None, 500, 3) == want
 
 
 def coplanar_cloud(n=40, seed=5):
@@ -183,11 +205,23 @@ class TestScoringPath:
     def test_tau_meshes_none_everywhere_for_coplanar_cloud(self):
         assert tau_meshes(coplanar_cloud(), (0.3, 0.9)) == [None, None]
 
-    def test_score_is_reward_or_zero_on_geometry_errors(self):
-        mesh = icosphere(1)
-        assert score(mesh, mesh, 1e-4, 500, 3) == reward(mesh, mesh, 1e-4, 500, 3)
-        assert score(None, mesh, 1e-4, 500, 3) == 0.0
-        assert score(mesh, Mesh(np.zeros((0, 3))), 1e-4, 500, 3) == 0.0  # EmptyMesh
+    def test_score_is_reward_or_zero_on_geometry_errors(self, surface_samplings):
+        """A row's cells are the bytes of ``reward`` at the same seed, from
+        one sampling of the ground truth; 0 where the tau keeps no mesh, the
+        ground truth is empty or the cloud cannot be tetrahedralized."""
+        cloud, gt = synth(SyntheticSpec("sphere", n=120, fill="solid", seed=9,
+                                        major_radius=0.8))
+        taus = (0.05, 0.3, 0.9)
+        meshes = tau_meshes(cloud, taus)
+        assert meshes[0] is None and None not in meshes[1:]
+        for nu in (0.2, 0.01, None):
+            surface_samplings.clear()
+            row = score_row(cloud, gt, taus, nu, 300, 7)
+            assert [args[0] is gt for args in surface_samplings] == [True, False, False]
+            want = [0.0] + [reward(mesh, gt, nu, 300, 7) for mesh in meshes[1:]]
+            assert [r.hex() for r in row] == [w.hex() for w in want]
+        assert score_row(cloud, Mesh(np.zeros((0, 3))), taus, 0.2, 300, 7) == [0.0] * 3
+        assert score_row(coplanar_cloud(), gt, taus, 0.2, 300, 7) == [0.0] * 3
 
     def test_greedy_tau_is_the_top_ranked_action(self):
         theta = np.zeros((3, STATE_DIM))
@@ -313,9 +347,32 @@ class TestTrainPolicy:
                      nu=0.2, n_samples=300)
         assert len(complex_builds) == 3
 
+    def test_scores_each_cell_once(self, surface_samplings):
+        """Each ground truth is sampled once, at its cloud's first visit, and
+        each (cloud, action) mesh at most once."""
+        dataset = self.three_cloud_dataset()
+        policy = QPolicy.fresh((0.05, 0.3, 0.9), epsilon=0.9)
+        train_policy(dataset, policy, episodes=12, seed=3, nu=0.2, n_samples=300)
+        sampled = [args[0] for args in surface_samplings]
+        gts = [gt for _, gt in dataset]
+        assert [sum(mesh is gt for mesh in sampled) for gt in gts] == [1, 1, 1]
+        meshes = [mesh for mesh in sampled if not any(mesh is gt for gt in gts)]
+        assert len({id(mesh) for mesh in meshes}) == len(meshes) == 2 * len(dataset)
+
+    @pytest.mark.parametrize("kwargs, problem", [
+        ({"episodes": -3}, "episodes must be >= 0"),
+        ({"n_samples": 0}, "n_samples must be >= 1"),
+    ])
+    def test_bad_arguments_rejected_before_any_work(self, complex_builds, kwargs, problem):
+        args = {"episodes": 4, "seed": 3, "nu": 0.2, "n_samples": 300, **kwargs}
+        with pytest.raises(ValueError, match=problem):
+            train_policy(self.three_cloud_dataset(), QPolicy.fresh((0.3, 0.9)), **args)
+        assert complex_builds == []
+
     def test_log_and_policy_pinned(self):
-        """Training output recorded before the complex was shared across
-        episodes; the empty action scores 0 without drawing a reward seed."""
+        """Training output: a repeated (cloud, action) cell repeats its
+        reward, scored once at the run's seed; the exploration columns are
+        as recorded when every episode drew its own reward seed."""
         dataset = self.three_cloud_dataset()
         for cloud, _ in dataset:
             with pytest.raises(EmptyMesh):
@@ -325,7 +382,7 @@ class TestTrainPolicy:
                                    nu=0.2, n_samples=300)
         assert log.to_csv() == PINNED_LOG
         digest = hashlib.sha256(policy_to_json(policy).encode()).hexdigest()
-        assert digest == "8e60430743895cfb2e0012b642f06e53b15551725cd08bd47b3f7f9459b836ce"
+        assert digest == "722f61cd5a6b462e92bffb07031a50c2d20e67fedd258f55fc6754e5cf959286"
 
     def test_coplanar_cloud_scores_zero(self):
         """A cloud Qhull cannot tetrahedralize scores 0 at every action,
