@@ -33,6 +33,7 @@ from .mesh import _edge_table
 from .metrics import PROTOCOLS, evaluate
 from .policy import (
     QPolicy,
+    _check_reward_args,
     greedy_tau,
     load_policy,
     policy_to_json,
@@ -68,7 +69,7 @@ def _parse(parser: _Parser, argv: list[str] | None) -> argparse.Namespace:
     """Parse argv, with a ``--config`` JSON document's values spliced in as
     flags right after the subcommand name: argparse converts and checks them
     as it does the command line's own flags, which come later and so win.
-    Keys are flag names (``in``, ``in-format``; ``_`` for ``-`` too). Unknown
+    Keys are flag names (``in``, ``n-samples``; ``_`` for ``-`` too). Unknown
     keys, and values no flag could spell, are usage errors."""
     argv = sys.argv[1:] if argv is None else list(argv)
     find = _Parser(add_help=False)
@@ -130,6 +131,11 @@ def _parse_taus(text: str) -> tuple[float, ...]:
 
 
 def _cmd_synth(args) -> int:
+    if args.ref_out:  # checked before anything is written
+        try:
+            meshio._infer_format(args.ref_out, None, meshio.MESH_FORMATS)
+        except ValueError:
+            raise _UsageError(f"--ref-out needs a suffix in {meshio.MESH_FORMATS}") from None
     spec = SyntheticSpec(shape=args.shape, n=args.n, sigma=args.sigma,
                          seed=args.seed + SEED_SYNTH, fill=args.fill,
                          major_radius=args.major_radius,
@@ -142,7 +148,7 @@ def _cmd_synth(args) -> int:
 
 
 def _cmd_triangulate(args) -> int:
-    cloud = meshio.read_points(args.infile, args.in_format)
+    cloud = meshio.read_points(args.infile)
     mesh = triangulate(cloud, args.tau)
     edges, _, faces_per_edge = _edge_table(mesh.faces)
     print(f"triangulate: {mesh.num_vertices} vertices, {mesh.num_faces} faces, "
@@ -154,14 +160,14 @@ def _cmd_triangulate(args) -> int:
 
 
 def _cmd_sample(args) -> int:
-    mesh = meshio.read_mesh(args.mesh, args.in_format)
+    mesh = meshio.read_mesh(args.mesh)
     cloud = sample_surface(mesh, args.n, args.seed + SEED_SAMPLE)
     meshio._write_text(args.out, meshio.points_to_text(cloud, args.format))
     return 0
 
 
 def _cmd_evaluate(args) -> int:
-    pred = meshio.read_mesh(args.pred, None if args.pred != "-" else "obj")
+    pred = meshio.read_mesh(args.pred)
     gt = meshio.read_mesh(args.gt)
     report = evaluate(pred, gt, args.protocol, n_samples=args.n_samples,
                       seed=args.seed + SEED_EVAL, class_label=args.class_label)
@@ -188,7 +194,7 @@ def _cmd_train_policy(args) -> int:
 
 
 def _cmd_reconstruct(args) -> int:
-    cloud = meshio.read_points(args.infile, args.in_format)
+    cloud = meshio.read_points(args.infile)
     if args.policy:
         tau = greedy_tau(load_policy(args.policy), cloud)
         if tau is None:
@@ -230,6 +236,7 @@ def _ablate_instance(item, taus, policy, nu, n_samples, seed):
 def _cmd_ablate(args) -> int:
     if args.jobs < 1:
         raise _UsageError(f"--jobs (or ALPHAFORGE_JOBS) must be >= 1, not {args.jobs}")
+    _check_reward_args(args.nu, args.n_samples)
     records = _load_dataset(args.dataset)
     taus = _parse_taus(args.taus)
     policy = load_policy(args.policy) if args.policy else None
@@ -296,7 +303,7 @@ def _build_parser() -> _Parser:
                    help="sample the surface or the solid body")
     p.add_argument("--major-radius", type=float, default=1.0)
     p.add_argument("--minor-radius", type=float, default=0.4)
-    p.add_argument("--format", choices=("xyz", "ply"), default="xyz")
+    p.add_argument("--format", choices=meshio.POINT_FORMATS, default="xyz")
     p.add_argument("--ref-out", default=None,
                    help="also write the reference mesh here")
     p.set_defaults(func=_cmd_synth)
@@ -305,18 +312,16 @@ def _build_parser() -> _Parser:
     common(p)
     p.add_argument("--in", dest="infile", default="-",
                    help="input cloud, '-' for stdin")
-    p.add_argument("--in-format", choices=("xyz", "ply"), default="xyz")
     p.add_argument("--tau", type=float, required=True,
                    help="circumradius threshold")
-    p.add_argument("--format", choices=("obj", "off", "ply"), default="obj")
+    p.add_argument("--format", choices=meshio.MESH_FORMATS, default="obj")
     p.set_defaults(func=_cmd_triangulate)
 
     p = subparser("sample", help="area-uniform surface sampling of a mesh")
     common(p)
     p.add_argument("--mesh", required=True, help="input mesh path, '-' for stdin")
-    p.add_argument("--in-format", choices=("obj", "off", "ply"), default="obj")
     p.add_argument("--n", type=int, default=METRIC_SAMPLES)
-    p.add_argument("--format", choices=("xyz", "ply"), default="xyz")
+    p.add_argument("--format", choices=meshio.POINT_FORMATS, default="xyz")
     p.set_defaults(func=_cmd_sample)
 
     p = subparser("evaluate", help="protocol evaluation of pred vs gt mesh")
@@ -348,7 +353,6 @@ def _build_parser() -> _Parser:
                   help="cloud -> triangulate -> baseline -> refine -> mesh")
     common(p)
     p.add_argument("--in", dest="infile", default="-")
-    p.add_argument("--in-format", choices=("xyz", "ply"), default="xyz")
     p.add_argument("--tau", type=float, default=None)
     p.add_argument("--policy", default=None, help="policy JSON choosing tau")
     p.add_argument("--preset", choices=("smooth", "pretty"), default="smooth",
@@ -361,7 +365,7 @@ def _build_parser() -> _Parser:
                    help="midpoint-subdivide between stages")
     p.add_argument("--taubin-iters", type=int, default=10)
     p.add_argument("--trace", default=None, help="write loss-trace CSV here")
-    p.add_argument("--format", choices=("obj", "off", "ply"), default="obj")
+    p.add_argument("--format", choices=meshio.MESH_FORMATS, default="obj")
     p.set_defaults(func=_cmd_reconstruct)
 
     p = subparser("ablate",

@@ -4,6 +4,8 @@ Writers emit shortest round-trip decimal floats (Python repr), so files are
 diff-stable and re-reading reproduces coordinates bit-for-bit. Parsers
 reject non-finite coordinates and report 1-based line numbers on failure.
 Readers take the path ``-`` as standard input, writers as standard output.
+Readers tell formats apart by the first word after any blank or ``#`` lines
+(``ply``, ``OFF``, else OBJ or XYZ); writers by ``format``, else the suffix.
 
 OBJ and XYZ files laid out as the writers lay them out (only ``v x y z``
 lines followed by only ``f a b c`` lines; only ``x y z`` lines) are read
@@ -23,6 +25,7 @@ elements. A count is decimal digits.
 from __future__ import annotations
 
 import math
+import re
 import sys
 from pathlib import Path
 
@@ -33,12 +36,11 @@ from .mesh import Mesh, PointCloud
 
 MESH_FORMATS = ("obj", "off", "ply")
 POINT_FORMATS = ("xyz", "ply")
+_FIRST_WORD = re.compile(r"(?:\s*#[^\n]*\n)*\s*(\S*)")
 
 
 def _infer_format(path, fmt, allowed) -> str:
-    if fmt is None:
-        fmt = Path(path).suffix.lstrip(".").lower()
-    fmt = fmt.lower()
+    fmt = (fmt or Path(path).suffix.lstrip(".")).lower()
     if fmt not in allowed:
         raise ValueError(f"format {fmt!r} not in {allowed}")
     return fmt
@@ -75,21 +77,17 @@ def _text(path) -> str:
         raise UnsupportedElement(f"file is not ASCII/UTF-8 text ({exc})") from None
 
 
-def read_mesh(path, format: str | None = None) -> Mesh:
+def read_mesh(path) -> Mesh:
     """Read a triangle mesh; polygonal faces are fan-triangulated. Vertices
     are kept as written (never merged), so topology diagnostics see the
     file's own connectivity."""
-    fmt = _infer_format(path, format, MESH_FORMATS)
-    return mesh_from_text(_text(path), fmt)
+    return mesh_from_text(_text(path))
 
 
-def mesh_from_text(text: str, format: str) -> Mesh:
+def mesh_from_text(text: str) -> Mesh:
     """Parse a mesh from file contents already in memory."""
-    fmt = _infer_format("", format, MESH_FORMATS)
-    if fmt == "obj":
-        verts, faces = _read_obj(text)
-    else:
-        verts, faces, *_ = (_read_off if fmt == "off" else _read_ply)(text.splitlines())
+    reader = {"ply": _read_ply, "OFF": _read_off}.get(_FIRST_WORD.match(text).group(1))
+    verts, faces = _read_obj(text) if reader is None else reader(text.splitlines())[:2]
     return Mesh(verts, np.array(faces, dtype=np.int64).reshape(-1, 3))
 
 
@@ -280,8 +278,7 @@ def _read_elements(elements, rows, lineno):
 def write_mesh(mesh: Mesh, path, format: str | None = None) -> None:
     """Write a mesh; re-reading reproduces vertices exactly and faces
     identically."""
-    fmt = _infer_format(path, format, MESH_FORMATS)
-    _write_text(path, mesh_to_text(mesh, fmt))
+    _write_text(path, mesh_to_text(mesh, _infer_format(path, format, MESH_FORMATS)))
 
 
 def mesh_to_text(mesh: Mesh, format: str) -> str:
@@ -313,16 +310,14 @@ def _ply_header(nv: int, nf: int, normals: bool) -> list[str]:
             "property list uchar int vertex_indices", "end_header"]
 
 
-def read_points(path, format: str | None = None) -> PointCloud:
+def read_points(path) -> PointCloud:
     """Read a point cloud: XYZ ('x y z [nx ny nz]' per line) or ASCII PLY."""
-    fmt = _infer_format(path, format, POINT_FORMATS)
-    return points_from_text(_text(path), fmt)
+    return points_from_text(_text(path))
 
 
-def points_from_text(text: str, format: str) -> PointCloud:
+def points_from_text(text: str) -> PointCloud:
     """Parse a point cloud from file contents already in memory."""
-    fmt = _infer_format("", format, POINT_FORMATS)
-    if fmt == "ply":
+    if _FIRST_WORD.match(text).group(1) == "ply":
         verts, _, normals, lines = _read_ply(text.splitlines())
         return PointCloud(verts, None if normals is None else _normalize_normals(normals, lines))
     fields = _fields(text, 3)
@@ -366,8 +361,7 @@ def _normalize_normals(normals: np.ndarray, lines: list[int]) -> np.ndarray:
 
 def write_points(cloud: PointCloud, path, format: str | None = None) -> None:
     """Write a point cloud in XYZ or ASCII PLY form; exact round-trip."""
-    fmt = _infer_format(path, format, POINT_FORMATS)
-    _write_text(path, points_to_text(cloud, fmt))
+    _write_text(path, points_to_text(cloud, _infer_format(path, format, POINT_FORMATS)))
 
 
 def points_to_text(cloud: PointCloud, format: str) -> str:

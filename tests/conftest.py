@@ -60,6 +60,14 @@ def complex_builds(monkeypatch):
 
 
 @pytest.fixture
+def descriptor_calls(monkeypatch):
+    """Counts ``state_descriptor`` calls made through any alphaforge module."""
+    from alphaforge import policy
+
+    return _count_calls(monkeypatch, policy.state_descriptor, "state_descriptor")
+
+
+@pytest.fixture
 def surface_samplings(monkeypatch):
     """Counts ``sample_surface`` calls made through any alphaforge module;
     each entry's first item is the sampled mesh."""

@@ -18,7 +18,6 @@ from alphaforge import (
     write_points,
 )
 from alphaforge.cli import run
-from alphaforge.meshio import mesh_to_text
 from alphaforge.policy import QPolicy, load_policy, policy_to_json, save_policy
 from test_meshio import MALFORMED_PLY_HEADER_LINES, malformed_ply_header_index
 
@@ -147,23 +146,28 @@ class TestExitCodes:
         assert (0, from_config) == invoke(base + ["--tau", "0.5"], capsys)[:2]
 
     def test_config_keys_are_flag_names(self, tmp_path, capsys):
-        """``in`` and ``in-format`` (or ``in_format``) name the flags; the
-        argparse destination ``infile`` is no key."""
+        """``in`` names triangulate's ``--in``, and ``minor-radius`` (or
+        ``minor_radius``) synth's ``--minor-radius``; the argparse
+        destination ``infile`` is no key, nor is the deleted ``in-format``."""
         cloud, _ = synth(SyntheticSpec("sphere", n=300, fill="solid", seed=1))
         write_points(cloud, tmp_path / "c.xyz")
         want = invoke(["triangulate", "--in", str(tmp_path / "c.xyz"), "--tau", "0.5"],
                       capsys)[1]
         cfg = tmp_path / "cfg.json"
-        for doc in ({"in": str(tmp_path / "c.xyz")},
-                    {"in": str(tmp_path / "c.xyz"), "in-format": "xyz"},
-                    {"in": str(tmp_path / "c.xyz"), "in_format": "xyz"}):
-            cfg.write_text(json.dumps(doc))
-            code, out, err = invoke(["triangulate", "--tau", "0.5", "--config", str(cfg)],
-                                    capsys)
+        cfg.write_text(json.dumps({"in": str(tmp_path / "c.xyz")}))
+        code, out, err = invoke(["triangulate", "--tau", "0.5", "--config", str(cfg)], capsys)
+        assert (code, out) == (0, want), err
+        base = ["synth", "--shape", "torus", "--n", "20"]
+        want = invoke(base + ["--minor-radius", "0.2"], capsys)[1]
+        for key in ("minor-radius", "minor_radius"):
+            cfg.write_text(json.dumps({key: 0.2}))
+            code, out, err = invoke(base + ["--config", str(cfg)], capsys)
             assert (code, out) == (0, want), err
-        cfg.write_text(json.dumps({"infile": str(tmp_path / "c.xyz")}))
-        code, _, err = invoke(["triangulate", "--tau", "0.5", "--config", str(cfg)], capsys)
-        assert code == 1 and "unknown config key 'infile'" in err
+        for key in ("infile", "in-format"):
+            cfg.write_text(json.dumps({"in": str(tmp_path / "c.xyz"), key: "x"}))
+            code, _, err = invoke(["triangulate", "--tau", "0.5", "--config", str(cfg)],
+                                  capsys)
+            assert code == 1 and f"unknown config key '{key}'" in err
 
     @pytest.mark.parametrize("flag", ["out", "ref-out", "policy", "config"])
     def test_unreadable_or_unwritable_path_is_two(self, tmp_path, capsys, flag):
@@ -181,19 +185,6 @@ class TestExitCodes:
         assert code == 2
         assert err.splitlines()[-1].startswith(f"error: cannot {verb} {missing}: ")
 
-    @pytest.mark.parametrize("fmt, line", [("off", 2), ("ply", 10)])
-    def test_piped_off_or_ply_prediction_is_two(self, tmp_path, capsys, monkeypatch,
-                                                fmt, line):
-        """``evaluate --pred -`` reads OBJ; an OFF or PLY mesh is refused at
-        its first numeric record, not read as an empty mesh."""
-        _, ref = synth(SyntheticSpec("sphere", n=10, seed=1))
-        write_mesh(ref, tmp_path / "gt.obj")
-        monkeypatch.setattr("sys.stdin", io.StringIO(mesh_to_text(ref, fmt)))
-        code, _, err = invoke(["evaluate", "--pred", "-", "--gt", str(tmp_path / "gt.obj"),
-                               "--protocol", "meshrcnn"], capsys)
-        assert code == 2
-        assert err.startswith(f"error: line {line}: ")
-
     @pytest.mark.parametrize("line", MALFORMED_PLY_HEADER_LINES)
     def test_malformed_ply_header_is_two(self, tmp_path, capsys, line):
         header = ["ply", "format ascii 1.0", "element vertex 2", "property double x",
@@ -202,8 +193,7 @@ class TestExitCodes:
         header[at] = line
         path = tmp_path / "c.ply"
         path.write_text("\n".join(header + ["0 0 0", "1 1 1"]) + "\n")
-        code, _, err = invoke(["triangulate", "--in", str(path), "--in-format", "ply",
-                               "--tau", "0.3"], capsys)
+        code, _, err = invoke(["triangulate", "--in", str(path), "--tau", "0.3"], capsys)
         assert code == 2
         assert err.startswith(f"error: line {at + 1}: ")
 
@@ -307,6 +297,18 @@ class TestSynthTriangulate:
         assert code == 0
         assert euler_characteristic(read_mesh(ref)) == -2
 
+    @pytest.mark.parametrize("ref_out", ["-", "ref.txt", "ref"])
+    def test_ref_out_without_a_mesh_suffix_is_usage_error(self, tmp_path, capsys, ref_out):
+        """The writer rule takes the reference's format from its suffix, so
+        a name without one is refused before the cloud is written."""
+        cloud_path = tmp_path / "c.xyz"
+        code, out, err = invoke(["synth", "--shape", "sphere", "--n", "10",
+                                 "--out", str(cloud_path), "--ref-out", ref_out], capsys)
+        assert (code, out) == (1, "")
+        assert err.startswith("usage error: --ref-out needs a suffix in "
+                              "('obj', 'off', 'ply')")
+        assert list(tmp_path.iterdir()) == []
+
 
 class TestSampleEvaluate:
     def test_sample_counts_and_determinism(self, tmp_path, capsys):
@@ -335,6 +337,45 @@ class TestSampleEvaluate:
         assert doc["chamfer"] == 0.0
         assert all(v == 100.0 for v in doc["f1"].values())
         assert doc["normal_cosine"] == 1.0
+
+    @pytest.mark.parametrize("fmt", ["off", "ply"])
+    def test_piped_off_or_ply_prediction_matches_file(self, tmp_path, capsys, monkeypatch,
+                                                      fmt):
+        """``evaluate --pred -`` reads a piped OFF or PLY mesh by its content,
+        and reports what the same mesh written as OBJ gives."""
+        cloud, ref = synth(SyntheticSpec("sphere", n=300, fill="solid", seed=1))
+        write_points(cloud, tmp_path / "c.xyz")
+        write_mesh(ref, tmp_path / "gt.obj")
+        triangulate = ["triangulate", "--in", str(tmp_path / "c.xyz"), "--tau", "0.5"]
+        assert invoke(triangulate + ["--out", str(tmp_path / "p.obj")], capsys)[0] == 0
+        code, piped, err = invoke(triangulate + ["--format", fmt], capsys)
+        assert code == 0, err
+        evaluate = ["evaluate", "--gt", str(tmp_path / "gt.obj"), "--protocol", "meshrcnn",
+                    "--n-samples", "500", "--pred"]
+        code, want, err = invoke(evaluate + [str(tmp_path / "p.obj")], capsys)
+        assert code == 0, err
+        monkeypatch.setattr("sys.stdin", io.StringIO(piped))
+        assert invoke(evaluate + ["-"], capsys) == (0, want, "")
+
+
+class TestInputFormats:
+    @pytest.mark.parametrize("argv, fmt", [
+        (["sample", "--n", "200", "--mesh"], "off"),
+        (["sample", "--n", "200", "--mesh"], "ply"),
+        (["triangulate", "--tau", "0.5", "--in"], "ply"),
+        (["reconstruct", "--tau", "0.5", "--stages", "1", "--iters", "2", "--in"], "ply"),
+    ], ids=["sample-off", "sample-ply", "triangulate-ply", "reconstruct-ply"])
+    def test_input_read_by_content(self, tmp_path, capsys, argv, fmt):
+        """A command reads a file by its content, whatever its suffix says:
+        the output is the bytes the OBJ or XYZ copy of the input gives."""
+        cloud, ref = synth(SyntheticSpec("torus", n=400, fill="surface", seed=2))
+        write, data, plain = ((write_mesh, ref, tmp_path / "in.obj") if argv[0] == "sample"
+                              else (write_points, cloud, tmp_path / "in.xyz"))
+        write(data, plain)
+        write(data, tmp_path / f"in.{fmt}")
+        want = invoke(argv + [str(plain)], capsys)
+        assert want[0] == 0, want[2]
+        assert invoke(argv + [str(tmp_path / f"in.{fmt}")], capsys) == want
 
 
 class TestPolicyCommands:
@@ -450,16 +491,20 @@ class TestPolicyCommands:
         assert len(log_path.read_text().splitlines()) == 11
 
     def test_no_samples_is_an_error_not_a_zero_score(self, tmp_path, capsys,
-                                                     complex_builds):
+                                                     complex_builds, descriptor_calls):
         root = make_dataset(tmp_path, n_per_class=1)
+        policy_path = tmp_path / "policy.json"
+        save_policy(QPolicy.fresh((0.3, 0.9)), policy_path)
         common = ["--dataset", str(root), "--nu", "0.2", "--n-samples", "0",
                   "--out", str(tmp_path / "out")]
         for argv in (["ablate", "--taus", "0.3"] + common,
+                     ["ablate", "--taus", "0.3", "--policy", str(policy_path)] + common,
                      ["train-policy", "--actions", "0.3", "--episodes", "2"] + common):
             code, _, err = invoke(argv, capsys)
             assert code == 2
             assert err == "error: n_samples must be >= 1\n"
-        assert complex_builds == []  # refused before any cloud is tetrahedralized
+        # refused before any cloud is described or tetrahedralized
+        assert complex_builds == [] and descriptor_calls == []
 
     @pytest.mark.parametrize("nu", ["nan", "inf", "0", "-0.2"])
     def test_bad_radius_is_two(self, tmp_path, capsys, nu):

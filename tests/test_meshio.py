@@ -117,7 +117,7 @@ class TestReadMesh:
         text = "\n".join(header + ["0 0 0", "1 1 1"]) + "\n"
         for read in (meshio.mesh_from_text, meshio.points_from_text):
             with pytest.raises(ParseError) as err:
-                read(text, "ply")
+                read(text)
             assert err.value.line == at + 1
 
     @pytest.mark.parametrize("counts", ["3 -1 0", "-1 1 0", "3 x 0", "+3 1 0", "3"])
@@ -125,15 +125,35 @@ class TestReadMesh:
         """A count is decimal digits, as in PLY: a negative nf must not read
         as no faces, nor a negative nv reach the mesh as a bad face index."""
         with pytest.raises(ParseError) as err:
-            meshio.mesh_from_text(f"OFF\n{counts}\n0 0 0\n1 0 0\n0 1 0\n3 0 1 2\n", "off")
+            meshio.mesh_from_text(f"OFF\n{counts}\n0 0 0\n1 0 0\n0 1 0\n3 0 1 2\n")
         assert err.value.line == 2
 
     def test_dash_reads_stdin(self, monkeypatch):
         monkeypatch.setattr("sys.stdin", io.StringIO(MINIMAL_OFF))
-        mesh = read_mesh("-", "off")
+        mesh = read_mesh("-")
         np.testing.assert_array_equal(mesh.faces, [[0, 1, 2]])
         monkeypatch.setattr("sys.stdin", io.StringIO("0 0 0\n1 2 3\n"))
-        np.testing.assert_array_equal(read_points("-", "xyz").points, [[0, 0, 0], [1, 2, 3]])
+        np.testing.assert_array_equal(read_points("-").points, [[0, 0, 0], [1, 2, 3]])
+
+    @pytest.mark.parametrize("head", ["# a comment\n", "\n  \n", "# a\n\n\t# b\r\n"])
+    def test_off_line_after_comments_and_blank_lines(self, head):
+        """The format is the first word after any blank or '#' lines."""
+        mesh = meshio.mesh_from_text(head + MINIMAL_OFF)
+        np.testing.assert_array_equal(mesh.faces, [[0, 1, 2]])
+
+    def test_format_read_from_content_not_suffix(self, tmp_path):
+        """OBJ text named .off reads as OBJ and an XYZ cloud named .txt
+        reads; OFF text without its OFF line, OFF given as a cloud and PLY
+        whose magic is not on line 1 are refused at their line."""
+        mesh = read_mesh(write(tmp_path, "t.off", MINIMAL_OBJ))
+        np.testing.assert_array_equal(mesh.faces, [[0, 1, 2]])
+        cloud = read_points(write(tmp_path, "c.txt", "0 0 0\n1 2 3\n"))
+        np.testing.assert_array_equal(cloud.points, [[0, 0, 0], [1, 2, 3]])
+        for read, text in ((read_mesh, MINIMAL_OFF.split("\n", 1)[1]),
+                           (read_points, MINIMAL_OFF), (read_mesh, "\n" + MINIMAL_PLY)):
+            with pytest.raises(ParseError) as err:
+                read(write(tmp_path, "t.off", text))
+            assert err.value.line == 1
 
     @pytest.mark.parametrize("text, line", [
         (MINIMAL_OFF, 2), (MINIMAL_PLY, 10), ("v 0 0 0\n-1 2 3\n", 2),
@@ -143,11 +163,11 @@ class TestReadMesh:
         """No OBJ keyword starts with a digit, a sign or '.', so an OFF or
         PLY body read as OBJ is a ParseError, not an empty mesh."""
         with pytest.raises(ParseError) as err:
-            meshio.mesh_from_text(text, "obj")
+            meshio._read_obj(text)
         assert err.value.line == line
 
     def test_dash_writes_stdout(self, capsys):
-        write_mesh(meshio.mesh_from_text(MINIMAL_OBJ, "obj"), "-", "obj")
+        write_mesh(meshio.mesh_from_text(MINIMAL_OBJ), "-", "obj")
         write_points(PointCloud(np.array([[0.0, 0.0, 0.0], [1.0, 2.0, 3.0]])), "-", "xyz")
         assert capsys.readouterr().out == (
             "v 0.0 0.0 0.0\nv 1.0 0.0 0.0\nv 0.0 1.0 0.0\nf 1 2 3\n"
@@ -264,7 +284,7 @@ class TestReadPoints:
 
     def test_first_normal_after_plain_lines_rejected_at_its_line(self):
         with pytest.raises(ParseError, match="mixed lines") as err:
-            meshio.points_from_text("1 1 1\n1 1 1 1 1 1\n", "xyz")
+            meshio.points_from_text("1 1 1\n1 1 1 1 1 1\n")
         assert err.value.line == 2
 
     @pytest.mark.parametrize("normal", ["1e154 1e154 1e154", "0 0 1e-13", "0 0 0"])
@@ -273,9 +293,9 @@ class TestReadPoints:
         ply = ("ply\nformat ascii 1.0\nelement vertex 2\nproperty double x\n"
                "property double y\nproperty double z\nproperty double nx\n"
                "property double ny\nproperty double nz\nend_header\n") + xyz
-        for text, fmt, line in ((xyz, "xyz", 2), (ply, "ply", 12)):
+        for text, line in ((xyz, 2), (ply, 12)):
             with pytest.raises(ParseError, match="normal cannot be normalized") as err:
-                meshio.points_from_text(text, fmt)
+                meshio.points_from_text(text)
             assert err.value.line == line
 
 
@@ -316,7 +336,7 @@ def line_parser_obj(text):
 
 
 def array_path_xyz(text):
-    return xyz_outcome(lambda t: meshio.points_from_text(t, "xyz"), text)
+    return xyz_outcome(meshio.points_from_text, text)
 
 
 def line_parser_xyz(text):
@@ -467,14 +487,14 @@ class TestArrayPath:
         """Field counts that fit a plain layout although the lines do not."""
         read = meshio.mesh_from_text if fmt == "obj" else meshio.points_from_text
         with pytest.raises(ParseError) as err:
-            read(text, fmt)
+            read(text)
         assert err.value.line == line
 
     def test_two_records_on_one_line_read_as_one(self):
         """The line parser reads the first three fields of a 'v' line, so
         face 1 2 3 names a third vertex that does not exist."""
         with pytest.raises(InvalidMesh):
-            meshio.mesh_from_text("v 0 0 0\nv 1 2 3 v 4 5 6\nf 1 2 3\n", "obj")
+            meshio.mesh_from_text("v 0 0 0\nv 1 2 3 v 4 5 6\nf 1 2 3\n")
 
     def test_plain_files_never_reach_the_line_parser(self, tmp_path):
         cloud, ref = synth(SyntheticSpec("torus", n=500, fill="solid", seed=3))
