@@ -14,10 +14,9 @@ from pathlib import Path
 
 from alphaforge import (
     SyntheticSpec,
-    boundary_edges,
     enclosed_volume,
-    euler_characteristic,
     synth,
+    topology,
     triangulate,
     write_mesh,
 )
@@ -34,10 +33,10 @@ with tempfile.TemporaryDirectory() as tmp:
     for name, spec, tau in RECIPES:
         cloud, reference = synth(spec)
         mesh = triangulate(cloud, tau)
-        chi = euler_characteristic(mesh)
-        genus = (2 - chi) // 2
-        print(f"{name:<10}{len(cloud):>8}{tau:>7}{chi:>5}{genus:>7}"
-              f"{len(boundary_edges(mesh)):>12}{enclosed_volume(mesh):>9.3f}")
+        topo = topology(mesh)
+        genus = (2 - topo.chi) // 2
+        print(f"{name:<10}{len(cloud):>8}{tau:>7}{topo.chi:>5}{genus:>7}"
+              f"{len(topo.boundary_edges):>12}{enclosed_volume(mesh):>9.3f}")
         write_mesh(mesh, Path(tmp) / f"{name}_reconstructed.obj")
-        print(f"{'':10}reference mesh chi={euler_characteristic(reference)}, "
+        print(f"{'':10}reference mesh chi={topology(reference).chi}, "
               f"wrote {name}_reconstructed.obj")

@@ -10,10 +10,10 @@ import numpy as np
 from alphaforge import (
     SyntheticSpec,
     delaunay_complex,
-    euler_characteristic,
     extract_boundary_faces,
     filter_tetrahedra,
     synth,
+    topology,
 )
 from alphaforge.errors import EmptySelection
 
@@ -28,7 +28,7 @@ for tau in (0.05, 0.15, 0.3, 0.5, 0.8, 1.5):
     try:
         mesh, _ = extract_boundary_faces(complex_, kept)
         print(f"{tau:>6}{len(kept):>8}{mesh.num_faces:>8}"
-              f"{euler_characteristic(mesh):>6}")
+              f"{topology(mesh).chi:>6}")
     except EmptySelection:
         print(f"{tau:>6}{len(kept):>8}{'-':>8}{'empty':>6}")
 

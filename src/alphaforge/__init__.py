@@ -27,15 +27,7 @@ from .loss import (
     smooth_weights,
     total_loss,
 )
-from .mesh import (
-    Mesh,
-    PointCloud,
-    boundary_edges,
-    enclosed_volume,
-    euler_characteristic,
-    nonmanifold_edges,
-    unique_edges,
-)
+from .mesh import Mesh, PointCloud, Topology, enclosed_volume, topology
 from .meshio import read_mesh, read_points, write_mesh, write_points
 from .metrics import (
     EvalReport,
@@ -57,7 +49,6 @@ from .policy import (
     score_row,
     select_action,
     state_descriptor,
-    tau_meshes,
     train_policy,
     update,
 )
@@ -77,15 +68,15 @@ __all__ = [
     "DelaunayComplex", "EvalReport", "LossBreakdown", "LossPlan",
     "LossWeights", "Mesh", "METRIC_SAMPLES", "PRETTY_TAUS", "PointCloud", "QPolicy", "REWARD_SAMPLES",
     "RefineConfig", "RigidTransform", "SMOOTH_TAUS", "SyntheticSpec",
-    "TAU_PRESETS", "TrainLog", "apply_protocol_scaling",
-    "boundary_edges", "boundary_meshes", "delaunay_complex", "enclosed_volume", "errors",
-    "euler_characteristic", "evaluate", "extract_boundary_faces", "f1_score",
+    "TAU_PRESETS", "Topology", "TrainLog", "apply_protocol_scaling",
+    "boundary_meshes", "delaunay_complex", "enclosed_volume", "errors",
+    "evaluate", "extract_boundary_faces", "f1_score",
     "filter_tetrahedra", "greedy_tau", "icosphere", "icp_align", "laplacian_coords",
-    "load_policy", "loss_plan", "nonmanifold_edges", "normal_cosine", "pretty_weights",
+    "load_policy", "loss_plan", "normal_cosine", "pretty_weights",
     "q_values", "read_mesh", "read_points", "reference_mesh", "refine_mesh",
     "reward", "sample_surface", "save_policy", "score_row", "select_action",
     "smooth_weights", "state_descriptor", "subdivide", "synth",
-    "tau_meshes", "taubin_smooth", "total_loss",
-    "trace_to_csv", "train_policy", "triangulate", "unique_edges", "update",
+    "taubin_smooth", "topology", "total_loss",
+    "trace_to_csv", "train_policy", "triangulate", "update",
     "write_mesh", "write_points",
 ]

@@ -23,13 +23,11 @@ from concurrent.futures import ThreadPoolExecutor
 from dataclasses import replace
 from pathlib import Path
 
-import numpy as np
-
 from . import meshio
 from .alphashape import TAU_PRESETS, triangulate
 from .errors import AlphaForgeError, ConfigError, GeometryError
 from .loss import pretty_weights, smooth_weights
-from .mesh import _edge_table
+from .mesh import topology
 from .metrics import PROTOCOLS, evaluate
 from .policy import (
     QPolicy,
@@ -150,11 +148,10 @@ def _cmd_synth(args) -> int:
 def _cmd_triangulate(args) -> int:
     cloud = meshio.read_points(args.infile)
     mesh = triangulate(cloud, args.tau)
-    edges, _, faces_per_edge = _edge_table(mesh.faces)
+    topo = topology(mesh)
     print(f"triangulate: {mesh.num_vertices} vertices, {mesh.num_faces} faces, "
-          f"chi={mesh.num_vertices - len(edges) + mesh.num_faces}, "
-          f"boundary_edges={np.count_nonzero(faces_per_edge == 1)}, "
-          f"nonmanifold_edges={np.count_nonzero(faces_per_edge > 2)}", file=sys.stderr)
+          f"chi={topo.chi}, boundary_edges={len(topo.boundary_edges)}, "
+          f"nonmanifold_edges={len(topo.nonmanifold_edges)}", file=sys.stderr)
     meshio._write_text(args.out, meshio.mesh_to_text(mesh, args.format))
     return 0
 
@@ -167,6 +164,8 @@ def _cmd_sample(args) -> int:
 
 
 def _cmd_evaluate(args) -> int:
+    if args.pred == args.gt == "-":  # checked before anything is read
+        raise _UsageError("--pred and --gt cannot both be '-': stdin holds one mesh")
     pred = meshio.read_mesh(args.pred)
     gt = meshio.read_mesh(args.gt)
     report = evaluate(pred, gt, args.protocol, n_samples=args.n_samples,
@@ -357,13 +356,13 @@ def _build_parser() -> _Parser:
     p.add_argument("--policy", default=None, help="policy JSON choosing tau")
     p.add_argument("--preset", choices=("smooth", "pretty"), default="smooth",
                    help="loss-weight preset")
-    p.add_argument("--stages", type=int, default=2)
-    p.add_argument("--iters", type=int, default=100)
-    p.add_argument("--step", type=float, default=3e-5,
+    p.add_argument("--stages", type=int, default=RefineConfig.stages)
+    p.add_argument("--iters", type=int, default=RefineConfig.iters_per_stage)
+    p.add_argument("--step", type=float, default=RefineConfig.step_size,
                    help="gradient step for the bounded offsets")
     p.add_argument("--subdivide", action="store_true",
                    help="midpoint-subdivide between stages")
-    p.add_argument("--taubin-iters", type=int, default=10)
+    p.add_argument("--taubin-iters", type=int, default=RefineConfig.taubin_iters)
     p.add_argument("--trace", default=None, help="write loss-trace CSV here")
     p.add_argument("--format", choices=meshio.MESH_FORMATS, default="obj")
     p.set_defaults(func=_cmd_reconstruct)

@@ -49,12 +49,14 @@ from .mesh import (
 from .sampling import _draw, _place
 
 LN10 = math.log(10.0)
+# Offset inside the log-Chamfer's log10(d^2 + mu).
+LOG_CHAMFER_MU = 1e-4
 COT_CLAMP = 50.0
 
 
 @dataclass(frozen=True)
 class LossWeights:
-    """Term weights for the total loss, plus the log-Chamfer offset mu."""
+    """Term weights for the total loss."""
 
     lambda1: float = 1.0
     lambda2: float = 1.0
@@ -62,15 +64,12 @@ class LossWeights:
     lambda4: float = 0.0
     lambda5: float = 0.0
     lambda6: float = 0.0
-    mu: float = 1e-4
 
     def __post_init__(self):
         lams = (self.lambda1, self.lambda2, self.lambda3,
                 self.lambda4, self.lambda5, self.lambda6)
         if any(not math.isfinite(l) or l < 0 for l in lams):
             raise ValueError("loss weights must be finite and >= 0")
-        if self.mu <= 0:
-            raise ValueError("mu must be positive")
 
 
 def smooth_weights() -> LossWeights:
@@ -263,11 +262,12 @@ def _chamfer_grad(pp: np.ndarray, qq: np.ndarray, m: _Match) -> np.ndarray:
     return _scatter(len(pp), [(np.arange(len(pp)), grad), (m.idx_qp, rev)])
 
 
-def _log_chamfer_value(m: _Match, mu: float) -> float:
+def _log_chamfer_value(m: _Match, mu: float = LOG_CHAMFER_MU) -> float:
     return float(np.log10(m.d2_pq + mu).sum() + np.log10(m.d2_qp + mu).sum())
 
 
-def _log_chamfer_grad(pp: np.ndarray, qq: np.ndarray, m: _Match, mu: float) -> np.ndarray:
+def _log_chamfer_grad(pp: np.ndarray, qq: np.ndarray, m: _Match,
+                      mu: float = LOG_CHAMFER_MU) -> np.ndarray:
     grad = 2.0 * (pp - np.take(qq, m.idx_pq, axis=0)) / ((m.d2_pq + mu) * LN10)[:, None]
     rev = 2.0 * (np.take(pp, m.idx_qp, axis=0) - qq) / ((m.d2_qp + mu) * LN10)[:, None]
     return _scatter(len(pp), [(np.arange(len(pp)), grad), (m.idx_qp, rev)])
@@ -287,7 +287,7 @@ def _normal_cosines(pn: np.ndarray, qn: np.ndarray, m: _Match):
 
 
 class _EdgeSlots(NamedTuple):
-    """Unique edges of a face set (lexicographic, as ``unique_edges``) and
+    """Unique edges of a face set (``_edge_table``'s, lexicographic) and
     its cotangent slots: slot s is the angle at corner k[s] opposite edge
     (i[s], j[s]) in one face, three slots per face, and ``edge[s]`` indexes
     that edge in ``edges``."""
@@ -553,8 +553,8 @@ def total_loss(m: Mesh, plan: LossPlan) -> tuple[LossBreakdown, np.ndarray]:
 
         data = []
         if w.lambda1 > 0:
-            logcmd = _log_chamfer_value(match, w.mu)
-            data += chain_to_vertices(w.lambda1 * _log_chamfer_grad(pos, qq, match, w.mu))
+            logcmd = _log_chamfer_value(match)
+            data += chain_to_vertices(w.lambda1 * _log_chamfer_grad(pos, qq, match))
         if w.lambda2 > 0:
             cmd = _chamfer_value(match)
             data += chain_to_vertices(w.lambda2 * _chamfer_grad(pos, qq, match))

@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from typing import NamedTuple
 
 import numpy as np
 
@@ -155,26 +156,23 @@ def _edge_table(faces: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     return edges, inverse.reshape(3, -1), counts
 
 
-def unique_edges(mesh: Mesh) -> np.ndarray:
-    """Unordered vertex-index pairs appearing in any face, as an (e, 2) array."""
-    return _edge_table(mesh.faces)[0]
+class Topology(NamedTuple):
+    """Edge-level topology of a mesh: the distinct unordered edges (e, 2) in
+    lexicographic order, those incident to exactly one face (none iff the
+    mesh is closed), those incident to more than two faces, and the Euler
+    characteristic V - E + F."""
+
+    edges: np.ndarray
+    boundary_edges: np.ndarray
+    nonmanifold_edges: np.ndarray
+    chi: int
 
 
-def euler_characteristic(mesh: Mesh) -> int:
-    """V - E + F, with E counting distinct unordered vertex pairs in faces."""
-    return mesh.num_vertices - len(unique_edges(mesh)) + mesh.num_faces
-
-
-def boundary_edges(mesh: Mesh) -> np.ndarray:
-    """Unordered edges incident to exactly one face; empty iff the mesh is closed."""
+def topology(mesh: Mesh) -> Topology:
+    """The mesh's ``Topology``, read off one edge table."""
     edges, _, counts = _edge_table(mesh.faces)
-    return edges[counts == 1]
-
-
-def nonmanifold_edges(mesh: Mesh) -> np.ndarray:
-    """Unordered edges incident to more than two faces."""
-    edges, _, counts = _edge_table(mesh.faces)
-    return edges[counts > 2]
+    return Topology(edges, edges[counts == 1], edges[counts > 2],
+                    mesh.num_vertices - len(edges) + mesh.num_faces)
 
 
 def _cross(a: np.ndarray, b: np.ndarray) -> np.ndarray:

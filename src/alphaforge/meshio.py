@@ -65,16 +65,19 @@ def _fan(indices, lineno):
 
 
 def _text(path) -> str:
-    """The contents of ``path``, or of standard input when it is ``-``."""
+    """The contents of ``path``, or of standard input when it is ``-``,
+    without a leading byte-order mark."""
     try:
         if path == "-":
-            return sys.stdin.read()
-        with open(path, encoding="utf-8", errors="strict") as fh:
-            return fh.read()
+            text = sys.stdin.read()
+        else:
+            with open(path, encoding="utf-8", errors="strict") as fh:
+                text = fh.read()
     except OSError as exc:
         raise IoError(f"cannot read {path}: {exc}") from exc
     except UnicodeDecodeError as exc:
         raise UnsupportedElement(f"file is not ASCII/UTF-8 text ({exc})") from None
+    return text.removeprefix("\ufeff")
 
 
 def read_mesh(path) -> Mesh:

@@ -8,13 +8,15 @@ metric), ``skeleton`` (unscaled, per-class Chamfer reporting).
 The metrics read the loss module's two-way nearest-neighbor correspondence
 (``loss._match``) through the same kind of term helpers the loss uses: one
 evaluation makes one correspondence, from which the Chamfer, the F1 at
-every radius and the normal cosine are all read. One kd-tree over the
-ground-truth samples serves that correspondence and, under tmnet, every
-ICP iteration. ICP re-queries only the points whose certificate has lapsed
-(``loss._NeighborList`` with two candidates): a point keeps its neighbor
-while its movement since its last query stays under the gap between its
-nearest candidate now and the runner-up of that query, so each iteration
-matches exactly as a query of every point would.
+every radius and the normal cosine are all read, under tmnet on ICP's
+aligned points. One kd-tree over the ground-truth samples serves that
+correspondence and, under tmnet, every ICP iteration, so an evaluation
+builds two kd-trees under every protocol. ICP re-queries only the points
+whose certificate has lapsed (``loss._NeighborList`` with two
+candidates): a point keeps its neighbor while its movement since its last
+query stays under the gap between its nearest candidate now and the
+runner-up of that query, so each iteration matches exactly as a query of
+every point would.
 """
 
 from __future__ import annotations
@@ -76,10 +78,6 @@ class RigidTransform:
 
     def apply(self, points: np.ndarray) -> np.ndarray:
         return points @ self.rotation.T + self.translation
-
-    def apply_to_cloud(self, cloud: PointCloud) -> PointCloud:
-        normals = None if cloud.normals is None else cloud.normals @ self.rotation.T
-        return PointCloud(self.apply(cloud.points), normals)
 
     def compose_after(self, inner: "RigidTransform") -> "RigidTransform":
         """Transform equal to applying ``inner`` first, then self."""
@@ -180,13 +178,16 @@ def icp_align(
     Raises DegenerateConfiguration when P's spread is rank-deficient
     (e.g. collinear points), for which the rotation is not identifiable.
     """
-    return _icp(p, q, cKDTree(q.points), max_iters, tol, history)
+    tree = cKDTree(q.points)
+    transform, aligned = _icp(p, q, tree, max_iters, tol, history)
+    return transform, _chamfer_value(_match(aligned, q.points, tree))
 
 
-def _icp(p: PointCloud, q: PointCloud, tree, max_iters: int = 50,
-         tol: float = 1e-10, history: list | None = None) -> tuple[RigidTransform, float]:
-    """``icp_align`` against ``tree``, a kd-tree built over q's points,
-    which the caller may query again."""
+def _icp(p: PointCloud, q: PointCloud, tree, max_iters: int = 50, tol: float = 1e-10,
+         history: list | None = None) -> tuple[RigidTransform, np.ndarray]:
+    """``icp_align``'s loop against ``tree``, a kd-tree built over q's
+    points, which the caller may query again. Returns the accumulated
+    transform and P's points as the loop aligned them, step by step."""
     if len(p) == 0 or len(q) == 0:
         raise EmptyCloud("icp_align needs non-empty clouds")
     pts = p.points
@@ -216,7 +217,7 @@ def _icp(p: PointCloud, q: PointCloud, tree, max_iters: int = 50,
         if prev_mse - mse < tol:
             break
         prev_mse = mse
-    return transform, _chamfer_value(_match(aligned, q.points, tree))
+    return transform, aligned
 
 
 def apply_protocol_scaling(mesh: Mesh, protocol: str) -> Mesh:
@@ -250,8 +251,9 @@ def evaluate(
     (common random numbers), so identical meshes hit the exact fixed point
     chamfer 0 / F1 100 / cosine 1. One nearest-neighbor correspondence
     between the final clouds serves the Chamfer, every F1 radius and the
-    normal cosine. The tmnet protocol ICP-aligns the prediction first and
-    takes its Chamfer metric from ICP's incrementally aligned cloud.
+    normal cosine. The tmnet protocol first ICP-aligns the prediction: its
+    final cloud is ICP's incrementally aligned points, with the normals
+    turned by ICP's rotation.
     """
     pred_s = apply_protocol_scaling(pred, protocol)
     gt_s = apply_protocol_scaling(gt, protocol)
@@ -259,20 +261,20 @@ def evaluate(
     gt_cloud = sample_surface(gt_s, n_samples, seed)
 
     tree = cKDTree(gt_cloud.points)
+    points, normals = pred_cloud.points, pred_cloud.normals
     if protocol == "tmnet":
-        transform, cd = _icp(pred_cloud, gt_cloud, tree)
-        pred_cloud = transform.apply_to_cloud(pred_cloud)
+        transform, points = _icp(pred_cloud, gt_cloud, tree)
+        normals = normals @ transform.rotation.T
     _require_clouds(pred_cloud, gt_cloud)
-    match = _match(pred_cloud.points, gt_cloud.points, tree)
-    if protocol != "tmnet":
-        cd = _chamfer_value(match)
+    match = _match(points, gt_cloud.points, tree)
+    cd = _chamfer_value(match)
 
     f1 = {}
     precision = {}
     recall = {}
     for r in F1_RADII[protocol]:
         precision[r], recall[r], f1[r] = _f1(match, r)
-    ncos = _mean_abs_cosine(pred_cloud.normals, gt_cloud.normals, match)
+    ncos = _mean_abs_cosine(normals, gt_cloud.normals, match)
     per_class = {class_label: cd} if (protocol == "skeleton" and class_label) else None
     return EvalReport(protocol=protocol, chamfer=cd, f1=f1,
                       normal_cosine=ncos, per_class=per_class,

@@ -200,37 +200,31 @@ def greedy_tau(policy: QPolicy, cloud: PointCloud) -> float | None:
     return policy.actions[int(np.argmax(q_values(policy, s)))]
 
 
-def tau_meshes(cloud: PointCloud, taus) -> list[Mesh | None]:
-    """The alpha-shape boundary mesh at each tau, read off one complex;
-    None where the filter keeps nothing, and at every tau when the cloud
-    cannot be tetrahedralized."""
-    try:
-        complex_ = delaunay_complex(cloud)
-    except GeometryError:
-        return [None] * len(taus)
-    return boundary_meshes(complex_, taus)
-
-
 def score_row(cloud: PointCloud, gt: Mesh, taus, nu: float | None = None,
               n_samples: int = REWARD_SAMPLES, seed: int = 0) -> list[float]:
     """Each tau's ``reward`` of the cloud's alpha-shape mesh against gt, bit
-    for bit, with the meshes read off one complex (``tau_meshes``) and gt
-    sampled once. A cell with no mesh, or whose reward raises a
-    GeometryError, scores 0; bad arguments raise before any Qhull run."""
+    for bit, with the meshes read off one complex and gt sampled once. A
+    cell with no mesh, or whose reward raises a GeometryError, scores 0;
+    bad arguments raise before any Qhull run."""
     return [r or 0.0 for r in _row(cloud, gt, taus, nu, n_samples, seed)]
 
 
 def _row(cloud: PointCloud, gt: Mesh, taus, nu: float | None, n_samples: int,
          seed: int) -> list[float | None]:
-    """``score_row``'s cells, None where the tau keeps no mesh."""
+    """``score_row``'s cells, None where the tau keeps no mesh (at every
+    tau when the cloud cannot be tetrahedralized)."""
     try:
         of = _reward_against(gt, nu, n_samples, seed)
     except GeometryError:  # every cell with a mesh scores 0
-        return [None if mesh is None else 0.0 for mesh in tau_meshes(cloud, taus)]
+        of = None
+    try:
+        meshes = boundary_meshes(delaunay_complex(cloud), taus)
+    except GeometryError:
+        return [None] * len(taus)
     cells = []
-    for mesh in tau_meshes(cloud, taus):
+    for mesh in meshes:
         try:
-            cells.append(None if mesh is None else of(mesh))
+            cells.append(None if mesh is None else of(mesh) if of else 0.0)
         except GeometryError:
             cells.append(0.0)
     return cells

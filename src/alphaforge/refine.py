@@ -21,7 +21,7 @@ import numpy as np
 
 from .errors import ConfigError, NonFinite
 from .loss import LossBreakdown, LossWeights, _scatter, loss_plan, total_loss
-from .mesh import Mesh, PointCloud, _edge_table, unique_edges
+from .mesh import Mesh, PointCloud, _edge_table
 
 # tanh(OFFSET_CLIP) < 1 - 1e-12, keeping the displacement bound strict even
 # if the optimizer drives an offset to saturation.
@@ -38,7 +38,7 @@ TAUBIN_MU = -0.53
 class RefineConfig:
     stages: int = 2
     iters_per_stage: int = 100
-    step_size: float = 1e-3
+    step_size: float = 3e-5
     weights: LossWeights = field(default_factory=LossWeights)
     subdivide_between_stages: bool = False
     taubin_iters: int = 10
@@ -71,7 +71,7 @@ def taubin_smooth(mesh: Mesh, iterations: int) -> Mesh:
     Connectivity is unchanged."""
     if iterations < 0:
         raise ConfigError("iterations must be >= 0")
-    edges = unique_edges(mesh)
+    edges = _edge_table(mesh.faces)[0]
     v = mesh.vertices.copy()
     for _ in range(iterations):
         v = v + TAUBIN_LAM * _umbrella(v, edges)

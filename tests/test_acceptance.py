@@ -16,10 +16,8 @@ from alphaforge import (
     RigidTransform,
     SyntheticSpec,
     apply_protocol_scaling,
-    boundary_edges,
     delaunay_complex,
     enclosed_volume,
-    euler_characteristic,
     evaluate,
     icosphere,
     icp_align,
@@ -34,10 +32,10 @@ from alphaforge import (
     state_descriptor,
     synth,
     taubin_smooth,
+    topology,
     total_loss,
     train_policy,
     triangulate,
-    unique_edges,
     write_mesh,
     write_points,
 )
@@ -93,7 +91,8 @@ def test_criterion_2_genus_recovery():
     for spec, tau, chi in GENUS_RECIPES:
         cloud, _ = synth(spec)
         mesh = triangulate(cloud, tau)
-        if euler_characteristic(mesh) != chi or len(boundary_edges(mesh)) != 0:
+        topo = topology(mesh)
+        if topo.chi != chi or len(topo.boundary_edges) != 0:
             ok = False
             break
     elapsed = time.time() - start
@@ -358,7 +357,7 @@ def test_criterion_8_taubin_anti_shrinkage():
     taubin = taubin_smooth(mesh, 10)
 
     v = mesh.vertices.copy()
-    edges = unique_edges(mesh)
+    edges = topology(mesh).edges
     for _ in range(10):
         v = v + TAUBIN_LAM * _umbrella(v, edges)
     lam_only = mesh.with_vertices(v)

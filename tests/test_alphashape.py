@@ -14,15 +14,13 @@ from alphaforge import (
     Mesh,
     PointCloud,
     SyntheticSpec,
-    boundary_edges,
     boundary_meshes,
     delaunay_complex,
     enclosed_volume,
-    euler_characteristic,
     extract_boundary_faces,
     filter_tetrahedra,
-    nonmanifold_edges,
     synth,
+    topology,
     triangulate,
 )
 from alphaforge.errors import EmptyMesh, EmptySelection
@@ -133,8 +131,8 @@ class TestExtractBoundary:
         complex_ = complex_from_quads(REGULAR_TETRA, [[0, 1, 2, 3]])
         mesh, used = extract_boundary_faces(complex_, np.array([0]))
         assert mesh.num_faces == 4
-        assert euler_characteristic(mesh) == 2
-        assert len(boundary_edges(mesh)) == 0
+        assert topology(mesh).chi == 2
+        assert len(topology(mesh).boundary_edges) == 0
         assert enclosed_volume(mesh) > 0  # outward orientation
         np.testing.assert_array_equal(used, [0, 1, 2, 3])
 
@@ -150,7 +148,7 @@ class TestExtractBoundary:
         complex_ = complex_from_quads(pts, [[0, 1, 2, 3], [0, 1, 2, 4]])
         mesh, _ = extract_boundary_faces(complex_, np.array([0, 1]))
         assert mesh.num_faces == 6
-        assert euler_characteristic(mesh) == 2
+        assert topology(mesh).chi == 2
 
     def test_cube_from_six_tetrahedra(self):
         corners = np.array(list(itertools.product((0.0, 1.0), repeat=3)))
@@ -179,7 +177,7 @@ class TestExtractBoundary:
                                             np.arange(6))
         got = {tuple(sorted(used[list(f)])) for f in mesh.faces.tolist()}
         assert got == expected_boundary
-        assert euler_characteristic(mesh) == 2
+        assert topology(mesh).chi == 2
         assert enclosed_volume(mesh) == pytest.approx(1.0)
 
     def test_empty_selection(self):
@@ -222,14 +220,14 @@ class TestTriangulate:
     def test_sphere_cloud_closed_genus_zero(self):
         cloud, _ = synth(SyntheticSpec("sphere", n=2000, fill="solid", seed=11))
         mesh = triangulate(cloud, 0.3)
-        assert euler_characteristic(mesh) == 2
-        assert len(boundary_edges(mesh)) == 0
+        assert topology(mesh).chi == 2
+        assert len(topology(mesh).boundary_edges) == 0
 
     def test_torus_cloud_closed_genus_one(self):
         cloud, _ = synth(SyntheticSpec("torus", n=2000, fill="solid", seed=12))
         mesh = triangulate(cloud, 0.3)
-        assert euler_characteristic(mesh) == 0
-        assert len(boundary_edges(mesh)) == 0
+        assert topology(mesh).chi == 0
+        assert len(topology(mesh).boundary_edges) == 0
 
     def test_tiny_tau_empties_mesh(self):
         cloud, _ = synth(SyntheticSpec("sphere", n=200, fill="solid", seed=13))
@@ -243,8 +241,8 @@ class TestTriangulate:
         tau = complex_.radii.max() + 1.0
         kept = filter_tetrahedra(complex_, tau)
         mesh, used = extract_boundary_faces(complex_, kept)
-        assert euler_characteristic(mesh) == 2
-        assert len(boundary_edges(mesh)) == 0
+        assert topology(mesh).chi == 2
+        assert len(topology(mesh).boundary_edges) == 0
         hull_faces = {tuple(sorted(f)) for f in ConvexHull(cloud.points).simplices}
         got = {tuple(sorted(used[list(f)])) for f in mesh.faces.tolist()}
         assert got == hull_faces
@@ -265,9 +263,9 @@ class TestTriangulate:
     def test_stacked_cloud_reports_nonmanifold_edges(self):
         cloud, _ = synth(SyntheticSpec("stacked", n=3000, fill="solid", seed=3))
         mesh = triangulate(cloud, 0.15)
-        bad = nonmanifold_edges(mesh)
+        bad = topology(mesh).nonmanifold_edges
         assert len(bad) == 3
-        assert euler_characteristic(mesh) == -3
+        assert topology(mesh).chi == -3
         counts = edge_face_counts(mesh)
         assert {tuple(e) for e in bad.tolist()} == {
             tuple(sorted(e)) for e, c in counts.items() if c > 2}

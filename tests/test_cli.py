@@ -9,11 +9,10 @@ from alphaforge import (
     Mesh,
     PointCloud,
     SyntheticSpec,
-    boundary_edges,
-    euler_characteristic,
     read_mesh,
     read_points,
     synth,
+    topology,
     write_mesh,
     write_points,
 )
@@ -69,6 +68,17 @@ class TestExitCodes:
         code, _, _ = invoke(
             ["triangulate", "--in", "/nonexistent.xyz", "--tau", "0.3"], capsys)
         assert code == 2
+
+    def test_pred_and_gt_both_from_stdin_is_usage_error(self, capsys, monkeypatch):
+        """Standard input holds one mesh, so ``--pred -`` with ``--gt -`` is
+        refused, naming both flags, before either is read."""
+        stdin = io.StringIO("v 0 0 0\nv 1 0 0\nv 0 1 0\nf 1 2 3\n")
+        monkeypatch.setattr("sys.stdin", stdin)
+        code, _, err = invoke(["evaluate", "--pred", "-", "--gt", "-",
+                               "--protocol", "meshrcnn"], capsys)
+        assert code == 1
+        assert err.startswith("usage error: ") and "--pred" in err and "--gt" in err
+        assert stdin.tell() == 0
 
     def test_unknown_config_key_is_usage_error(self, tmp_path, capsys):
         cfg = tmp_path / "cfg.json"
@@ -275,8 +285,8 @@ class TestSynthTriangulate:
         assert code == 0
         assert "chi=0, boundary_edges=0, nonmanifold_edges=0" in err
         mesh = read_mesh(mesh_path)
-        assert euler_characteristic(mesh) == 0
-        assert len(boundary_edges(mesh)) == 0
+        assert topology(mesh).chi == 0
+        assert len(topology(mesh).boundary_edges) == 0
 
     def test_byte_identical_reruns(self, tmp_path, capsys):
         outs = []
@@ -295,7 +305,7 @@ class TestSynthTriangulate:
                              "--out", str(tmp_path / "c.xyz"),
                              "--ref-out", str(ref)], capsys)
         assert code == 0
-        assert euler_characteristic(read_mesh(ref)) == -2
+        assert topology(read_mesh(ref)).chi == -2
 
     @pytest.mark.parametrize("ref_out", ["-", "ref.txt", "ref"])
     def test_ref_out_without_a_mesh_suffix_is_usage_error(self, tmp_path, capsys, ref_out):
@@ -612,7 +622,7 @@ class TestReconstruct:
              "--out", str(out_path), "--trace", str(trace_path)], capsys)
         assert code == 0, err
         mesh = read_mesh(out_path)
-        assert euler_characteristic(mesh) == 2
+        assert topology(mesh).chi == 2
         trace = trace_path.read_text().strip().splitlines()
         assert len(trace) == 6  # header + 5 iterations
 

@@ -39,6 +39,7 @@ from alphaforge.loss import (
     _normal_cosines,
     _scatter,
     FIXED_CANDIDATES,
+    LOG_CHAMFER_MU,
     nearest_neighbors,
     REVERSE_CANDIDATES,
 )
@@ -515,7 +516,7 @@ class TestTotalLoss:
         samples = sample_surface(self.noisy, 300, seed=5)
         assert b.cmd == pytest.approx(oracles.chamfer(samples, self.gt), rel=1e-12)
         assert b.logcmd == pytest.approx(
-            oracles.log_chamfer(samples, self.gt, w.mu), rel=1e-12)
+            oracles.log_chamfer(samples, self.gt, LOG_CHAMFER_MU), rel=1e-12)
         assert b.laplacian_reg == pytest.approx(
             oracles.laplacian_reg(self.noisy, self.mesh), rel=1e-12)
         assert b.edge_len == pytest.approx(oracles.edge_length_reg(self.noisy), rel=1e-12)

@@ -8,12 +8,10 @@ from alphaforge import (
     Mesh,
     PointCloud,
     SyntheticSpec,
-    boundary_edges,
     enclosed_volume,
-    euler_characteristic,
-    nonmanifold_edges,
     reference_mesh,
     subdivide,
+    topology,
 )
 from alphaforge.errors import InvalidMesh
 from alphaforge.loss import _unit_normals
@@ -33,52 +31,68 @@ def brute_force_euler(mesh):
 
 class TestEulerCharacteristic:
     def test_tetrahedron_is_two(self, tetra_mesh):
-        assert euler_characteristic(tetra_mesh) == 2
+        assert topology(tetra_mesh).chi == 2
 
     def test_empty_mesh_is_zero(self):
-        assert euler_characteristic(Mesh(np.zeros((0, 3)))) == 0
+        assert topology(Mesh(np.zeros((0, 3)))).chi == 0
 
     def test_torus_reference_is_zero(self):
         torus = reference_mesh(SyntheticSpec("torus"))
         assert brute_force_euler(torus) == 0
-        assert euler_characteristic(torus) == 0
+        assert topology(torus).chi == 0
 
     def test_matches_brute_force_on_all_reference_shapes(self):
         for shape in ("sphere", "torus", "box", "stacked"):
             mesh = reference_mesh(SyntheticSpec(shape))
-            assert euler_characteristic(mesh) == brute_force_euler(mesh)
+            assert topology(mesh).chi == brute_force_euler(mesh)
 
     def test_preserved_by_midpoint_subdivision(self, tetra_mesh):
         for mesh in (tetra_mesh, reference_mesh(SyntheticSpec("torus")),
                      reference_mesh(SyntheticSpec("stacked"))):
-            assert euler_characteristic(subdivide(mesh)) == euler_characteristic(mesh)
+            assert topology(subdivide(mesh)).chi == topology(mesh).chi
 
 
 class TestBoundaryEdges:
     def test_single_triangle_all_edges_boundary(self, single_triangle):
-        be = boundary_edges(single_triangle)
+        be = topology(single_triangle).boundary_edges
         assert sorted(map(tuple, be.tolist())) == [(0, 1), (0, 2), (1, 2)]
 
     def test_closed_tetrahedron_has_none(self, tetra_mesh):
-        assert len(boundary_edges(tetra_mesh)) == 0
+        assert len(topology(tetra_mesh).boundary_edges) == 0
 
     def test_hole_rim_has_three(self, tetra_mesh):
         holed = Mesh(tetra_mesh.vertices, tetra_mesh.faces[:-1])
-        assert len(boundary_edges(holed)) == 3
+        assert len(topology(holed).boundary_edges) == 3
 
 
 class TestNonmanifoldEdges:
     def test_closed_tetrahedron_has_none(self, tetra_mesh):
-        assert nonmanifold_edges(tetra_mesh).shape == (0, 2)
+        assert topology(tetra_mesh).nonmanifold_edges.shape == (0, 2)
 
     def test_empty_mesh_has_none(self):
-        assert nonmanifold_edges(Mesh(np.zeros((0, 3)))).shape == (0, 2)
+        assert topology(Mesh(np.zeros((0, 3)))).nonmanifold_edges.shape == (0, 2)
 
     def test_three_fins_on_one_edge(self):
         verts = np.array([[0.0, 0, 0], [0, 0, 1], [1, 0, 0], [0, 1, 0], [-1, -1, 0]])
         fins = Mesh(verts, np.array([[0, 1, 2], [0, 1, 3], [1, 0, 4]]))
-        assert nonmanifold_edges(fins).tolist() == [[0, 1]]
-        assert len(boundary_edges(fins)) == 6
+        topo = topology(fins)
+        assert topo.nonmanifold_edges.tolist() == [[0, 1]]
+        assert len(topo.boundary_edges) == 6
+
+
+class TestTopology:
+    def test_read_off_one_edge_table(self, monkeypatch, tetra_mesh):
+        tables = []
+
+        def counted(faces):
+            tables.append(_edge_table(faces))
+            return tables[-1]
+
+        monkeypatch.setattr("alphaforge.mesh._edge_table", counted)
+        topo = topology(tetra_mesh)
+        assert len(tables) == 1
+        np.testing.assert_array_equal(topo.edges, tables[0][0])
+        assert (topo.chi, len(topo.edges)) == (2, 6)
 
 
 def face_normals(mesh):

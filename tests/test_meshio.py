@@ -21,6 +21,7 @@ from alphaforge import (
 )
 from alphaforge import meshio
 from alphaforge.errors import AlphaForgeError, InvalidMesh, ParseError, UnsupportedElement
+from alphaforge.policy import QPolicy, load_policy, policy_to_json
 
 MINIMAL_OBJ = "v 0 0 0\nv 1 0 0\nv 0 1 0\nf 1 2 3\n"
 MINIMAL_OFF = "OFF\n3 1 0\n0 0 0\n1 0 0\n0 1 0\n3 0 1 2\n"
@@ -134,6 +135,22 @@ class TestReadMesh:
         np.testing.assert_array_equal(mesh.faces, [[0, 1, 2]])
         monkeypatch.setattr("sys.stdin", io.StringIO("0 0 0\n1 2 3\n"))
         np.testing.assert_array_equal(read_points("-").points, [[0, 0, 0], [1, 2, 3]])
+
+    @pytest.mark.parametrize("read, dump, text", [
+        (read_mesh, lambda m: meshio.mesh_to_text(m, "obj"), MINIMAL_OBJ),
+        (read_mesh, lambda m: meshio.mesh_to_text(m, "obj"), MINIMAL_OFF),
+        (read_mesh, lambda m: meshio.mesh_to_text(m, "obj"), MINIMAL_PLY),
+        (read_points, lambda c: meshio.points_to_text(c, "xyz"), "0 0 0 0 0 2\n1 2 3 1 0 0\n"),
+        (load_policy, policy_to_json, policy_to_json(QPolicy.fresh((0.3, 0.9)))),
+    ], ids=["obj", "off", "ply", "xyz", "policy"])
+    def test_leading_byte_order_mark_dropped(self, tmp_path, monkeypatch, read, dump, text):
+        """A file or stdin that starts with a UTF-8 byte-order mark reads as
+        the same text without one."""
+        want = dump(read(write(tmp_path, "plain", text)))
+        path = tmp_path / "bom"
+        path.write_bytes(b"\xef\xbb\xbf" + text.encode())
+        monkeypatch.setattr("sys.stdin", io.StringIO("\ufeff" + text))
+        assert dump(read(path)) == dump(read("-")) == want
 
     @pytest.mark.parametrize("head", ["# a comment\n", "\n  \n", "# a\n\n\t# b\r\n"])
     def test_off_line_after_comments_and_blank_lines(self, head):

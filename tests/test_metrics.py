@@ -184,8 +184,7 @@ def plain_icp(p, q, max_iters=50, tol=1e-10):
 
 class CountingTree:
     """A kd-tree that records, for each query, the ICP iteration it came
-    from (the length of ``history`` so far) and the number of rows. ICP's
-    last query is its final Chamfer's, after the last iteration."""
+    from (the length of ``history`` so far) and the number of rows."""
 
     def __init__(self, points, history):
         self.tree = cKDTree(points)
@@ -219,9 +218,8 @@ class TestIcpRequeries:
         history = []
         tree = CountingTree(q.points, history)
         _icp(p, q, tree, history=history)
-        assert tree.rows[-1] == (len(history), len(p))
-        loop = tree.rows[:-1]
-        per_iteration = np.bincount([it for it, _ in loop], weights=[n for _, n in loop])
+        rows = tree.rows
+        per_iteration = np.bincount([it for it, _ in rows], weights=[n for _, n in rows])
         assert len(per_iteration) == len(history) == 25
         assert per_iteration[0] == len(p)
         assert (per_iteration[1:] < len(p)).all()
@@ -230,11 +228,11 @@ class TestIcpRequeries:
         p = PointCloud(np.random.default_rng(5).random((40, 3)))
         history = []
         tree = CountingTree(p.points, history)
-        transform, cd = _icp(p, p, tree, history=history)
+        transform, aligned = _icp(p, p, tree, history=history)
         assert history == [0.0]
-        assert tree.rows == [(0, 40), (1, 40)]
+        assert tree.rows == [(0, 40)]
         np.testing.assert_array_equal(transform.rotation, np.eye(3))
-        assert cd == 0.0
+        np.testing.assert_array_equal(aligned, p.points)
 
     @settings(max_examples=60, deadline=None)
     @given(seed=st.integers(0, 2**32 - 1), n_p=st.integers(3, 40), n_q=st.integers(1, 30),
@@ -314,19 +312,22 @@ class TestEvaluate:
         report = evaluate(moved, brick, "tmnet", n_samples=1500, seed=3)
         assert report.chamfer < 1e-6
 
-    @pytest.mark.parametrize("proto", ["pixel2mesh", "meshrcnn", "skeleton"])
+    @pytest.mark.parametrize("proto", PROTOCOLS)
     def test_one_correspondence_per_evaluation(self, nn_calls, proto):
+        """One two-way match (two nearest-neighbour queries); ICP's loop
+        queries through its neighbour list instead."""
         sphere = icosphere(2)
         moved = sphere.with_vertices(sphere.vertices * 1.05)
         evaluate(moved, sphere, proto, n_samples=300, seed=5)
         assert len(nn_calls) == 2
 
     @pytest.mark.parametrize("proto, builds", [
-        ("pixel2mesh", 2), ("meshrcnn", 2), ("tmnet", 3), ("skeleton", 2)])
+        ("pixel2mesh", 2), ("meshrcnn", 2), ("tmnet", 2), ("skeleton", 2)])
     def test_one_ground_truth_tree_per_evaluation(self, kdtree_builds, proto, builds):
         """One tree over the ground-truth samples, one over the prediction's
-        for the reverse queries; under tmnet, ICP's final Chamfer needs one
-        over its aligned cloud, and its loop reuses the ground-truth tree."""
+        for the reverse queries; under tmnet, ICP's loop reuses the
+        ground-truth tree and the prediction's is built over ICP's aligned
+        points."""
         sphere = icosphere(2)
         moved = sphere.with_vertices(sphere.vertices * 1.05)
         evaluate(moved, sphere, proto, n_samples=300, seed=5)

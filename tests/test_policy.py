@@ -17,7 +17,6 @@ from alphaforge import (
     select_action,
     state_descriptor,
     synth,
-    tau_meshes,
     train_policy,
     triangulate,
     update,
@@ -25,6 +24,7 @@ from alphaforge import (
 from alphaforge.errors import EmptyMesh, RewardOutOfRange, TooFewPoints
 from alphaforge.policy import (
     STATE_DIM,
+    _row,
     load_policy,
     policy_to_json,
     save_policy,
@@ -193,17 +193,31 @@ def coplanar_cloud(n=40, seed=5):
 
 
 class TestScoringPath:
-    def test_tau_meshes_match_triangulate_and_none_where_empty(self):
-        cloud, _ = synth(SyntheticSpec("sphere", n=120, fill="solid", seed=9,
-                                       major_radius=0.8))
-        small, large = tau_meshes(cloud, (0.05, 0.9))
-        assert small is None
+    def test_row_meshes_match_triangulate_and_none_where_empty(self, complex_builds,
+                                                               surface_samplings):
+        """A row reads every tau's mesh off one complex: the mesh it scores
+        at tau 0.9 is ``triangulate``'s, and tau 0.05, which keeps nothing,
+        has no cell."""
+        cloud, gt = synth(SyntheticSpec("sphere", n=120, fill="solid", seed=9,
+                                        major_radius=0.8))
+        row = _row(cloud, gt, (0.05, 0.9), 0.2, 300, 7)
+        assert row[0] is None and 0.0 < row[1] <= 1.0
+        assert len(complex_builds) == 1
+        (sampled_gt, *_), (large, *_) = surface_samplings
+        assert sampled_gt is gt
         want = triangulate(cloud, 0.9)
         np.testing.assert_array_equal(large.vertices, want.vertices)
         np.testing.assert_array_equal(large.faces, want.faces)
 
-    def test_tau_meshes_none_everywhere_for_coplanar_cloud(self):
-        assert tau_meshes(coplanar_cloud(), (0.3, 0.9)) == [None, None]
+    def test_row_has_no_cell_for_a_coplanar_cloud(self):
+        """No cell where no tau keeps a mesh, also when the cloud cannot be
+        tetrahedralized; an empty ground truth scores 0 where there is a
+        mesh."""
+        cloud, gt = synth(SyntheticSpec("sphere", n=120, fill="solid", seed=9,
+                                        major_radius=0.8))
+        assert _row(coplanar_cloud(), gt, (0.3, 0.9), 0.2, 300, 7) == [None, None]
+        empty = Mesh(np.zeros((0, 3)))
+        assert _row(cloud, empty, (0.05, 0.3, 0.9), 0.2, 300, 7) == [None, 0.0, 0.0]
 
     def test_score_is_reward_or_zero_on_geometry_errors(self, surface_samplings):
         """A row's cells are the bytes of ``reward`` at the same seed, from
@@ -212,13 +226,14 @@ class TestScoringPath:
         cloud, gt = synth(SyntheticSpec("sphere", n=120, fill="solid", seed=9,
                                         major_radius=0.8))
         taus = (0.05, 0.3, 0.9)
-        meshes = tau_meshes(cloud, taus)
-        assert meshes[0] is None and None not in meshes[1:]
+        with pytest.raises(EmptyMesh):
+            triangulate(cloud, taus[0])
+        meshes = [triangulate(cloud, tau) for tau in taus[1:]]
         for nu in (0.2, 0.01, None):
             surface_samplings.clear()
             row = score_row(cloud, gt, taus, nu, 300, 7)
             assert [args[0] is gt for args in surface_samplings] == [True, False, False]
-            want = [0.0] + [reward(mesh, gt, nu, 300, 7) for mesh in meshes[1:]]
+            want = [0.0] + [reward(mesh, gt, nu, 300, 7) for mesh in meshes]
             assert [r.hex() for r in row] == [w.hex() for w in want]
         assert score_row(cloud, Mesh(np.zeros((0, 3))), taus, 0.2, 300, 7) == [0.0] * 3
         assert score_row(coplanar_cloud(), gt, taus, 0.2, 300, 7) == [0.0] * 3

@@ -11,7 +11,6 @@ from alphaforge import (
     PointCloud,
     RefineConfig,
     enclosed_volume,
-    euler_characteristic,
     icosphere,
     loss_plan,
     refine_mesh,
@@ -19,9 +18,9 @@ from alphaforge import (
     smooth_weights,
     subdivide,
     taubin_smooth,
+    topology,
     total_loss,
     trace_to_csv,
-    unique_edges,
 )
 from alphaforge.errors import ConfigError, NonFinite
 import oracles
@@ -53,7 +52,7 @@ class TestTaubinSmooth:
         # oracle: plain lambda-only umbrella smoothing, same lam/iterations
         from alphaforge.refine import TAUBIN_LAM, _umbrella
         v = mesh.vertices.copy()
-        edges = unique_edges(mesh)
+        edges = topology(mesh).edges
         for _ in range(10):
             v = v + TAUBIN_LAM * _umbrella(v, edges)
         lam_only = mesh.with_vertices(v)
@@ -74,11 +73,11 @@ class TestSubdivide:
         assert out.num_faces == 16
 
     def test_euler_preserved_closed(self, tetra_mesh):
-        assert euler_characteristic(subdivide(tetra_mesh)) == 2
+        assert topology(subdivide(tetra_mesh)).chi == 2
 
     def test_midpoints_on_edges(self, tetra_mesh):
         out = subdivide(tetra_mesh)
-        edges = unique_edges(tetra_mesh)
+        edges = topology(tetra_mesh).edges
         mids = 0.5 * (tetra_mesh.vertices[edges[:, 0]] + tetra_mesh.vertices[edges[:, 1]])
         np.testing.assert_allclose(out.vertices[4:], mids)
 

@@ -5,11 +5,10 @@ import pytest
 
 from alphaforge import (
     SyntheticSpec,
-    boundary_edges,
     enclosed_volume,
-    euler_characteristic,
     reference_mesh,
     synth,
+    topology,
 )
 from alphaforge.errors import ConfigError
 from alphaforge.synth import FILLS, SHAPES, torus_mesh
@@ -42,9 +41,9 @@ class TestReferenceMeshes:
         expected = {"sphere": 2, "torus": 0, "box": 2, "stacked": -2}
         for shape, chi in expected.items():
             mesh = reference_mesh(SyntheticSpec(shape))
-            assert euler_characteristic(mesh) == chi, shape
+            assert topology(mesh).chi == chi, shape
             assert brute_force_euler(mesh) == chi, shape
-            assert len(boundary_edges(mesh)) == 0, shape
+            assert len(topology(mesh).boundary_edges) == 0, shape
 
     def test_outward_orientation_positive_volume(self):
         for shape in ("sphere", "torus", "box", "stacked"):
