@@ -49,6 +49,9 @@ SEED_POLICY = 2
 SEED_REFINE = 3
 SEED_EVAL = 4
 
+# Destinations of the flags that read a file, or standard input for "-".
+STDIN_READERS = ("config", "infile", "mesh", "pred", "gt", "policy")
+
 NU_HELP = "reward F1 radius; None: 3%% of each ground truth's longest bounding-box edge"
 
 
@@ -68,15 +71,24 @@ def _parse(parser: _Parser, argv: list[str] | None) -> argparse.Namespace:
     flags right after the subcommand name: argparse converts and checks them
     as it does the command line's own flags, which come later and so win.
     Keys are flag names (``in``, ``n-samples``; ``_`` for ``-`` too). Unknown
-    keys, and values no flag could spell, are usage errors."""
+    keys, and values no flag could spell, are usage errors. Standard input
+    holds one document, so two reading flags set to ``-`` (on the command
+    line, by default or in the document) are a usage error, raised before
+    anything is read when the command line sets them."""
     argv = sys.argv[1:] if argv is None else list(argv)
-    find = _Parser(add_help=False)
-    find.add_argument("--config", nargs="?")  # a bare --config is the parse's to report
-    path = find.parse_known_args(argv[1:])[0].config
     command = parser.commands.get(argv[0]) if argv else None
-    if not path or command is None:
+    if command is None:
         return parser.parse_args(argv)
-    doc = json.loads(meshio._text(path))
+    readers = [a for a in command._actions if a.dest in STDIN_READERS]
+    find = _Parser(add_help=False)
+    for action in readers:  # nargs="?": a bare flag is the full parse's to report
+        find.add_argument(*action.option_strings, dest=action.dest, nargs="?",
+                          default=action.default)
+    given = find.parse_known_args(argv[1:])[0]
+    _one_reader_of_stdin(given, readers)
+    if not given.config:
+        return parser.parse_args(argv)
+    doc = json.loads(meshio._text(given.config))
     if not isinstance(doc, dict):
         raise _UsageError("config document must be a JSON object")
     flags = {opt[2:]: a for a in command._actions if a.dest not in ("help", "config")
@@ -91,7 +103,17 @@ def _parse(parser: _Parser, argv: list[str] | None) -> argparse.Namespace:
             raise _UsageError(f"config key {key!r} cannot be {json.dumps(value)}")
         if value is not False:  # a switch (--subdivide) is true or false
             tokens.append(flag if switch else f"{flag}={value}")
-    return parser.parse_args(argv[:1] + tokens + argv[1:])
+    args = parser.parse_args(argv[:1] + tokens + argv[1:])
+    _one_reader_of_stdin(args, readers)
+    return args
+
+
+def _one_reader_of_stdin(args: argparse.Namespace, readers) -> None:
+    """Refuse two of the reading flags ``readers`` set to ``-`` in args."""
+    flags = [a.option_strings[0] for a in readers if getattr(args, a.dest) == "-"]
+    if len(flags) > 1:
+        raise _UsageError(f"{flags[0]} and {flags[1]} cannot both be '-': "
+                          "stdin holds one document")
 
 
 def _load_dataset(root: str):
@@ -164,8 +186,6 @@ def _cmd_sample(args) -> int:
 
 
 def _cmd_evaluate(args) -> int:
-    if args.pred == args.gt == "-":  # checked before anything is read
-        raise _UsageError("--pred and --gt cannot both be '-': stdin holds one mesh")
     pred = meshio.read_mesh(args.pred)
     gt = meshio.read_mesh(args.gt)
     report = evaluate(pred, gt, args.protocol, n_samples=args.n_samples,

@@ -3,6 +3,10 @@
 Qhull and the circumspheres see the cloud scaled by an exact power of two
 to a largest |coordinate| in [0.5, 1), so the complex is the same at every
 scale in the supported range: a largest |coordinate| in [2^-300, 2^300).
+
+The build holds the complex plus one block of circumsphere temporaries
+(``BLOCK_ROWS`` rows), and SciPy's Delaunay object is dropped before that
+pass, so its peak memory is Qhull's own.
 """
 
 from __future__ import annotations
@@ -27,6 +31,10 @@ COLLINEAR_TOL = 1e-6
 # Supported largest |coordinate|: [2^MIN_EXPONENT, 2^MAX_EXPONENT). Beyond
 # it, extract_boundary_faces' orientation triple products leave float range.
 MIN_EXPONENT, MAX_EXPONENT = -300, 300
+
+# Rows per block of the circumsphere pass: one block's temporaries take
+# a few MB, well under what Qhull itself takes.
+BLOCK_ROWS = 4096
 
 
 @dataclass(frozen=True)
@@ -64,23 +72,31 @@ def _batch_circumspheres(pts: np.ndarray, simplices: np.ndarray):
     numbered. With edge vectors a, b, c from the least corner, the
     determinant is a . (b x c) and, by Cramer's rule, the centre sits at
     (|a|^2 b x c + |b|^2 c x a + |c|^2 a x b) / (2 det) from that corner.
+    Rows go through in blocks of ``BLOCK_ROWS``, each row by the same
+    operations in the same order, so only one block's temporaries are
+    held at a time and the bits do not depend on the block size.
     """
     by_rank = np.lexsort(pts.T[::-1])
     rank = np.empty(len(pts), dtype=np.int64)
     rank[by_rank] = np.arange(len(pts))
-    corners = by_rank[np.sort(rank[simplices], axis=1)]
-    p0 = pts[corners[:, 0]]
-    a, b, c = (pts[corners[:, k]] - p0 for k in (1, 2, 3))
-    bc, ca, ab = _cross(b, c), _cross(c, a), _cross(a, b)
-    sq = [np.einsum("ij,ij->i", e, e) for e in (a, b, c)]
-    scale = np.sqrt(np.maximum(np.maximum(sq[0], sq[1]), sq[2]))
-    det = np.einsum("ij,ij->i", a, bc)
-    ok = np.abs(det) > ORIENTATION_TOL * scale**3
-    with np.errstate(divide="ignore", invalid="ignore"):  # rows with det 0
-        local = (sq[0][:, None] * bc + sq[1][:, None] * ca
-                 + sq[2][:, None] * ab) / (2.0 * det[:, None])
-    centers = np.where(ok[:, None], p0 + local, np.nan)
-    radii = np.where(ok, np.linalg.norm(local, axis=1), np.nan)
+    centers = np.empty((len(simplices), 3))
+    radii = np.empty(len(simplices))
+    ok = np.empty(len(simplices), dtype=bool)
+    for start in range(0, len(simplices), BLOCK_ROWS):
+        block = slice(start, start + BLOCK_ROWS)
+        corners = by_rank[np.sort(rank[simplices[block]], axis=1)]
+        p0 = pts[corners[:, 0]]
+        a, b, c = (pts[corners[:, k]] - p0 for k in (1, 2, 3))
+        bc, ca, ab = _cross(b, c), _cross(c, a), _cross(a, b)
+        sq = [np.einsum("ij,ij->i", e, e) for e in (a, b, c)]
+        scale = np.sqrt(np.maximum(np.maximum(sq[0], sq[1]), sq[2]))
+        det = np.einsum("ij,ij->i", a, bc)
+        valid = ok[block] = np.abs(det) > ORIENTATION_TOL * scale**3
+        with np.errstate(divide="ignore", invalid="ignore"):  # rows with det 0
+            local = (sq[0][:, None] * bc + sq[1][:, None] * ca
+                     + sq[2][:, None] * ab) / (2.0 * det[:, None])
+        centers[block] = np.where(valid[:, None], p0 + local, np.nan)
+        radii[block] = np.where(valid, np.linalg.norm(local, axis=1), np.nan)
     return centers, radii, ok
 
 
@@ -132,6 +148,7 @@ def delaunay_complex(points: PointCloud | np.ndarray) -> DelaunayComplex:
     slots = np.argsort(tri.simplices, axis=1)
     simplices = np.take_along_axis(tri.simplices, slots, axis=1).astype(np.int64)
     neighbors = np.take_along_axis(tri.neighbors, slots, axis=1)
+    del tri, slots  # Qhull's arrays are not needed past this point
     rows = _lex_order(simplices)
     simplices, neighbors = simplices[rows], neighbors[rows]
     centers, radii, ok = _batch_circumspheres(unit, simplices)

@@ -168,10 +168,11 @@ class _NeighborList:
     strictly farther, so a candidate at d1 that no other candidate ties is
     the nearest in the tree's own arithmetic. The other rows are re-queried
     with k=K, under ``_query``'s tie rule, against the newest version of b;
-    a version is kept while some row's candidates come from it. ``tree``, a
-    kd-tree over the b of the first call, becomes that version's tree.
-    Per-row state is column-major: every per-call reduction runs along the
-    long axis.
+    a version is kept while some row's candidates come from it. A list given
+    ``tree``, a kd-tree over b, is over a b that never moves (ICP's ground
+    truth, refinement's target): it keeps the b of its first call as its
+    one version and neither copies nor compares b again. Per-row state is
+    column-major: every per-call reduction runs along the long axis.
     """
 
     def __init__(self, n: int, n_b: int, k: int, tree: cKDTree | None = None):
@@ -181,17 +182,21 @@ class _NeighborList:
         self.kth = np.zeros(n)
         self.extent = np.zeros(n)
         self.queried = np.full(n, -1)  # version of b at each row's query; -1: never
-        self.tree, self.newest = tree, 0
+        self.tree, self.newest, self.fixed = tree, 0, tree is not None
         self.versions: dict[int, np.ndarray] = {}  # version -> b as (3, n_b)
 
     def __call__(self, a: np.ndarray, b: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-        at, bt = a.T.copy(), b.T.copy()
-        if self.tree is not None and not self.versions:  # the given tree is over this b
-            self.versions[0] = bt
+        at = a.T.copy()
         drift = np.full(self.newest + 2, np.inf)  # M by version; the last is -1's, never queried
-        for version, snapshot in self.versions.items():
-            same = np.array_equal(bt, snapshot)  # b at rest needs no arithmetic
-            drift[version] = 0.0 if same else np.sqrt(_tree_sq_distances(bt - snapshot).max())
+        if self.fixed:
+            if not self.versions:
+                self.versions[0] = b.T.copy()
+            bt, drift[0] = self.versions[0], 0.0
+        else:
+            bt = b.T.copy()
+            for version, snapshot in self.versions.items():
+                same = np.array_equal(bt, snapshot)  # b at rest needs no arithmetic
+                drift[version] = 0.0 if same else np.sqrt(_tree_sq_distances(bt - snapshot).max())
         moved = drift[self.queried] + np.sqrt(_tree_sq_distances(at - self.anchor))
         diff = np.take(bt, self.candidates, axis=1)  # (3, K, n)
         diff -= at[:, None, :]

@@ -80,6 +80,42 @@ class TestExitCodes:
         assert err.startswith("usage error: ") and "--pred" in err and "--gt" in err
         assert stdin.tell() == 0
 
+    @pytest.mark.parametrize("argv, flag", [
+        (["triangulate", "--tau", "0.3"], "--in"),  # --in defaults to '-'
+        (["sample", "--mesh", "-"], "--mesh"),
+        (["evaluate", "--pred", "p.obj", "--gt", "-", "--protocol", "tmnet"], "--gt"),
+        (["reconstruct", "--in", "c.xyz", "--policy", "-"], "--policy"),
+        (["ablate", "--dataset", "d", "--policy", "-"], "--policy"),
+    ], ids=lambda v: v[0] if isinstance(v, list) else None)
+    def test_config_and_an_input_both_from_stdin_is_usage_error(self, argv, flag, capsys,
+                                                                monkeypatch):
+        """Standard input holds one document, so ``--config -`` with an
+        input flag that is also ``-`` is refused, naming both flags, before
+        either is read."""
+        stdin = io.StringIO('{"seed": 1}')
+        monkeypatch.setattr("sys.stdin", stdin)
+        code, _, err = invoke([*argv, "--config", "-"], capsys)
+        assert code == 1
+        assert err.startswith("usage error: ") and "--config" in err and flag in err
+        assert stdin.tell() == 0
+
+    def test_policy_and_default_input_both_from_stdin_is_usage_error(self, capsys,
+                                                                     monkeypatch):
+        """``reconstruct --in`` defaults to ``-``, so ``--policy -`` alone
+        is a second reader of standard input."""
+        stdin = io.StringIO("{}")
+        monkeypatch.setattr("sys.stdin", stdin)
+        code, _, err = invoke(["reconstruct", "--policy", "-"], capsys)
+        assert code == 1
+        assert "--in" in err and "--policy" in err
+        assert stdin.tell() == 0
+
+    def test_input_set_to_stdin_by_a_stdin_config_is_usage_error(self, capsys, monkeypatch):
+        monkeypatch.setattr("sys.stdin", io.StringIO('{"mesh": "-"}'))
+        code, _, err = invoke(["sample", "--config", "-"], capsys)
+        assert code == 1
+        assert "--config" in err and "--mesh" in err
+
     def test_unknown_config_key_is_usage_error(self, tmp_path, capsys):
         cfg = tmp_path / "cfg.json"
         cfg.write_text(json.dumps({"no-such-key": 1}))
