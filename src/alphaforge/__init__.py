@@ -34,9 +34,7 @@ from .metrics import (
     RigidTransform,
     apply_protocol_scaling,
     evaluate,
-    f1_score,
     icp_align,
-    normal_cosine,
 )
 from .policy import (
     QPolicy,
@@ -70,9 +68,9 @@ __all__ = [
     "RefineConfig", "RigidTransform", "SMOOTH_TAUS", "SyntheticSpec",
     "TAU_PRESETS", "Topology", "TrainLog", "apply_protocol_scaling",
     "boundary_meshes", "delaunay_complex", "enclosed_volume", "errors",
-    "evaluate", "extract_boundary_faces", "f1_score",
+    "evaluate", "extract_boundary_faces",
     "filter_tetrahedra", "greedy_tau", "icosphere", "icp_align", "laplacian_coords",
-    "load_policy", "loss_plan", "normal_cosine", "pretty_weights",
+    "load_policy", "loss_plan", "pretty_weights",
     "q_values", "read_mesh", "read_points", "reference_mesh", "refine_mesh",
     "reward", "sample_surface", "save_policy", "score_row", "select_action",
     "smooth_weights", "state_descriptor", "subdivide", "synth",

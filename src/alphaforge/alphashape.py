@@ -94,11 +94,12 @@ def boundary_meshes(complex_: DelaunayComplex, taus) -> list[Mesh | None]:
 def triangulate(points: PointCloud | np.ndarray, tau: float) -> Mesh:
     """Full triangulation layer: Delaunay complex, tau filter, boundary mesh.
 
-    Raises EmptyMesh when filtering removes every tetrahedron, i.e. tau is
-    too small for this cloud; the caller decides how to recover.
+    Raises EmptyMesh, naming the least tau that keeps a tetrahedron, when
+    tau is too small for this cloud; the caller decides how to recover.
     """
     complex_ = delaunay_complex(points)
     (mesh,) = boundary_meshes(complex_, (tau,))
     if mesh is None:
-        raise EmptyMesh(f"tau={tau} removed all {len(complex_)} tetrahedra")
+        raise EmptyMesh(f"tau={tau} removed all {len(complex_)} tetrahedra; the least "
+                        f"tau that keeps one is {float(complex_.radii.min())!r}")
     return mesh

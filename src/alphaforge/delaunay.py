@@ -1,10 +1,10 @@
-"""3D Delaunay tetrahedralization with per-tetrahedron circumspheres.
+"""3D Delaunay tetrahedralization with per-tetrahedron circumradii.
 
-Qhull and the circumspheres see the cloud scaled by an exact power of two
+Qhull and the circumradii see the cloud scaled by an exact power of two
 to a largest |coordinate| in [0.5, 1), so the complex is the same at every
 scale in the supported range: a largest |coordinate| in [2^-300, 2^300).
 
-The build holds the complex plus one block of circumsphere temporaries
+The build holds the complex plus one block of circumradius temporaries
 (``BLOCK_ROWS`` rows), and SciPy's Delaunay object is dropped before that
 pass, so its peak memory is Qhull's own.
 """
@@ -32,7 +32,7 @@ COLLINEAR_TOL = 1e-6
 # it, extract_boundary_faces' orientation triple products leave float range.
 MIN_EXPONENT, MAX_EXPONENT = -300, 300
 
-# Rows per block of the circumsphere pass: one block's temporaries take
+# Rows per block of the circumradius pass: one block's temporaries take
 # a few MB, well under what Qhull itself takes.
 BLOCK_ROWS = 4096
 
@@ -42,12 +42,12 @@ class DelaunayComplex:
     """Delaunay tetrahedralization of a point set, stored as arrays.
 
     ``simplices`` is a (T, 4) int64 array of ascending vertex indices with
-    rows in lexicographic order; ``centers`` (T, 3) and ``radii`` (T,) hold
-    each row's circumsphere. ``neighbors`` (T, 4) int64 gives, for slot k,
-    the row sharing the face opposite ``simplices[t, k]``, or -1 across the
-    hull and across a dropped sliver. No input point lies strictly inside
-    any circumsphere (strictly: closer than radius * (1 - 1e-9)), and the
-    union of tetrahedra triangulates the convex hull.
+    rows in lexicographic order; ``radii`` (T,) holds their circumradii.
+    ``neighbors`` (T, 4) int64 gives, for slot k, the row sharing the face
+    opposite ``simplices[t, k]``, or -1 across the hull and across a dropped
+    sliver. The triangulation is Delaunay: no input point lies strictly
+    inside any row's circumsphere (closer than radius * (1 - 1e-9)), and
+    the union of tetrahedra triangulates the convex hull.
 
     The complex is a filtration: the alpha shape at tau keeps the rows with
     radius <= tau, a prefix of the rows ordered by radius, so one complex
@@ -56,7 +56,6 @@ class DelaunayComplex:
 
     points: PointCloud
     simplices: np.ndarray
-    centers: np.ndarray
     radii: np.ndarray
     neighbors: np.ndarray
 
@@ -65,21 +64,20 @@ class DelaunayComplex:
 
 
 def _batch_circumspheres(pts: np.ndarray, simplices: np.ndarray):
-    """Vectorized circumspheres; returns (centers, radii, valid_mask).
+    """Vectorized circumradii; returns (radii, valid_mask).
 
     Each row's corners are taken in the lexicographic order of their
     coordinates, so a tetrahedron gets the same bits however the cloud is
     numbered. With edge vectors a, b, c from the least corner, the
-    determinant is a . (b x c) and, by Cramer's rule, the centre sits at
-    (|a|^2 b x c + |b|^2 c x a + |c|^2 a x b) / (2 det) from that corner.
-    Rows go through in blocks of ``BLOCK_ROWS``, each row by the same
-    operations in the same order, so only one block's temporaries are
-    held at a time and the bits do not depend on the block size.
+    determinant is a . (b x c) and, by Cramer's rule, the radius is the
+    norm of (|a|^2 b x c + |b|^2 c x a + |c|^2 a x b) / (2 det). Rows go
+    through in blocks of ``BLOCK_ROWS``, each by the same operations in the
+    same order, so one block's temporaries are held at a time and the bits
+    do not depend on the block size.
     """
     by_rank = np.lexsort(pts.T[::-1])
     rank = np.empty(len(pts), dtype=np.int64)
     rank[by_rank] = np.arange(len(pts))
-    centers = np.empty((len(simplices), 3))
     radii = np.empty(len(simplices))
     ok = np.empty(len(simplices), dtype=bool)
     for start in range(0, len(simplices), BLOCK_ROWS):
@@ -95,9 +93,8 @@ def _batch_circumspheres(pts: np.ndarray, simplices: np.ndarray):
         with np.errstate(divide="ignore", invalid="ignore"):  # rows with det 0
             local = (sq[0][:, None] * bc + sq[1][:, None] * ca
                      + sq[2][:, None] * ab) / (2.0 * det[:, None])
-        centers[block] = np.where(valid[:, None], p0 + local, np.nan)
         radii[block] = np.where(valid, np.linalg.norm(local, axis=1), np.nan)
-    return centers, radii, ok
+    return radii, ok
 
 
 def delaunay_complex(points: PointCloud | np.ndarray) -> DelaunayComplex:
@@ -105,10 +102,10 @@ def delaunay_complex(points: PointCloud | np.ndarray) -> DelaunayComplex:
 
     Deterministic for a fixed input ordering. The cloud is tetrahedralized
     scaled by 2^-k, where 2^k is the least power of two above its largest
-    |coordinate|; the centres and radii are scaled back by 2^k. ``points``
-    is the caller's cloud. Simplices failing the affine-independence
-    predicate (flat slivers from cospherical tie-breaking) carry no defined
-    circumsphere and are dropped; they have zero volume within tolerance,
+    |coordinate|; the radii are scaled back by 2^k. ``points`` is the
+    caller's cloud. Simplices failing the affine-independence predicate
+    (flat slivers from cospherical tie-breaking) carry no defined
+    circumradius and are dropped; they have zero volume within tolerance,
     so the hull-volume identity is unaffected.
 
     Raises:
@@ -151,11 +148,11 @@ def delaunay_complex(points: PointCloud | np.ndarray) -> DelaunayComplex:
     del tri, slots  # Qhull's arrays are not needed past this point
     rows = _lex_order(simplices)
     simplices, neighbors = simplices[rows], neighbors[rows]
-    centers, radii, ok = _batch_circumspheres(unit, simplices)
+    radii, ok = _batch_circumspheres(unit, simplices)
     if not ok.any():
         raise DegenerateInput("every tetrahedron is flat within predicate tolerance")
     # Qhull id -> kept row id; the extra last entry maps Qhull's -1 to -1.
     renumber = np.full(len(rows) + 1, -1, dtype=np.int64)
     renumber[rows[ok]] = np.arange(np.count_nonzero(ok))
-    return DelaunayComplex(cloud, simplices[ok], np.ldexp(centers[ok], k),
-                           np.ldexp(radii[ok], k), renumber[neighbors[ok]])
+    return DelaunayComplex(cloud, simplices[ok], np.ldexp(radii[ok], k),
+                           renumber[neighbors[ok]])

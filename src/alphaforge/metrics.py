@@ -26,7 +26,7 @@ from dataclasses import dataclass, field
 import numpy as np
 from scipy.spatial import cKDTree
 
-from .errors import DegenerateConfiguration, EmptyCloud, EmptyMesh, MissingNormals
+from .errors import DegenerateConfiguration, EmptyCloud, EmptyMesh
 from .loss import (
     _chamfer_value,
     _Match,
@@ -114,36 +114,20 @@ class EvalReport:
         }
 
 
-def f1_score(p: PointCloud, q: PointCloud, r: float) -> tuple[float, float, float]:
+def _f1(m: _Match, r: float) -> tuple[float, float, float]:
     """(precision, recall, f1) on a 0-100 scale at match radius r.
 
     Precision: share of P with a Q point within r. Recall: share of Q with a
     P point within r. F1: harmonic mean, zero when both vanish.
     """
-    if len(p) == 0 or len(q) == 0:
-        raise EmptyCloud("f1_score needs non-empty clouds")
-    if not 0.0 < r < np.inf:
-        raise ValueError("radius must be finite and positive")
-    return _f1(_match(p.points, q.points), r)
-
-
-def _f1(m: _Match, r: float) -> tuple[float, float, float]:
     precision = 100.0 * float((m.d2_pq <= r * r).mean())
     recall = 100.0 * float((m.d2_qp <= r * r).mean())
     f1 = 0.0 if precision + recall == 0 else 2 * precision * recall / (precision + recall)
     return precision, recall, f1
 
 
-def normal_cosine(p: PointCloud, q: PointCloud) -> float:
-    """Mean |cos| of matched normals over both-direction nearest neighbors."""
-    if len(p) == 0 or len(q) == 0:
-        raise EmptyCloud("normal_cosine needs non-empty clouds")
-    if not p.has_normals or not q.has_normals:
-        raise MissingNormals("normal_cosine needs normals on both clouds")
-    return _mean_abs_cosine(p.normals, q.normals, _match(p.points, q.points))
-
-
 def _mean_abs_cosine(pn: np.ndarray, qn: np.ndarray, m: _Match) -> float:
+    """Mean |cos| of matched normals over both-direction nearest neighbors."""
     _, cos_fwd, cos_rev = _normal_cosines(pn, qn, m)
     return float((np.abs(cos_fwd).sum() + np.abs(cos_rev).sum()) / (len(pn) + len(qn)))
 

@@ -46,7 +46,7 @@ def circumradii_and_volumes(points, simplices):
 
 def complex_from_quads(points, quads):
     """A DelaunayComplex over hand-built tetrahedra, with the neighbours
-    found by brute-force face matching; no circumspheres."""
+    found by brute-force face matching; every radius NaN."""
     quads = np.sort(np.asarray(quads, dtype=np.int64), axis=1)
     quads = quads[np.lexsort(quads.T[::-1])]
     owners = {}
@@ -56,9 +56,8 @@ def complex_from_quads(points, quads):
     neighbors = np.array([[next((o for o in owners[frozenset(q) - {v}] if o != t), -1)
                            for v in q] for t, q in enumerate(quads.tolist())],
                          dtype=np.int64).reshape(-1, 4)
-    nan = np.full(len(quads), np.nan)
-    return DelaunayComplex(PointCloud(points), quads, np.column_stack([nan] * 3),
-                           nan, neighbors)
+    return DelaunayComplex(PointCloud(points), quads, np.full(len(quads), np.nan),
+                           neighbors)
 
 
 def face_count_boundary(complex_, kept):
@@ -230,9 +229,14 @@ class TestTriangulate:
         assert len(topology(mesh).boundary_edges) == 0
 
     def test_tiny_tau_empties_mesh(self):
+        """The error names the least radius exactly, and that tau keeps a
+        tetrahedron."""
         cloud, _ = synth(SyntheticSpec("sphere", n=200, fill="solid", seed=13))
-        with pytest.raises(EmptyMesh):
+        with pytest.raises(EmptyMesh, match="removed all") as info:
             triangulate(cloud, 1e-9)
+        least = float(str(info.value).rpartition(" ")[2])
+        assert least == delaunay_complex(cloud).radii.min()
+        assert triangulate(cloud, least).num_faces > 0
 
     def test_huge_tau_gives_convex_hull(self):
         from scipy.spatial import ConvexHull

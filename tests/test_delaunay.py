@@ -46,15 +46,24 @@ def hull_volume_oracle(points):
     return np.einsum("ij,ij->i", tri[:, 0], np.cross(tri[:, 1], tri[:, 2])).sum() / 6.0
 
 
+def circumcenters(points, simplices):
+    """Oracle: every row's circumcentre at once, by solving its 3x3 edge
+    system edges @ (center - p0) = |edges|^2 / 2 from its first corner."""
+    p0 = points[simplices[:, 0]]
+    edges = points[simplices[:, 1:]] - p0[:, None, :]
+    rhs = 0.5 * (edges**2).sum(axis=2)
+    return p0 + np.linalg.solve(edges, rhs[..., None])[..., 0]
+
+
 def empty_circumsphere_violations(points, complex_):
-    """Oracle: points strictly inside any circumsphere (1e-9 relative slack)."""
-    bad = 0
-    for quad, center, radius in zip(complex_.simplices, complex_.centers, complex_.radii):
-        dist = np.linalg.norm(points - center, axis=1)
-        inside = dist < radius * (1.0 - 1e-9)
-        inside[quad] = False
-        bad += int(inside.sum())
-    return bad
+    """Oracle: points strictly inside any circumsphere (1e-9 relative
+    slack), each sphere the oracle's centre with the complex's radius."""
+    simplices = complex_.simplices
+    centers = circumcenters(points, simplices)
+    dist = np.linalg.norm(points[None, :, :] - centers[:, None, :], axis=2)
+    inside = dist < complex_.radii[:, None] * (1.0 - 1e-9)
+    inside[np.arange(len(simplices))[:, None], simplices] = False
+    return int(inside.sum())
 
 
 def tetrahedra_volume(points, simplices):
@@ -164,17 +173,16 @@ class TestDelaunayComplex:
         pts = rng.random((40, 3))
         complex_ = delaunay_complex(PointCloud(pts))
         assert complex_.simplices.dtype == np.int64
-        assert complex_.centers.shape == (len(complex_), 3)
         assert complex_.radii.shape == (len(complex_),)
-        for quad, center, radius in zip(complex_.simplices, complex_.centers,
-                                        complex_.radii):
-            dist = np.linalg.norm(pts[quad] - center, axis=1)
-            assert np.abs(dist - radius).max() < 1e-7 * radius
-            assert radius > 0 and np.isfinite(radius)
-            # the batched circumspheres agree with the scalar reference
-            ref_center, ref_radius = circumsphere(*pts[quad])
-            np.testing.assert_allclose(center, ref_center, rtol=1e-9, atol=1e-12)
-            assert radius == pytest.approx(ref_radius, rel=1e-9)
+        radii = complex_.radii
+        assert (radii > 0).all() and np.isfinite(radii).all()
+        # every corner lies on the oracle's sphere of the complex's radius
+        centers = circumcenters(pts, complex_.simplices)
+        dist = np.linalg.norm(pts[complex_.simplices] - centers[:, None, :], axis=2)
+        assert (np.abs(dist - radii[:, None]).max(axis=1) < 1e-7 * radii).all()
+        # the batched radii agree with the scalar reference
+        for quad, radius in zip(complex_.simplices, radii):
+            assert radius == pytest.approx(circumsphere(*pts[quad])[1], rel=1e-9)
 
     def test_translation_invariance_as_quadruple_set(self):
         rng = np.random.default_rng(3)
@@ -198,33 +206,30 @@ class TestDelaunayComplex:
     @pytest.mark.parametrize("spec, pins", [
         pytest.param(SyntheticSpec("torus", n=3000, fill="solid", seed=2), (
             "7b3f6a9f1e4e9ecc069fae37ae40fae5aafcaaa9cda772a1804eec57d0c9a319",
-            "f834783cd1f8fc6356a2c6c473697e3e2fa495377c23634d55e736fbfae6dd4a",
             "14a6492061297bf3549838d2ae3538250c289da336b2058da2a35e539516626c",
             "ed64402c1ab93389fe4b32c5217d61ddcb0f011af27e698e71a9a8aeed80ac68",
         ), id="solid-torus"),
         pytest.param(SyntheticSpec("torus", n=1000, fill="solid", seed=100,
                                    minor_radius=0.25), (
             "42dac64a46b84dfeb10232b1fae3afa8ad77d0b5c4e9d17b5e9ba9ad86b2d1fc",
-            "d161e2c13254387ac37e856233008173f4d25ce2479cd2d90324b9c6ce23dc39",
             "3896d4773f506528fe759643cc37a5ee762f46f6a4084df4a22af72f559460e5",
             "39e3ae99d7eb6883b21672df075907ce54ae888fd96e6cd349524a624174a8ef",
         ), id="policy-torus"),
         pytest.param(SyntheticSpec("sphere", n=80, fill="solid", seed=200,
                                    major_radius=0.8), (
             "0ac32b65e4e50e516f18b66520a9f92ab6d3a8eb12af86c7dc6b39dbf843a619",
-            "0f09393afe265be132e359ad4b494b1e7ae38d1036bbb2e591b2a28c559899a4",
             "f58c6c6de26805c5140ca0dd347e40e22a4eaedbde86dabad8f1f1d039f7bf54",
             "7dceaf049b49833d18c63b502bde47715fc98c0292ea7a282c5e85c46f913ee9",
         ), id="policy-sphere"),
     ])
     def test_complex_bytes_pinned(self, spec, pins):
-        """SHA-256 of the simplices, centres, radii and neighbours. Every
-        threshold's mesh is read off these arrays. Adding the circumspheres'
-        dot products in another order changes 43 % of the solid torus's
-        radii, and no value-level check sees it."""
+        """SHA-256 of the simplices, radii and neighbours. Every threshold's
+        mesh is read off these arrays. Adding the circumradius pass's dot
+        products in another order changes 43 % of the solid torus's radii,
+        and no value-level check sees it."""
         complex_ = delaunay_complex(synth(spec)[0])
         got = tuple(hashlib.sha256(getattr(complex_, name).tobytes()).hexdigest()
-                    for name in ("simplices", "centers", "radii", "neighbors"))
+                    for name in ("simplices", "radii", "neighbors"))
         assert got == pins
 
 
@@ -235,22 +240,26 @@ class TestBlocks:
           for seed, n in [(0, 30), (1, 300), (2, 1000)]),
     ])
     def test_blocks_are_exact(self, points, monkeypatch):
-        """Blocks of 7 rows, the last one short, give the bytes of one
-        block; on the grid, flat (NaN) rows fall in several blocks."""
+        """Blocks of 7 rows, the last one short, give the radii and flags of
+        one block, byte for byte; on the grid, flat (NaN) rows fall in
+        several blocks."""
         simplices = np.sort(Delaunay(points).simplices, axis=1).astype(np.int64)
         assert len(simplices) % 7
         monkeypatch.setattr(delaunay, "BLOCK_ROWS", len(simplices))
-        whole = delaunay._batch_circumspheres(points, simplices)
+        radii, ok = delaunay._batch_circumspheres(points, simplices)
         monkeypatch.setattr(delaunay, "BLOCK_ROWS", 7)
-        blocks = delaunay._batch_circumspheres(points, simplices)
-        assert [b.tobytes() for b in blocks] == [w.tobytes() for w in whole]
+        block_radii, block_ok = delaunay._batch_circumspheres(points, simplices)
+        assert block_radii.tobytes() == radii.tobytes()
+        assert block_ok.tobytes() == ok.tobytes()
         if points is GRID_3:
-            assert len(np.unique(np.flatnonzero(~whole[2]) // 7)) > 1
+            assert len(np.unique(np.flatnonzero(~ok) // 7)) > 1
 
     def test_peak_memory_is_the_complex_and_one_block(self):
         """Traced peak of building the complex of a 10k-point solid torus
-        (65,588 tetrahedra): 13.4 MiB with 4096-row blocks and SciPy's
-        object dropped first, 31.2 MiB with full-length temporaries."""
+        (65,588 tetrahedra): 10.6 MiB with 4096-row blocks, SciPy's object
+        dropped first and no circumcentres. A (T, 3) float array takes
+        1.5 MiB, so one more breaks the bound: stored circumcentres took
+        the peak to 13.4 MiB, full-length temporaries to 31.2 MiB."""
         cloud = synth(SyntheticSpec("torus", n=10000, fill="solid", seed=1))[0]
         tracemalloc.start()
         try:
@@ -258,7 +267,7 @@ class TestBlocks:
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
-        assert peak < 20 * 2**20
+        assert peak < 12 * 2**20
 
 
 class TestNeighbors:

@@ -12,16 +12,15 @@ from alphaforge import (
     SyntheticSpec,
     apply_protocol_scaling,
     evaluate,
-    f1_score,
     icosphere,
     icp_align,
-    normal_cosine,
     reference_mesh,
     sample_surface,
     synth,
 )
-from alphaforge.errors import DegenerateConfiguration, EmptyCloud, MissingNormals
-from alphaforge.metrics import PROTOCOLS, _best_rigid_fit, _icp
+from alphaforge.errors import DegenerateConfiguration
+from alphaforge.loss import _match
+from alphaforge.metrics import PROTOCOLS, _best_rigid_fit, _f1, _icp, _mean_abs_cosine
 from conftest import random_rotation
 
 
@@ -35,49 +34,41 @@ def rot_z(deg):
 class TestF1:
     def test_identical_clouds(self):
         p = PointCloud(np.random.default_rng(0).random((50, 3)))
-        assert f1_score(p, p, 0.01) == (100.0, 100.0, 100.0)
+        assert _f1(_match(p.points, p.points), 0.01) == (100.0, 100.0, 100.0)
 
     def test_far_apart_zero(self):
         p = PointCloud(np.zeros((3, 3)))
         q = PointCloud(np.zeros((3, 3)) + 10.0)
-        assert f1_score(p, q, 0.1) == (0.0, 0.0, 0.0)
+        assert _f1(_match(p.points, q.points), 0.1) == (0.0, 0.0, 0.0)
 
     def test_hand_counted(self):
         p = PointCloud([[0, 0, 0], [5, 0, 0]])
         q = PointCloud([[0, 0, 0]])
-        precision, recall, f1 = f1_score(p, q, 0.1)
+        precision, recall, f1 = _f1(_match(p.points, q.points), 0.1)
         assert (precision, recall) == (50.0, 100.0)
         assert f1 == pytest.approx(200.0 / 3.0)
 
     def test_swap_symmetry(self):
         rng = np.random.default_rng(1)
         p, q = PointCloud(rng.random((30, 3))), PointCloud(rng.random((20, 3)))
-        pr, rc, _ = f1_score(p, q, 0.2)
-        pr2, rc2, _ = f1_score(q, p, 0.2)
+        pr, rc, _ = _f1(_match(p.points, q.points), 0.2)
+        pr2, rc2, _ = _f1(_match(q.points, p.points), 0.2)
         assert (pr, rc) == (rc2, pr2)
-
-    def test_empty_raises(self):
-        with pytest.raises(EmptyCloud):
-            f1_score(PointCloud(np.zeros((0, 3))), PointCloud([[0, 0, 0]]), 0.1)
-
-    @pytest.mark.parametrize("r", [0.0, -0.1, float("nan"), float("inf")])
-    def test_radius_must_be_finite_and_positive(self, r):
-        p = PointCloud([[0, 0, 0]])
-        with pytest.raises(ValueError, match="radius must be finite and positive"):
-            f1_score(p, p, r)
 
 
 class TestNormalCosine:
     def test_identical(self):
         n = np.tile([0.0, 0.0, 1.0], (5, 1))
         p = PointCloud(np.random.default_rng(2).random((5, 3)), n)
-        assert normal_cosine(p, p) == pytest.approx(1.0)
+        cos = _mean_abs_cosine(p.normals, p.normals, _match(p.points, p.points))
+        assert cos == pytest.approx(1.0)
 
     def test_orthogonal(self):
         pts = np.random.default_rng(3).random((4, 3))
         p = PointCloud(pts, np.tile([0.0, 0.0, 1.0], (4, 1)))
         q = PointCloud(pts, np.tile([1.0, 0.0, 0.0], (4, 1)))
-        assert normal_cosine(p, q) == pytest.approx(0.0)
+        cos = _mean_abs_cosine(p.normals, q.normals, _match(p.points, q.points))
+        assert cos == pytest.approx(0.0)
 
     def test_matches_quadratic_oracle(self):
         rng = np.random.default_rng(4)
@@ -90,12 +81,8 @@ class TestNormalCosine:
         fwd, rev = d2.argmin(axis=1), d2.argmin(axis=0)
         total = np.abs(np.einsum("ij,ij->i", p.normals, q.normals[fwd])).sum()
         total += np.abs(np.einsum("ij,ij->i", p.normals[rev], q.normals)).sum()
-        assert normal_cosine(p, q) == pytest.approx(total / 19, rel=1e-12)
-
-    def test_missing_normals(self):
-        p = PointCloud([[0, 0, 0]])
-        with pytest.raises(MissingNormals):
-            normal_cosine(p, p)
+        cos = _mean_abs_cosine(p.normals, q.normals, _match(p.points, q.points))
+        assert cos == pytest.approx(total / 19, rel=1e-12)
 
 
 class TestIcp:
