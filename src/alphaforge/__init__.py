@@ -43,7 +43,6 @@ from .policy import (
     load_policy,
     q_values,
     reward,
-    save_policy,
     score_row,
     select_action,
     state_descriptor,
@@ -72,7 +71,7 @@ __all__ = [
     "filter_tetrahedra", "greedy_tau", "icosphere", "icp_align", "laplacian_coords",
     "load_policy", "loss_plan", "pretty_weights",
     "q_values", "read_mesh", "read_points", "reference_mesh", "refine_mesh",
-    "reward", "sample_surface", "save_policy", "score_row", "select_action",
+    "reward", "sample_surface", "score_row", "select_action",
     "smooth_weights", "state_descriptor", "subdivide", "synth",
     "taubin_smooth", "topology", "total_loss",
     "trace_to_csv", "train_policy", "triangulate", "update",

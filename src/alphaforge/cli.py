@@ -213,6 +213,11 @@ def _cmd_train_policy(args) -> int:
 
 
 def _cmd_reconstruct(args) -> int:
+    weights = {"smooth": smooth_weights, "pretty": pretty_weights}[args.preset]()
+    cfg = RefineConfig(stages=args.stages, iters_per_stage=args.iters,
+                       step_size=args.step, weights=weights,
+                       subdivide_between_stages=args.subdivide,
+                       taubin_iters=args.taubin_iters)
     cloud = meshio.read_points(args.infile)
     if args.policy:
         tau = greedy_tau(load_policy(args.policy), cloud)
@@ -224,16 +229,11 @@ def _cmd_reconstruct(args) -> int:
     else:
         raise _UsageError("reconstruct needs --tau or --policy")
 
-    weights = {"smooth": smooth_weights, "pretty": pretty_weights}[args.preset]()
     initial = triangulate(cloud, tau)
     if weights.lambda6 > 0 and not cloud.has_normals:
         print("reconstruct: input cloud has no normals; disabling the "
               "normal-loss term", file=sys.stderr)
-        weights = replace(weights, lambda6=0.0)
-    cfg = RefineConfig(stages=args.stages, iters_per_stage=args.iters,
-                       step_size=args.step, weights=weights,
-                       subdivide_between_stages=args.subdivide,
-                       taubin_iters=args.taubin_iters)
+        cfg = replace(cfg, weights=replace(weights, lambda6=0.0))
     refined, trace = refine_mesh(initial, cloud, cfg, seed=args.seed + SEED_REFINE)
     if args.trace:
         meshio._write_text(args.trace, trace_to_csv(trace))

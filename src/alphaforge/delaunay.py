@@ -1,8 +1,8 @@
 """3D Delaunay tetrahedralization with per-tetrahedron circumradii.
 
-Qhull and the circumradii see the cloud scaled by an exact power of two
-to a largest |coordinate| in [0.5, 1), so the complex is the same at every
-scale in the supported range: a largest |coordinate| in [2^-300, 2^300).
+Qhull and the circumradii see the cloud in its power-of-two frame
+(``mesh._frame``), so the complex is the same at every scale in the
+frame's range.
 
 The build holds the complex plus one block of circumradius temporaries
 (``BLOCK_ROWS`` rows), and SciPy's Delaunay object is dropped before that
@@ -18,7 +18,7 @@ from scipy.spatial import Delaunay as _SciPyDelaunay
 from scipy.spatial import QhullError
 
 from .errors import DegenerateInput, TooFewPoints
-from .mesh import PointCloud, _cross, _lex_order
+from .mesh import PointCloud, _cross, _frame, _lex_order
 
 # Affine-independence predicate: |det| of the edge matrix must exceed this
 # factor times (max edge length)^3, else the quadruple is treated as coplanar.
@@ -27,10 +27,6 @@ ORIENTATION_TOL = 1e-12
 # A cloud whose second singular value (centred) is at most this factor times
 # its first is collinear; SciPy's Qhull can crash within about 3e-12 of a line.
 COLLINEAR_TOL = 1e-6
-
-# Supported largest |coordinate|: [2^MIN_EXPONENT, 2^MAX_EXPONENT). Beyond
-# it, extract_boundary_faces' orientation triple products leave float range.
-MIN_EXPONENT, MAX_EXPONENT = -300, 300
 
 # Rows per block of the circumradius pass: one block's temporaries take
 # a few MB, well under what Qhull itself takes.
@@ -101,31 +97,26 @@ def delaunay_complex(points: PointCloud | np.ndarray) -> DelaunayComplex:
     """Delaunay tetrahedralization of the cloud (normals ignored).
 
     Deterministic for a fixed input ordering. The cloud is tetrahedralized
-    scaled by 2^-k, where 2^k is the least power of two above its largest
-    |coordinate|; the radii are scaled back by 2^k. ``points`` is the
-    caller's cloud. Simplices failing the affine-independence predicate
-    (flat slivers from cospherical tie-breaking) carry no defined
-    circumradius and are dropped; they have zero volume within tolerance,
-    so the hull-volume identity is unaffected.
+    in its frame, scaled by 2^-k to a largest |coordinate| in [1, 2); the
+    radii are scaled back by 2^k. ``points`` is the caller's cloud.
+    Simplices failing the affine-independence predicate (flat slivers from
+    cospherical tie-breaking) carry no defined circumradius and are
+    dropped; they have zero volume within tolerance, so the hull-volume
+    identity is unaffected.
 
     Raises:
         TooFewPoints: fewer than 4 points.
-        DegenerateInput: the largest |coordinate| is outside
-            [2^-300, 2^300); the cloud is collinear within
-            ``COLLINEAR_TOL``; Qhull rejects the cloud (coplanar points,
-            say), with the first line of its report, or leaves its point at
-            infinity in a simplex; or every tetrahedron fails the
-            affine-independence predicate.
+        DegenerateInput: the largest |coordinate| is outside the frame's
+            range; the cloud is collinear within ``COLLINEAR_TOL``; Qhull
+            rejects the cloud (coplanar points, say), with the first line
+            of its report, or leaves its point at infinity in a simplex; or
+            every tetrahedron fails the affine-independence predicate.
     """
     cloud = points if isinstance(points, PointCloud) else PointCloud(points)
     pts = cloud.points
     if len(pts) < 4:
         raise TooFewPoints(f"need at least 4 points, got {len(pts)}")
-    largest = np.abs(pts).max()
-    k = int(np.frexp(largest)[1])
-    if not MIN_EXPONENT < k <= MAX_EXPONENT:
-        raise DegenerateInput(f"largest |coordinate| {largest:.3g} is outside the "
-                              f"supported range [2^{MIN_EXPONENT}, 2^{MAX_EXPONENT})")
+    k = _frame(pts)
     unit = np.ldexp(pts, -k)
     spread = np.linalg.svd(unit - unit.mean(axis=0), compute_uv=False)
     if spread[1] <= COLLINEAR_TOL * spread[0]:

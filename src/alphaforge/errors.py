@@ -19,7 +19,8 @@ class TooFewPoints(GeometryError):
 
 class DegenerateInput(GeometryError):
     """Point set is flat (coplanar, collinear, or every tetrahedron flat
-    within predicate tolerance) or outside the supported coordinate range."""
+    within predicate tolerance), or a cloud or mesh is outside the supported
+    coordinate range (``mesh._frame``)."""
 
 
 class EmptySelection(GeometryError):
@@ -31,7 +32,7 @@ class EmptyMesh(GeometryError):
 
 
 class NoSurface(GeometryError):
-    """Mesh has no sampleable area."""
+    """Mesh has zero (or non-finite) total area, so nothing to sample."""
 
 
 class EmptyCloud(GeometryError):

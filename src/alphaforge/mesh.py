@@ -7,7 +7,7 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .errors import InvalidMesh
+from .errors import DegenerateInput, InvalidMesh
 
 NORMAL_UNIT_TOL = 1e-9
 
@@ -182,6 +182,24 @@ def _cross(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     for k, (i, j) in enumerate(((1, 2), (2, 0), (0, 1))):
         np.subtract(a[:, i] * b[:, j], a[:, j] * b[:, i], out=out[:, k])
     return out
+
+
+def _frame(*arrays: np.ndarray) -> int:
+    """The k for which 2^-k times the largest |value| in ``arrays`` lies in
+    [1, 2). Every stage that measures distance works on its input scaled by
+    2^-k (``np.ldexp``, exact) and scales lengths back by 2^k, so it gives
+    the same bits, scaled, at every scale. All-zero values get k = -1.
+
+    Raises DegenerateInput outside the supported range [2^-300, 2^300),
+    beyond which the boundary's orientation triple products leave the float
+    range.
+    """
+    largest = max(np.abs(a).max(initial=0.0) for a in arrays)
+    k = int(np.frexp(largest)[1]) - 1
+    if not -300 <= k < 300:
+        raise DegenerateInput(f"largest |coordinate| {largest:.3g} is outside the "
+                              "supported range [2^-300, 2^300)")
+    return k
 
 
 def face_cross_products(mesh: Mesh) -> np.ndarray:

@@ -37,7 +37,7 @@ from .loss import (
     _tree_sq_distances,
     FIXED_CANDIDATES,
 )
-from .mesh import Mesh, PointCloud
+from .mesh import Mesh, PointCloud, _frame
 from .sampling import METRIC_SAMPLES, sample_surface
 
 PROTOCOLS = ("pixel2mesh", "meshrcnn", "tmnet", "skeleton")
@@ -238,11 +238,16 @@ def evaluate(
     normal cosine. The tmnet protocol first ICP-aligns the prediction: its
     final cloud is ICP's incrementally aligned points, with the normals
     turned by ICP's rotation.
+
+    Sampling, ICP and the correspondence run in the joint frame
+    (``mesh._frame``) of the two protocol-scaled meshes: the F1 radii go in
+    scaled by 2^-k and the Chamfer comes back scaled by 4^k.
     """
     pred_s = apply_protocol_scaling(pred, protocol)
     gt_s = apply_protocol_scaling(gt, protocol)
-    pred_cloud = sample_surface(pred_s, n_samples, seed)
-    gt_cloud = sample_surface(gt_s, n_samples, seed)
+    k = _frame(pred_s.vertices, gt_s.vertices)
+    pred_cloud, gt_cloud = (sample_surface(m.with_vertices(np.ldexp(m.vertices, -k)),
+                                           n_samples, seed) for m in (pred_s, gt_s))
 
     tree = cKDTree(gt_cloud.points)
     points, normals = pred_cloud.points, pred_cloud.normals
@@ -251,13 +256,13 @@ def evaluate(
         normals = normals @ transform.rotation.T
     _require_clouds(pred_cloud, gt_cloud)
     match = _match(points, gt_cloud.points, tree)
-    cd = _chamfer_value(match)
+    cd = float(np.ldexp(_chamfer_value(match), 2 * k))
 
     f1 = {}
     precision = {}
     recall = {}
     for r in F1_RADII[protocol]:
-        precision[r], recall[r], f1[r] = _f1(match, r)
+        precision[r], recall[r], f1[r] = _f1(match, np.ldexp(r, -k))
     ncos = _mean_abs_cosine(normals, gt_cloud.normals, match)
     per_class = {class_label: cd} if (protocol == "skeleton" and class_label) else None
     return EvalReport(protocol=protocol, chamfer=cd, f1=f1,

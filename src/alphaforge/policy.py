@@ -24,7 +24,7 @@ from .delaunay import delaunay_complex
 from .errors import EmptyMesh, GeometryError, RewardOutOfRange, TooFewPoints
 from .loss import _match
 from .mesh import Mesh, PointCloud
-from .meshio import _text, _write_text
+from .meshio import _text
 from .metrics import _f1
 from .sampling import REWARD_SAMPLES, sample_surface
 
@@ -322,10 +322,6 @@ def policy_to_json(policy: QPolicy) -> str:
     return json.dumps(doc, indent=2) + "\n"
 
 
-def save_policy(policy: QPolicy, path) -> None:
-    _write_text(path, policy_to_json(policy))
-
-
 def _is_number(x) -> bool:
     """A finite JSON number: an int or float, not a bool, NaN or infinity."""
     if isinstance(x, bool) or not isinstance(x, (int, float)):
@@ -334,7 +330,7 @@ def _is_number(x) -> bool:
 
 
 def load_policy(path) -> QPolicy:
-    """The policy in a ``save_policy`` document; ValueError names what is
+    """The policy in a ``policy_to_json`` document; ValueError names what is
     wrong with a malformed one."""
     doc = json.loads(_text(path))
     if not isinstance(doc, dict):

@@ -50,6 +50,8 @@ class RefineConfig:
             raise ConfigError("iters_per_stage must be >= 0")
         if self.step_size <= 0:
             raise ConfigError("step_size must be positive")
+        if self.taubin_iters < 0:
+            raise ConfigError("taubin_iters must be >= 0")
 
 
 def _umbrella(vertices: np.ndarray, edges: np.ndarray) -> np.ndarray:

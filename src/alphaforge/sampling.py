@@ -5,15 +5,13 @@ from __future__ import annotations
 import numpy as np
 
 from .errors import NoSurface
-from .mesh import Mesh, PointCloud, face_cross_products
+from .mesh import Mesh, PointCloud, _frame, face_cross_products
 
 # Sample-count conventions: policy rewards use 3000 points, metric protocols
 # 10000 (reward count fixed by the evaluation setup, metric count a
 # variance/runtime balance).
 REWARD_SAMPLES = 3000
 METRIC_SAMPLES = 10000
-
-MIN_TOTAL_AREA = 1e-12
 
 
 def sample_surface(mesh: Mesh, n: int, seed: int) -> PointCloud:
@@ -28,15 +26,19 @@ def sample_surface(mesh: Mesh, n: int, seed: int) -> PointCloud:
     which is uniform over the triangle. Each sample carries its source
     face's unit normal. The stream comes from a counter-based Philox
     generator, so results are reproducible for a fixed (mesh, n, seed).
+    The points are drawn in the mesh's frame (``mesh._frame``) and scaled
+    back, so scaling the mesh by 2^j scales them by 2^j, bit for bit.
     """
-    cross = face_cross_products(mesh)
+    k = _frame(mesh.vertices)
+    framed = mesh.with_vertices(np.ldexp(mesh.vertices, -k))
+    cross = face_cross_products(framed)
     face_idx, bary = _draw(cross, n, seed)
-    pos = _place(mesh.vertices, mesh.faces[face_idx], bary)
+    pos = _place(framed.vertices, mesh.faces[face_idx], bary)
     normals = cross[face_idx]
     normals = normals / np.linalg.norm(normals, axis=1, keepdims=True)
     # renormalize to keep the unit invariant tight after the division
     normals = normals / np.linalg.norm(normals, axis=1, keepdims=True)
-    return PointCloud(pos, normals)
+    return PointCloud(np.ldexp(pos, k, out=pos), normals)
 
 
 def _draw(cross: np.ndarray, n: int, seed: int) -> tuple[np.ndarray, np.ndarray]:
@@ -44,14 +46,15 @@ def _draw(cross: np.ndarray, n: int, seed: int) -> tuple[np.ndarray, np.ndarray]
     samples of the faces whose ``face_cross_products`` are ``cross``, as
     ``sample_surface`` draws them.
 
-    Raises ValueError for n < 0 and NoSurface when the faces have no area.
+    Raises ValueError for n < 0 and NoSurface when the faces' total area is
+    zero or not finite.
     """
     if n < 0:
         raise ValueError("n must be >= 0")
     areas = 0.5 * np.linalg.norm(cross, axis=1)
     total = areas.sum()
-    if not len(cross) or total < MIN_TOTAL_AREA:
-        raise NoSurface(f"total mesh area {total} below {MIN_TOTAL_AREA}")
+    if not 0.0 < total < np.inf:
+        raise NoSurface(f"total mesh area {total} is not positive and finite")
     rng = np.random.Generator(np.random.Philox(seed))
     cumulative = np.cumsum(areas)
     u = rng.random(n) * cumulative[-1]

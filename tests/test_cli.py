@@ -17,7 +17,7 @@ from alphaforge import (
     write_points,
 )
 from alphaforge.cli import run
-from alphaforge.policy import QPolicy, load_policy, policy_to_json, save_policy
+from alphaforge.policy import QPolicy, load_policy, policy_to_json
 from test_meshio import MALFORMED_PLY_HEADER_LINES, malformed_ply_header_index
 
 
@@ -510,7 +510,7 @@ class TestPolicyCommands:
             write_points(PointCloud(points), root / f"{name}.xyz")
             write_mesh(gt, root / f"{name}.obj")
         policy_path = tmp_path / "policy.json"
-        save_policy(QPolicy.fresh((0.3, 0.9)), policy_path)  # zero weights pick 0.3
+        policy_path.write_text(policy_to_json(QPolicy.fresh((0.3, 0.9))))  # zero weights pick 0.3
         tables = []
         for extra in ([], ["--policy", str(policy_path)]):
             table = tmp_path / "table.csv"
@@ -540,7 +540,7 @@ class TestPolicyCommands:
                                                      complex_builds, descriptor_calls):
         root = make_dataset(tmp_path, n_per_class=1)
         policy_path = tmp_path / "policy.json"
-        save_policy(QPolicy.fresh((0.3, 0.9)), policy_path)
+        policy_path.write_text(policy_to_json(QPolicy.fresh((0.3, 0.9))))
         common = ["--dataset", str(root), "--nu", "0.2", "--n-samples", "0",
                   "--out", str(tmp_path / "out")]
         for argv in (["ablate", "--taus", "0.3"] + common,
@@ -675,22 +675,23 @@ class TestReconstruct:
         assert "falling back" not in err
 
     def test_negative_taubin_iters(self, tmp_path, capsys):
-        """Only the smooth preset builds the Taubin baseline, so only it
-        checks the count."""
+        """The count is refused when the configuration is built, before the
+        cloud is triangulated, also under the preset that builds no
+        baseline."""
         cloud, _ = synth(SyntheticSpec("sphere", n=200, fill="solid", seed=78))
         write_points(cloud, tmp_path / "c.xyz")
-        base = ["reconstruct", "--in", str(tmp_path / "c.xyz"), "--tau", "0.4",
-                "--stages", "1", "--iters", "1", "--taubin-iters", "-1",
-                "--out", str(tmp_path / "r.obj")]
-        code, _, err = invoke(base + ["--preset", "smooth"], capsys)
-        assert code == 2 and err.endswith("error: iterations must be >= 0\n")
-        code, _, err = invoke(base + ["--preset", "pretty"], capsys)
-        assert code == 0, err
+        for preset in ("smooth", "pretty"):
+            code, _, err = invoke(
+                ["reconstruct", "--in", str(tmp_path / "c.xyz"), "--tau", "0.4",
+                 "--stages", "1", "--iters", "1", "--taubin-iters", "-3",
+                 "--preset", preset, "--out", str(tmp_path / "r.obj")], capsys)
+            assert (code, err) == (2, "error: taubin_iters must be >= 0\n")
+        assert not (tmp_path / "r.obj").exists()
 
     def test_policy_picks_tau_and_rejects_undescribable_cloud(self, tmp_path, capsys):
         cloud, _ = synth(SyntheticSpec("sphere", n=200, fill="solid", seed=78))
         policy_path = tmp_path / "policy.json"
-        save_policy(QPolicy.fresh((0.9, 0.3)), policy_path)  # zero weights pick 0.9
+        policy_path.write_text(policy_to_json(QPolicy.fresh((0.9, 0.3))))  # zero weights pick 0.9
         for n, want_code, want_err in ((200, 0, "policy chose tau=0.9"),
                                        (6, 2, "cannot describe a 6-point cloud")):
             path = tmp_path / f"c{n}.xyz"

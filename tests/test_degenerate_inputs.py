@@ -1,6 +1,7 @@
-"""Degenerate inputs to the triangulation layer: extreme scales, duplicated
-and permuted points, slabs and needles. Each gives a mesh or a typed error,
-never a crash or a RuntimeWarning."""
+"""Degenerate inputs: extreme scales, for every stage that measures distance,
+and, for the triangulation layer, duplicated and permuted points, slabs and
+needles. Each gives a result or a typed error, never a crash or a
+RuntimeWarning."""
 
 import os
 import subprocess
@@ -13,12 +14,36 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from alphaforge import PointCloud, SyntheticSpec, delaunay_complex, meshio, synth, triangulate
+from alphaforge import (
+    Mesh,
+    PointCloud,
+    SyntheticSpec,
+    delaunay_complex,
+    evaluate,
+    meshio,
+    reference_mesh,
+    sample_surface,
+    score_row,
+    synth,
+    triangulate,
+)
 from alphaforge.errors import DegenerateInput, EmptyMesh
+from alphaforge.metrics import PROTOCOLS
 from conftest import random_rotation
 
 ROOT = Path(__file__).resolve().parents[1]
 RANGE_MESSAGE = r"outside the supported range \[2\^-300, 2\^300\)"
+
+# The torus reference mesh and a solid torus cloud at 11/8 scale: the mesh's
+# largest |coordinate| is 1.925, in [1/0.57, 2), so every protocol-scaled
+# mesh stays inside the range at every 2^j with j in [-300, 299].
+TORUS = reference_mesh(SyntheticSpec("torus"))
+TORUS = TORUS.with_vertices(TORUS.vertices * 1.375)
+TORUS_CLOUD = PointCloud(synth(SyntheticSpec("torus", n=300, seed=1, fill="solid"))[0].points
+                         * 1.375)
+# A prediction that ICP has to turn back: the mesh turned 0.1 rad about x.
+TILTED = TORUS.with_vertices(TORUS.vertices @ np.array(
+    [[1.0, 0.0, 0.0], [0.0, np.cos(0.1), np.sin(0.1)], [0.0, -np.sin(0.1), np.cos(0.1)]]))
 
 
 def unit_cloud(seed: int, n: int) -> np.ndarray:
@@ -47,20 +72,24 @@ def needle(seed: int, n: int, thickness: int, rotate: bool) -> np.ndarray:
     return pts @ random_rotation(rng).T if rotate else pts
 
 
-def run_triangulate(points: np.ndarray, tau: float, tmp_path):
-    """CLI ``triangulate`` in a subprocess, where a crash shows as a signal
-    instead of ending the test run."""
-    path = tmp_path / "cloud.xyz"
-    meshio.write_points(PointCloud(points), path)
+def run_cli(*args: str):
+    """The CLI in a subprocess, where a crash shows as a signal instead of
+    ending the test run."""
     env = dict(os.environ)
     env["PYTHONPATH"] = os.pathsep.join(
         p for p in (str(ROOT / "src"), env.get("PYTHONPATH")) if p)
-    proc = subprocess.run(
-        [sys.executable, "-m", "alphaforge.cli", "triangulate", "--in", str(path),
-         "--tau", str(tau), "--out", str(tmp_path / "mesh.obj")],
-        env=env, capture_output=True, text=True, timeout=120)
+    proc = subprocess.run([sys.executable, "-m", "alphaforge.cli", *args],
+                          env=env, capture_output=True, text=True, timeout=120)
     assert "RuntimeWarning" not in proc.stderr
     return proc
+
+
+def run_triangulate(points: np.ndarray, tau: float, tmp_path):
+    """CLI ``triangulate`` of the points, in a subprocess."""
+    path = tmp_path / "cloud.xyz"
+    meshio.write_points(PointCloud(points), path)
+    return run_cli("triangulate", "--in", str(path), "--tau", str(tau),
+                   "--out", str(tmp_path / "mesh.obj"))
 
 
 class TestScale:
@@ -104,6 +133,60 @@ class TestScale:
         proc = run_triangulate(cloud.points * float(scale), 0.3 * float(scale), tmp_path)
         assert proc.returncode == 2, proc.stderr
         assert "supported range [2^-300, 2^300)" in proc.stderr
+
+    @settings(max_examples=25, deadline=None)
+    @given(j=st.integers(-300, 299))
+    @example(j=-300)
+    @example(j=299)
+    def test_sampling_evaluate_and_reward_are_exact_at_power_of_two_scales(self, j):
+        """Scaled by 2^j, the samples scale by 2^j, bit for bit; under
+        meshrcnn, which rescales, the report is equal; under the other
+        protocols the Chamfer scales by 4^j and the normal cosine is equal;
+        and the reward row, with its radius read off the ground truth, is
+        equal."""
+        def scaled(mesh):
+            return mesh.with_vertices(np.ldexp(mesh.vertices, j))
+
+        base, got = sample_surface(TORUS, 500, seed=1), sample_surface(scaled(TORUS), 500, seed=1)
+        assert got.points.tobytes() == np.ldexp(base.points, j).tobytes()
+        assert got.normals.tobytes() == base.normals.tobytes()
+
+        for protocol in PROTOCOLS:
+            base = evaluate(TILTED, TORUS, protocol, n_samples=300)
+            got = evaluate(scaled(TILTED), scaled(TORUS), protocol, n_samples=300)
+            if protocol == "meshrcnn":
+                assert got == base
+            else:
+                assert got.chamfer == np.ldexp(base.chamfer, 2 * j), protocol
+                assert got.normal_cosine == base.normal_cosine, protocol
+
+        taus = [0.4, 0.8]
+        want = score_row(TORUS_CLOUD, TORUS, taus, n_samples=300)
+        assert 0 < min(want)
+        assert score_row(PointCloud(np.ldexp(TORUS_CLOUD.points, j)), scaled(TORUS),
+                         [float(np.ldexp(t, j)) for t in taus], n_samples=300) == want
+
+    @pytest.mark.parametrize("subcommand", [
+        ["sample", "--mesh", "{mesh}", "--n", "1000"],
+        ["evaluate", "--protocol", "tmnet", "--pred", "{mesh}", "--gt", "{mesh}",
+         "--n-samples", "1000"],
+    ], ids=["sample", "evaluate-tmnet"])
+    def test_cli_samples_and_evaluates_in_the_frame(self, subcommand, tmp_path):
+        """The torus at 1e-7 has a total area near 1e-13 and is measured;
+        a tetrahedron at 1e200 is refused with the range, not a warning."""
+        torus = reference_mesh(SyntheticSpec("torus"))
+        tetrahedron = Mesh(np.array([[0.0, 0, 0], [1, 0, 0], [0, 1, 0], [0, 0, 1]]),
+                           np.array([[0, 2, 1], [0, 1, 3], [0, 3, 2], [1, 2, 3]]))
+        for mesh, scale, code in ((torus, 1e-7, 0), (tetrahedron, 1e200, 2)):
+            path = tmp_path / "mesh.obj"
+            meshio.write_mesh(mesh.with_vertices(mesh.vertices * scale), path)
+            proc = run_cli(*(a.format(mesh=path) for a in subcommand),
+                           "--out", str(tmp_path / "out"))
+            assert proc.returncode == code, proc.stderr
+            if code:
+                assert proc.stderr.splitlines() == [
+                    "error: largest |coordinate| 1e+200 is outside the supported range "
+                    "[2^-300, 2^300)"]
 
 
 class TestDuplicatesAndPermutations:

@@ -27,7 +27,6 @@ from alphaforge.policy import (
     _row,
     load_policy,
     policy_to_json,
-    save_policy,
     state_hash,
 )
 
@@ -435,7 +434,7 @@ class TestSerialization:
         policy = QPolicy((0.05, 0.085, 0.11), theta, cache,
                          epsilon=0.123456789012345, epsilon_decay=0.99, period=2)
         path = tmp_path / "policy.json"
-        save_policy(policy, path)
+        path.write_text(policy_to_json(policy))
         loaded = load_policy(path)
         assert loaded.actions == policy.actions
         np.testing.assert_array_equal(loaded.theta, policy.theta)

@@ -80,8 +80,10 @@ def test_deterministic(tetra_mesh):
 
 
 def test_no_surface_raises():
-    degenerate = Mesh(np.array([[0.0, 0, 0], [1e-9, 0, 0], [0.0, 1e-9, 0]]),
-                      np.array([[0, 1, 2]]))
+    """Only zero area is no surface: a tiny triangle samples in its frame."""
+    tiny = Mesh(np.array([[0.0, 0, 0], [1e-9, 0, 0], [0.0, 1e-9, 0]]), np.array([[0, 1, 2]]))
+    assert len(sample_surface(tiny, 10, seed=0)) == 10
+    degenerate = tiny.with_vertices([[0.0, 0, 0], [1e-9, 0, 0], [3e-9, 0, 0]])
     with pytest.raises(NoSurface):
         sample_surface(degenerate, 10, seed=0)
 
