@@ -271,16 +271,16 @@ def _cmd_ablate(args) -> int:
                 for c in sorted({cls for cls, _ in results})}
     columns = [(f"tau={t}", t) for t in taus]
     columns += [("policy", "policy")] if policy is not None else []
-    lines = ["model," + ",".join(by_class)]
+    table = []
     for label, key in columns:
         means = []
         for rows in by_class.values():  # a per-class mean, summed in input order
             total = 0.0
             for row in rows:  # not sum(): it compensates from Python 3.12 on
                 total += row[key]
-            means.append(repr(100.0 * total / len(rows)))
-        lines.append(f"{label}," + ",".join(means))
-    meshio._write_text(args.out, "\n".join(lines) + "\n")
+            means.append(100.0 * total / len(rows))
+        table.append([label, *means])
+    meshio._write_text(args.out, meshio._csv(["model", *by_class], table))
     return 0
 
 

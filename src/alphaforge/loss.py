@@ -19,7 +19,8 @@ one two-way nearest-neighbor correspondence between the samples and the
 target, which the log-Chamfer, Chamfer and normal-loss terms and their
 gradients all read; each direction re-queries only the rows whose
 certificate has lapsed, so the correspondence is bit for bit that of two
-full queries.
+full queries. ``_query`` is the package's one kd-tree query: the neighbor
+lists, ``_match`` (evaluation, ICP, the reward) and the descriptor use it.
 """
 
 from __future__ import annotations
@@ -93,18 +94,6 @@ class LossBreakdown:
     normal_consistency: float
     normal_loss: float
     total: float
-
-
-def nearest_neighbors(a: np.ndarray, b: np.ndarray,
-                      tree: cKDTree | None = None) -> tuple[np.ndarray, np.ndarray]:
-    """Index into b of the nearest neighbor for each row of a, plus squared
-    distances, by an exact kd-tree query; a row equidistant from several
-    points of b gets any one of them. ``tree``, a kd-tree already built
-    over b, is queried instead of building one."""
-    if tree is None:
-        tree = cKDTree(b)
-    dist, idx = tree.query(a, k=1)
-    return idx, dist**2
 
 
 # Rounding margin of the certificates below: far above the few ulps a
@@ -245,16 +234,15 @@ class _Match(NamedTuple):
 
 
 def _match(pp: np.ndarray, qq: np.ndarray, tree_q: cKDTree | None = None) -> _Match:
-    idx_pq, d2_pq = nearest_neighbors(pp, qq, tree=tree_q)
-    idx_qp, d2_qp = nearest_neighbors(qq, pp)
-    return _Match(idx_pq, d2_pq, idx_qp, d2_qp)
-
-
-def _require_clouds(p: PointCloud, q: PointCloud) -> None:
-    if len(p) == 0:
+    """Exact nearest neighbors of pp in qq and of qq in pp; ``tree_q``, a
+    kd-tree over qq, is queried instead of building one."""
+    if not len(pp):
         raise EmptyCloud("P is empty")
-    if len(q) == 0:
+    if not len(qq):
         raise EmptyCloud("Q is empty")
+    dist_pq, _, idx_pq = _query(cKDTree(qq) if tree_q is None else tree_q, pp, 1)
+    dist_qp, _, idx_qp = _query(cKDTree(pp), qq, 1)
+    return _Match(idx_pq, dist_pq[:, 0] ** 2, idx_qp, dist_qp[:, 0] ** 2)
 
 
 def _chamfer_value(m: _Match) -> float:

@@ -377,6 +377,12 @@ def points_to_text(cloud: PointCloud, format: str) -> str:
     return "\n".join(out) + ("\n" if out else "")
 
 
+def _csv(header, rows) -> str:
+    """CSV text: the header, then one line per row, each value as ``str``
+    gives it (for a float, its shortest round-trip form)."""
+    return "".join(",".join(map(str, row)) + "\n" for row in [header, *rows])
+
+
 def _write_text(path, text: str) -> None:
     """Write text to ``path``, or to standard output when it is ``-``."""
     try:

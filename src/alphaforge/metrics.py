@@ -16,7 +16,7 @@ whose certificate has lapsed (``loss._NeighborList`` with two
 candidates): a point keeps its neighbor while its movement since its last
 query stays under the gap between its nearest candidate now and the
 runner-up of that query, so each iteration matches exactly as a query of
-every point would.
+every point would. ``icp_align`` runs ICP in the frame of its two clouds.
 """
 
 from __future__ import annotations
@@ -33,7 +33,6 @@ from .loss import (
     _match,
     _NeighborList,
     _normal_cosines,
-    _require_clouds,
     _tree_sq_distances,
     FIXED_CANDIDATES,
 )
@@ -159,12 +158,23 @@ def icp_align(
     Chamfer distance between the aligned P and Q. Pass a list as
     ``history`` to collect the per-iteration MSE values (non-increasing).
 
+    The loop runs, and ``tol`` applies, in the joint frame (``mesh._frame``)
+    of P and Q: the translation comes back scaled by 2^k, the Chamfer and
+    the MSE values by 4^k, so the steps taken do not depend on the scale.
+
     Raises DegenerateConfiguration when P's spread is rank-deficient
-    (e.g. collinear points), for which the rotation is not identifiable.
+    (e.g. collinear points), for which the rotation is not identifiable,
+    and DegenerateInput outside the frame's range.
     """
+    k = _frame(p.points, q.points)
+    p, q = (PointCloud(np.ldexp(c.points, -k)) for c in (p, q))
     tree = cKDTree(q.points)
-    transform, aligned = _icp(p, q, tree, max_iters, tol, history)
-    return transform, _chamfer_value(_match(aligned, q.points, tree))
+    framed: list[float] = []
+    transform, aligned = _icp(p, q, tree, max_iters, tol, framed)
+    if history is not None:
+        history.extend(float(np.ldexp(mse, 2 * k)) for mse in framed)
+    chamfer = float(np.ldexp(_chamfer_value(_match(aligned, q.points, tree)), 2 * k))
+    return RigidTransform(transform.rotation, np.ldexp(transform.translation, k)), chamfer
 
 
 def _icp(p: PointCloud, q: PointCloud, tree, max_iters: int = 50, tol: float = 1e-10,
@@ -254,7 +264,6 @@ def evaluate(
     if protocol == "tmnet":
         transform, points = _icp(pred_cloud, gt_cloud, tree)
         normals = normals @ transform.rotation.T
-    _require_clouds(pred_cloud, gt_cloud)
     match = _match(points, gt_cloud.points, tree)
     cd = float(np.ldexp(_chamfer_value(match), 2 * k))
 

@@ -22,9 +22,9 @@ from scipy.spatial import cKDTree
 from .alphashape import boundary_meshes
 from .delaunay import delaunay_complex
 from .errors import EmptyMesh, GeometryError, RewardOutOfRange, TooFewPoints
-from .loss import _match
+from .loss import _match, _query
 from .mesh import Mesh, PointCloud
-from .meshio import _text
+from .meshio import _csv, _text
 from .metrics import _f1
 from .sampling import REWARD_SAMPLES, sample_surface
 
@@ -54,7 +54,7 @@ def state_descriptor(points: PointCloud | np.ndarray) -> np.ndarray:
     centered = pts - pts.mean(axis=0)
     bbox = centered.max(axis=0) - centered.min(axis=0)
 
-    dist, _ = cKDTree(centered).query(centered, k=9)
+    dist = _query(cKDTree(centered), centered, 9)[0]
     feats = [bbox, [np.log(len(pts))]]
     for k in (1, 8):
         dk = dist[:, k]
@@ -131,11 +131,9 @@ class TrainLog:
         })
 
     def to_csv(self) -> str:
-        lines = ["step,state_hash,action,reward,epsilon,greedy"]
-        for i, r in enumerate(self.records):
-            lines.append(f"{i},{r['state_hash']},{r['action']},{r['reward']!r},"
-                         f"{r['epsilon']!r},{int(r['greedy'])}")
-        return "\n".join(lines) + "\n"
+        return _csv(["step", "state_hash", "action", "reward", "epsilon", "greedy"],
+                    ([i, r["state_hash"], r["action"], r["reward"], r["epsilon"],
+                      int(r["greedy"])] for i, r in enumerate(self.records)))
 
 
 def state_hash(s: np.ndarray) -> str:

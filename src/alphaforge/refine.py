@@ -15,13 +15,14 @@ gradient directly.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import astuple, dataclass, field, fields
 
 import numpy as np
 
 from .errors import ConfigError, NonFinite
 from .loss import LossBreakdown, LossWeights, _scatter, loss_plan, total_loss
 from .mesh import Mesh, PointCloud, _edge_table
+from .meshio import _csv
 
 # tanh(OFFSET_CLIP) < 1 - 1e-12, keeping the displacement bound strict even
 # if the optimizer drives an offset to saturation.
@@ -48,8 +49,8 @@ class RefineConfig:
             raise ConfigError("stages must be >= 1")
         if self.iters_per_stage < 0:
             raise ConfigError("iters_per_stage must be >= 0")
-        if self.step_size <= 0:
-            raise ConfigError("step_size must be positive")
+        if not 0 < self.step_size < math.inf:
+            raise ConfigError("step_size must be finite and positive")
         if self.taubin_iters < 0:
             raise ConfigError("taubin_iters must be >= 0")
 
@@ -149,10 +150,5 @@ def refine_mesh(
 
 def trace_to_csv(trace: list[LossBreakdown]) -> str:
     """Loss trace as CSV (iteration, per-term values, total)."""
-    lines = ["iteration,logcmd,cmd,laplacian_reg,edge_len,normal_consistency,"
-             "normal_loss,total"]
-    for i, b in enumerate(trace):
-        lines.append(f"{i},{b.logcmd!r},{b.cmd!r},{b.laplacian_reg!r},"
-                     f"{b.edge_len!r},{b.normal_consistency!r},{b.normal_loss!r},"
-                     f"{b.total!r}")
-    return "\n".join(lines) + "\n"
+    return _csv(["iteration", *(f.name for f in fields(LossBreakdown))],
+                ((i, *astuple(b)) for i, b in enumerate(trace)))

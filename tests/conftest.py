@@ -78,11 +78,11 @@ def surface_samplings(monkeypatch):
 
 @pytest.fixture
 def nn_calls(monkeypatch):
-    """Counts ``loss.nearest_neighbors`` calls made through any alphaforge
-    module."""
+    """Counts ``loss._match`` calls (two-way correspondences) made through
+    any alphaforge module."""
     from alphaforge import loss
 
-    return _count_calls(monkeypatch, loss.nearest_neighbors, "nearest_neighbors")
+    return _count_calls(monkeypatch, loss._match, "_match")
 
 
 @pytest.fixture

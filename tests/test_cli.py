@@ -688,6 +688,20 @@ class TestReconstruct:
             assert (code, err) == (2, "error: taubin_iters must be >= 0\n")
         assert not (tmp_path / "r.obj").exists()
 
+    @pytest.mark.parametrize("step", ["nan", "inf"])
+    def test_non_finite_step_is_refused(self, tmp_path, capsys, step):
+        """A NaN step would fail the displacement bound's assertion and an
+        infinite one move every vertex by the bound; both are refused when
+        the configuration is built."""
+        cloud, _ = synth(SyntheticSpec("torus", n=600, fill="solid", seed=78))
+        write_points(cloud, tmp_path / "c.xyz")
+        code, _, err = invoke(
+            ["reconstruct", "--in", str(tmp_path / "c.xyz"), "--tau", "0.4",
+             "--stages", "1", "--iters", "1", "--step", step,
+             "--out", str(tmp_path / "r.obj")], capsys)
+        assert (code, err) == (2, "error: step_size must be finite and positive\n")
+        assert not (tmp_path / "r.obj").exists()
+
     def test_policy_picks_tau_and_rejects_undescribable_cloud(self, tmp_path, capsys):
         cloud, _ = synth(SyntheticSpec("sphere", n=200, fill="solid", seed=78))
         policy_path = tmp_path / "policy.json"

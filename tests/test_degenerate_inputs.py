@@ -20,6 +20,7 @@ from alphaforge import (
     SyntheticSpec,
     delaunay_complex,
     evaluate,
+    icp_align,
     meshio,
     reference_mesh,
     sample_surface,
@@ -42,8 +43,9 @@ TORUS = TORUS.with_vertices(TORUS.vertices * 1.375)
 TORUS_CLOUD = PointCloud(synth(SyntheticSpec("torus", n=300, seed=1, fill="solid"))[0].points
                          * 1.375)
 # A prediction that ICP has to turn back: the mesh turned 0.1 rad about x.
-TILTED = TORUS.with_vertices(TORUS.vertices @ np.array(
-    [[1.0, 0.0, 0.0], [0.0, np.cos(0.1), np.sin(0.1)], [0.0, -np.sin(0.1), np.cos(0.1)]]))
+TURN = np.array(
+    [[1.0, 0.0, 0.0], [0.0, np.cos(0.1), np.sin(0.1)], [0.0, -np.sin(0.1), np.cos(0.1)]])
+TILTED = TORUS.with_vertices(TORUS.vertices @ TURN)
 
 
 def unit_cloud(seed: int, n: int) -> np.ndarray:
@@ -165,6 +167,26 @@ class TestScale:
         assert 0 < min(want)
         assert score_row(PointCloud(np.ldexp(TORUS_CLOUD.points, j)), scaled(TORUS),
                          [float(np.ldexp(t, j)) for t in taus], n_samples=300) == want
+
+    @pytest.mark.parametrize("j", [-40, -20, 40])
+    def test_icp_align_is_exact_at_power_of_two_scales(self, j):
+        """Scaled by 2^j, ICP takes the same steps: the same rotation, the
+        translation scaled by 2^j, the Chamfer and every MSE by 4^j. Its
+        tolerance on the MSE applies in the clouds' frame, so small clouds
+        are not stopped early."""
+        torus = reference_mesh(SyntheticSpec("torus"))  # largest |coordinate| 1.4
+        tilted = torus.with_vertices(torus.vertices @ TURN)
+        p = sample_surface(tilted, 2000, seed=2).points
+        q = sample_surface(torus, 2000, seed=12).points
+        history, got_history = [], []
+        transform, cd = icp_align(PointCloud(p), PointCloud(q), history=history)
+        got, got_cd = icp_align(PointCloud(np.ldexp(p, j)), PointCloud(np.ldexp(q, j)),
+                                history=got_history)
+        assert abs(transform.angle - 0.1) < 1e-3
+        assert got.rotation.tobytes() == transform.rotation.tobytes()
+        assert got.translation.tobytes() == np.ldexp(transform.translation, j).tobytes()
+        assert got_cd == np.ldexp(cd, 2 * j)
+        assert got_history == [np.ldexp(mse, 2 * j) for mse in history]
 
     @pytest.mark.parametrize("subcommand", [
         ["sample", "--mesh", "{mesh}", "--n", "1000"],

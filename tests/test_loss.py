@@ -40,7 +40,6 @@ from alphaforge.loss import (
     _scatter,
     FIXED_CANDIDATES,
     LOG_CHAMFER_MU,
-    nearest_neighbors,
     REVERSE_CANDIDATES,
 )
 import oracles
@@ -109,11 +108,21 @@ class TestNearestNeighbors:
         if on_grid:
             a, b = np.round(2 * a) / 2, np.round(2 * b) / 2
         _, want = oracles.nearest(a, b)
+        _, want_rev = oracles.nearest(b, a)
         for tree in (None, cKDTree(b)):
-            idx, d2 = nearest_neighbors(a, b, tree=tree)
-            np.testing.assert_allclose(d2, want, rtol=1e-12, atol=0)
-            np.testing.assert_allclose(((a - b[idx]) ** 2).sum(axis=1), want,
-                                       rtol=1e-12, atol=0)
+            m = _match(a, b, tree)
+            for x, y, idx, d2, w in ((a, b, m.idx_pq, m.d2_pq, want),
+                                     (b, a, m.idx_qp, m.d2_qp, want_rev)):
+                np.testing.assert_allclose(d2, w, rtol=1e-12, atol=0)
+                np.testing.assert_allclose(((x - y[idx]) ** 2).sum(axis=1), w,
+                                           rtol=1e-12, atol=0)
+
+    def test_empty_cloud_raises(self):
+        a = np.zeros((2, 3))
+        with pytest.raises(EmptyCloud, match="P is empty"):
+            _match(a[:0], a)
+        with pytest.raises(EmptyCloud, match="Q is empty"):
+            _match(a, a[:0])
 
 
 def nudged(x, move, rng):
@@ -714,14 +723,19 @@ class TestCertifiedMatch:
     @example(seed=1, n_target=1, n_dup=0, n_samples=50, steps=[1e-2, "jump", 0.3])
     @example(seed=2, n_target=2, n_dup=0, n_samples=50, steps=[1e-2, "jump", 0.3])
     @example(seed=3, n_target=20, n_dup=10, n_samples=80, steps=[1e-4, 1e-2, "jump"])
+    @example(seed=242, n_target=3, n_dup=0, n_samples=2, steps=["jump"])
     def test_plan_path_matches_a_fresh_match_every_step(self, seed, n_target, n_dup,
                                                           n_samples, steps):
         """Descent steps from tiny to large (a "jump" translates the mesh by
-        more than the target's diameter, so every certificate lapses). At
-        every step the plan path gives the breakdown and gradient bytes of a
-        loop that calls ``_match`` against the plan's tree, and both
-        directions give the indices and squared-distance bytes of full
-        kd-tree queries."""
+        more than the target's diameter). At every step the plan path gives
+        the breakdown and gradient bytes of a loop that calls ``_match``
+        against the plan's tree, both directions give the indices and
+        squared-distance bytes of full kd-tree queries, and every forward
+        row the step did not re-query has moved less than the K-th distance
+        of its last query. A row may keep its certificate through a jump:
+        the movement only has to stay under the K-th distance less the
+        nearest distance now, which a row moving toward its nearest
+        candidate can meet."""
         base, mesh, target, rng = descent_mesh_and_target(seed, n_target, n_dup)
         plan = loss_plan(mesh, target, base, self.W, n_samples, seed=7)
         reference = loss_plan(mesh, target, base, self.W, n_samples, seed=7)
@@ -738,6 +752,7 @@ class TestCertifiedMatch:
 
         diameter = np.ptp(target.points, axis=0).max()
         v = mesh.vertices
+        last = None  # the forward list's anchors and K-th distances after a step
         for step in [0.0, *steps]:
             if step == "jump":
                 v = v + (diameter + 1.0) * np.array([0.6, 0.0, 0.8])
@@ -755,7 +770,11 @@ class TestCertifiedMatch:
             dist, idx = cKDTree(pos).query(target.points, k=1)
             np.testing.assert_array_equal(got.idx_qp, idx)
             assert got.d2_qp.tobytes() == (dist**2).tobytes()
-            if step == "jump" and plan.neighbors.k < len(target):
-                assert np.array_equal(plan.neighbors.anchor, pos.T)  # all re-queried
+            if last is not None:
+                anchor, kth = last
+                kept = (plan.neighbors.anchor == anchor).all(axis=0)  # not re-queried
+                moved = np.sqrt(((pos.T - anchor) ** 2).sum(axis=0))
+                assert (moved[kept] < kth[kept]).all()
+            last = plan.neighbors.anchor.copy(), plan.neighbors.kth.copy()
             if step != "jump":
                 v = v - step * grad / max(np.abs(grad).max(), 1e-300)
