@@ -38,7 +38,7 @@ _FACE_SLOTS = np.array([[1, 2, 3], [0, 2, 3], [0, 1, 3], [0, 1, 2]])
 
 def filter_tetrahedra(complex_: DelaunayComplex, tau: float) -> np.ndarray:
     """Ascending row indices of the tetrahedra with circumradius <= tau."""
-    if tau <= 0:
+    if not tau > 0:
         raise ValueError("tau must be positive")
     return np.flatnonzero(complex_.radii <= tau)
 

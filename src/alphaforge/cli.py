@@ -143,6 +143,8 @@ def _parse_taus(text: str) -> tuple[float, ...]:
         raise _UsageError(f"cannot parse threshold list {text!r}") from None
     if not taus:
         raise _UsageError("empty threshold list")
+    if not all(0.0 < t < float("inf") for t in taus):
+        raise ValueError("threshold actions must be finite and positive")
     return taus
 
 
@@ -195,9 +197,9 @@ def _cmd_evaluate(args) -> int:
 
 
 def _cmd_train_policy(args) -> int:
-    dataset = [(cloud, mesh) for _, _, cloud, mesh in _load_dataset(args.dataset)]
     policy = QPolicy.fresh(_parse_taus(args.actions), epsilon=args.epsilon,
                            epsilon_decay=args.epsilon_decay, period=args.period)
+    dataset = [(cloud, mesh) for _, _, cloud, mesh in _load_dataset(args.dataset)]
     policy, log = train_policy(dataset, policy, episodes=args.episodes,
                                seed=args.seed + SEED_POLICY, nu=args.nu,
                                n_samples=args.n_samples)
@@ -256,8 +258,8 @@ def _cmd_ablate(args) -> int:
     if args.jobs < 1:
         raise _UsageError(f"--jobs (or ALPHAFORGE_JOBS) must be >= 1, not {args.jobs}")
     _check_reward_args(args.nu, args.n_samples)
-    records = _load_dataset(args.dataset)
     taus = _parse_taus(args.taus)
+    records = _load_dataset(args.dataset)
     policy = load_policy(args.policy) if args.policy else None
     seed = args.seed + SEED_EVAL
 

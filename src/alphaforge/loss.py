@@ -26,7 +26,7 @@ lists, ``_match`` (evaluation, ICP, the reward) and the descriptor use it.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import astuple, dataclass
 from typing import NamedTuple
 
 import numpy as np
@@ -67,9 +67,7 @@ class LossWeights:
     lambda6: float = 0.0
 
     def __post_init__(self):
-        lams = (self.lambda1, self.lambda2, self.lambda3,
-                self.lambda4, self.lambda5, self.lambda6)
-        if any(not math.isfinite(l) or l < 0 for l in lams):
+        if any(not math.isfinite(l) or l < 0 for l in astuple(self)):
             raise ValueError("loss weights must be finite and >= 0")
 
 
@@ -143,25 +141,27 @@ def _query(tree: cKDTree, pts: np.ndarray, k: int):
 class _NeighborList:
     """Nearest neighbors in a cloud b of each of the n rows of a cloud a,
     where either cloud may move between calls: each call returns the
-    indices and squared distances of ``cKDTree(b).query(a, k=1)``
-    (``dist**2``, bit for bit), but queries a tree only for the rows whose
-    neighbor may have changed, and builds one only when b has moved.
+    indices and squared distances (``dist**2``, bit for bit) of
+    ``cKDTree(b).query(a, k=1)``, but queries a tree only for the rows
+    whose neighbor may have changed.
 
     A query keeps each row's K = min(k, n_b) nearest points of b as its
-    candidates (Verlet's neighbor list), the K-th distance dK, the row's
-    position as its anchor and the version of b it was queried against.
-    At a later call, let m be the row's movement since then, M the largest
-    movement of any point of b since that version and d1 the least of the
-    row's exact distances to its candidates. While m + M stays under dK
+    candidates (Verlet's neighbor list), the K-th distance dK and the row's
+    position as its anchor, and sets the row's drift to 0 (inf before its
+    first query). Each call that finds b moved adds the largest movement of
+    any point of b since the previous call to every row's drift and drops
+    the tree. Let m be a row's movement since its query and d1 the least of
+    its exact distances to its candidates. While m + drift stays under dK
     less d1 and the margin of ``_slack``, every other point of b is
     strictly farther, so a candidate at d1 that no other candidate ties is
     the nearest in the tree's own arithmetic. The other rows are re-queried
-    with k=K, under ``_query``'s tie rule, against the newest version of b;
-    a version is kept while some row's candidates come from it. A list given
-    ``tree``, a kd-tree over b, is over a b that never moves (ICP's ground
-    truth, refinement's target): it keeps the b of its first call as its
-    one version and neither copies nor compares b again. Per-row state is
-    column-major: every per-call reduction runs along the long axis.
+    with k=K, under ``_query``'s tie rule, against a tree over the current
+    b; ``tree``, one over b, serves while b stays put (ICP's ground truth,
+    refinement's target). A movement is a few ulps off the exact one, which
+    ``_slack``'s relative margin covers as it covers the tree's distances,
+    since m + drift < dK - d1; the sum is rounded up, so its rounding never
+    accumulates. Per-row state is column-major: every per-call reduction
+    runs along the long axis.
     """
 
     def __init__(self, n: int, n_b: int, k: int, tree: cKDTree | None = None):
@@ -170,23 +170,17 @@ class _NeighborList:
         self.candidates = np.zeros((self.k, n), dtype=np.intp)
         self.kth = np.zeros(n)
         self.extent = np.zeros(n)
-        self.queried = np.full(n, -1)  # version of b at each row's query; -1: never
-        self.tree, self.newest, self.fixed = tree, 0, tree is not None
-        self.versions: dict[int, np.ndarray] = {}  # version -> b as (3, n_b)
+        self.drift = np.full(n, np.inf)  # bound on b's movement since each row's query
+        self.tree, self.b = tree, None  # b: the previous call's, as (3, n_b)
 
     def __call__(self, a: np.ndarray, b: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-        at = a.T.copy()
-        drift = np.full(self.newest + 2, np.inf)  # M by version; the last is -1's, never queried
-        if self.fixed:
-            if not self.versions:
-                self.versions[0] = b.T.copy()
-            bt, drift[0] = self.versions[0], 0.0
-        else:
-            bt = b.T.copy()
-            for version, snapshot in self.versions.items():
-                same = np.array_equal(bt, snapshot)  # b at rest needs no arithmetic
-                drift[version] = 0.0 if same else np.sqrt(_tree_sq_distances(bt - snapshot).max())
-        moved = drift[self.queried] + np.sqrt(_tree_sq_distances(at - self.anchor))
+        at, bt = a.T.copy(), b.T.copy()
+        if self.b is not None and not np.array_equal(bt, self.b):  # b at rest needs no arithmetic
+            step = np.sqrt(_tree_sq_distances(bt - self.b).max())
+            self.drift = np.nextafter(self.drift + step, np.inf)
+            self.tree = None
+        self.b = bt
+        moved = self.drift + np.sqrt(_tree_sq_distances(at - self.anchor))
         diff = np.take(bt, self.candidates, axis=1)  # (3, K, n)
         diff -= at[:, None, :]
         sq = _tree_sq_distances(diff)
@@ -197,18 +191,15 @@ class _NeighborList:
         alone = np.count_nonzero(hit, axis=0) == 1
         stale = np.flatnonzero(~(alone & (moved < _slack(d1, self.kth, self.extent))))
         if len(stale):
-            if drift[self.newest] > 0:  # the tree is over the newest version
-                self.newest += 1
-                self.tree, self.versions[self.newest] = cKDTree(b), bt
+            if self.tree is None:
+                self.tree = cKDTree(b)
             dist, cand, nearest = _query(self.tree, a[stale], self.k)
             idx[stale], d1[stale] = nearest, dist[:, 0]
             self.anchor[:, stale] = at[:, stale]
             self.candidates[:, stale] = cand.T
             self.kth[stale] = dist[:, -1] if self.k < len(b) else np.inf
             self.extent[stale] = np.abs(self.anchor[:, stale]).max(axis=0)
-            self.queried[stale] = self.newest
-            rows = np.bincount(self.queried, minlength=self.newest + 1)  # per version
-            self.versions = {v: s for v, s in self.versions.items() if rows[v]}
+            self.drift[stale] = 0.0
         return idx, d1**2
 
 

@@ -253,6 +253,8 @@ def evaluate(
     (``mesh._frame``) of the two protocol-scaled meshes: the F1 radii go in
     scaled by 2^-k and the Chamfer comes back scaled by 4^k.
     """
+    if n_samples < 1:
+        raise ValueError("n_samples must be >= 1")
     pred_s = apply_protocol_scaling(pred, protocol)
     gt_s = apply_protocol_scaling(gt, protocol)
     k = _frame(pred_s.vertices, gt_s.vertices)

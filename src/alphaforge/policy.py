@@ -347,6 +347,10 @@ def load_policy(path) -> QPolicy:
         if not ((isinstance(period, int) or period.is_integer()) and period >= 1):
             raise ValueError(f"policy period must be an integer >= 1, not {period!r}")
         n = len(doc["actions"])
+        for key in ("theta", "optimizer_state"):
+            if len(doc[key]) != n * STATE_DIM:
+                raise ValueError(f"policy {key} must hold {n * STATE_DIM} numbers "
+                                 f"({n} actions x {STATE_DIM}), not {len(doc[key])}")
         theta = np.array(doc["theta"], dtype=np.float64).reshape(n, STATE_DIM)
         cache = np.array(doc["optimizer_state"], dtype=np.float64).reshape(n, STATE_DIM)
         return QPolicy(tuple(doc["actions"]), theta, cache, doc["epsilon"],

@@ -263,6 +263,12 @@ class TestExitCodes:
                      "theta must be a list of numbers", id="nan-theta"),
         pytest.param({**FRESH_POLICY, "actions": [10**400, 0.9]},
                      "malformed policy document", id="huge-action"),
+        pytest.param({**FRESH_POLICY, "theta": [0.0] * 5},
+                     "policy theta must hold 32 numbers (2 actions x 16), not 5",
+                     id="short-theta"),
+        pytest.param({**FRESH_POLICY, "optimizer_state": [0.0] * 33},
+                     "policy optimizer_state must hold 32 numbers (2 actions x 16), not 33",
+                     id="long-optimizer-state"),
     ])
     def test_malformed_policy_is_two(self, tmp_path, capsys, command, doc, problem):
         cloud, gt = synth(SyntheticSpec("sphere", n=90, fill="solid", seed=600))
@@ -307,6 +313,25 @@ class TestExitCodes:
         assert err == "error: threshold actions must be finite and positive\n"
         assert episodes == []
         assert not (tmp_path / "p.json").exists()
+
+    @pytest.mark.parametrize("argv, message", [
+        pytest.param(["ablate", "--dataset", "absent", "--taus", "nan,0.3"],
+                     "threshold actions must be finite and positive", id="ablate-nan"),
+        pytest.param(["ablate", "--dataset", "absent", "--taus", "inf"],
+                     "threshold actions must be finite and positive", id="ablate-inf"),
+        pytest.param(["triangulate", "--in", "c.xyz", "--tau", "nan"], "tau must be positive",
+                     id="triangulate-nan"),
+    ])
+    def test_non_finite_tau_is_two(self, tmp_path, capsys, monkeypatch, argv, message):
+        """A NaN or infinite tau is refused, by ablate before it reads the
+        dataset (which does not exist here), and nothing is written."""
+        cloud, _ = synth(SyntheticSpec("sphere", n=90, fill="solid", seed=600))
+        write_points(cloud, tmp_path / "c.xyz")
+        monkeypatch.chdir(tmp_path)
+        code, _, err = invoke([*argv, "--out", "out"], capsys)
+        assert code == 2
+        assert err == f"error: {message}\n"
+        assert sorted(path.name for path in tmp_path.iterdir()) == ["c.xyz"]
 
 
 class TestSynthTriangulate:
@@ -383,6 +408,24 @@ class TestSampleEvaluate:
         assert doc["chamfer"] == 0.0
         assert all(v == 100.0 for v in doc["f1"].values())
         assert doc["normal_cosine"] == 1.0
+
+    @pytest.mark.parametrize("protocol", ["pixel2mesh", "meshrcnn", "tmnet", "skeleton"])
+    @pytest.mark.parametrize("n_samples", ["0", "-3"])
+    def test_no_samples_is_two(self, tmp_path, capsys, monkeypatch, protocol, n_samples):
+        """Fewer than one sample is refused before either mesh is scaled or
+        sampled, under every protocol, and nothing is written."""
+        scaled = []
+        monkeypatch.setattr("alphaforge.metrics.apply_protocol_scaling",
+                            lambda *args: scaled.append(args))
+        _, gt = synth(SyntheticSpec("torus", n=10))
+        write_mesh(gt, tmp_path / "m.obj")
+        out = tmp_path / "report.json"
+        code, _, err = invoke(["evaluate", "--pred", str(tmp_path / "m.obj"),
+                               "--gt", str(tmp_path / "m.obj"), "--protocol", protocol,
+                               "--n-samples", n_samples, "--out", str(out)], capsys)
+        assert code == 2
+        assert err == "error: n_samples must be >= 1\n"
+        assert scaled == [] and not out.exists()
 
     @pytest.mark.parametrize("fmt", ["off", "ply"])
     def test_piped_off_or_ply_prediction_matches_file(self, tmp_path, capsys, monkeypatch,

@@ -1,4 +1,5 @@
 import hashlib
+import tracemalloc
 from dataclasses import astuple
 from unittest import mock
 
@@ -153,6 +154,8 @@ class TestNeighborList:
              moves=[1e-9, 1e-4, 1e-2, 0.3])
     @example(seed=4, n_a=50, n_b=40, n_dup=10, on_grid=False, k=REVERSE_CANDIDATES,
              moves=[0.0, 1e-9, 1e-4, 1e-2, 0.3, "jump", 1e-4])
+    @example(seed=5, n_a=60, n_b=40, n_dup=4, on_grid=False, k=REVERSE_CANDIDATES,
+             moves=["ulp", 1e-9, 1e-4] * 20)
     def test_matches_a_fresh_query_after_every_move(self, moving, seed, n_a, n_b, n_dup,
                                                     on_grid, k, moves):
         """Rows of a and points of b, on a half-unit grid or not; b with
@@ -189,7 +192,6 @@ class TestNeighborList:
             dist, want = cKDTree(b).query(a, k=1)
             np.testing.assert_array_equal(idx, want)
             assert d2.tobytes() == (dist**2).tobytes()
-        assert set(neighbors.versions) == set(np.unique(neighbors.queried).tolist())
         if tree is not None:
             assert neighbors.tree is tree
 
@@ -234,6 +236,33 @@ class TestNeighborList:
             moving = rng.random(len(samples)) < 0.05
             samples = samples + (moving[:, None] * rng.normal(size=samples.shape)
                                  * np.spacing(np.abs(samples)) * rng.integers(0, 3, samples.shape))
+
+    def test_memory_stays_flat_while_b_moves(self):
+        """1500 targets in a solid unit ball against 1500 samples on the
+        unit sphere, which move by the same small step at every call, as
+        refinement's target -> samples list sees them: the memory the loss
+        module holds after 200 calls is no more than after 20, since the
+        list keeps no copy of b but the current one."""
+        rng = np.random.default_rng(0)
+        targets = rng.normal(size=(1500, 3))
+        targets *= rng.random((1500, 1)) ** (1 / 3) / np.linalg.norm(targets, axis=1, keepdims=True)
+        samples = rng.normal(size=(1500, 3))
+        samples /= np.linalg.norm(samples, axis=1, keepdims=True)
+        step = 1e-4 * rng.normal(size=samples.shape)
+        neighbors = _NeighborList(len(targets), len(samples), REVERSE_CANDIDATES)
+        in_loss = [tracemalloc.Filter(True, alphaforge.loss.__file__)]
+        held = {}
+        tracemalloc.start()
+        try:
+            for call in range(1, 201):
+                samples = samples + step
+                neighbors(targets, samples)
+                if call in (20, 200):
+                    traces = tracemalloc.take_snapshot().filter_traces(in_loss).traces
+                    held[call] = sum(trace.size for trace in traces)
+        finally:
+            tracemalloc.stop()
+        assert held[200] <= held[20]
 
 
 class TestChamfer:
