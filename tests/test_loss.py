@@ -237,6 +237,22 @@ class TestNeighborList:
             samples = samples + (moving[:, None] * rng.normal(size=samples.shape)
                                  * np.spacing(np.abs(samples)) * rng.integers(0, 3, samples.shape))
 
+    def test_drift_sums_every_move_of_b(self):
+        """One row, and a point of b walking toward it in steps smaller than
+        the gap between the row's two candidates: only the sum of the steps,
+        not the last one, tells the row that the walker may have come nearer
+        than its nearest candidate."""
+        a = np.zeros((1, 3))
+        b = np.array([[1.0, 0.0, 0.0], [0.0, 1.2, 0.0], [0.0, 0.0, 2.0]])
+        neighbors = _NeighborList(1, 3, FIXED_CANDIDATES)
+        for _ in range(15):
+            idx, d2 = neighbors(a, b)
+            dist, want = cKDTree(b).query(a, k=1)
+            np.testing.assert_array_equal(idx, want)
+            assert d2.tobytes() == (dist**2).tobytes()
+            b = b.copy()
+            b[2, 2] -= 0.1
+
     def test_memory_stays_flat_while_b_moves(self):
         """1500 targets in a solid unit ball against 1500 samples on the
         unit sphere, which move by the same small step at every call, as
