@@ -19,7 +19,8 @@ raises ``ParseError``, so error line numbers do not depend on the path.
 
 OFF and PLY share one element reader, ``_read_elements``: the PLY header
 and OFF's counts line each give counted ``(name, count, properties)``
-elements. A count is decimal digits.
+elements. A count is decimal digits, and no row may follow the last
+element.
 """
 
 from __future__ import annotations
@@ -237,8 +238,8 @@ def _read_ply(lines):
 def _read_elements(elements, rows, lineno):
     """(vertices, faces, normals or None, vertex line numbers) of an OFF or
     PLY body: ``rows`` are its (line number, text) records, read in turn as
-    the header's counted ``(name, count, properties)`` elements, and
-    ``lineno`` is the header's last line."""
+    the header's counted ``(name, count, properties)`` elements, with no
+    row left over, and ``lineno`` is the header's last line."""
     cursor = 0
     verts: list[list[float]] = []  # x y z, or x y z nx ny nz
     vertex_lines: list[int] = []
@@ -273,6 +274,8 @@ def _read_elements(elements, rows, lineno):
         else:
             raise UnsupportedElement(f"element {name!r} not supported",
                                      block[0][0] if block else lineno)
+    if cursor < len(rows):
+        raise ParseError("row after the last element", rows[cursor][0])
     normals = [row[3:] for row in verts if len(row) == 6]
     return (np.array([row[:3] for row in verts], dtype=np.float64).reshape(-1, 3), faces,
             np.array(normals, dtype=np.float64) if normals else None, vertex_lines)

@@ -12,6 +12,7 @@ and deletes the large ones spanning holes and cavities.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from itertools import product
 
 import numpy as np
 
@@ -32,6 +33,11 @@ _STACKED_HOLES = (((0.5, 1.0), (0.5, 1.0)), ((2.0, 2.5), (0.5, 1.0)))
 
 @dataclass(frozen=True)
 class SyntheticSpec:
+    """A seeded synthetic cloud. ``sigma`` must be finite and >= 0, a
+    sphere's ``major_radius`` finite and > 0, and a torus's radii
+    0 < minor < major < inf; any other value raises ``ConfigError``.
+    The box and the stacked block have fixed sizes and ignore the radii."""
+
     shape: str
     n: int = 2000
     sigma: float = 0.0
@@ -47,10 +53,12 @@ class SyntheticSpec:
             raise ConfigError(f"fill must be one of {FILLS}, got {self.fill!r}")
         if self.n < 0:
             raise ConfigError("n must be >= 0")
-        if self.sigma < 0:
-            raise ConfigError("sigma must be >= 0")
-        if self.shape == "torus" and not 0 < self.minor_radius < self.major_radius:
-            raise ConfigError("torus needs 0 < minor_radius < major_radius")
+        if not 0 <= self.sigma < np.inf:
+            raise ConfigError(f"sigma must be finite and >= 0, got {self.sigma}")
+        if self.shape == "sphere" and not 0 < self.major_radius < np.inf:
+            raise ConfigError(f"sphere needs a finite major_radius > 0, got {self.major_radius}")
+        if self.shape == "torus" and not 0 < self.minor_radius < self.major_radius < np.inf:
+            raise ConfigError("torus needs 0 < minor_radius < major_radius < inf")
 
 
 def synth(spec: SyntheticSpec) -> tuple[PointCloud, Mesh]:
@@ -134,80 +142,56 @@ def box_mesh(edge: float = 1.0) -> Mesh:
     return Mesh(verts, faces)
 
 
-def _in_hole_cell(x0: float, y0: float) -> bool:
-    """Is the grid cell with lower corner (x0, y0) inside a through-hole?"""
-    eps = 1e-9
-    cx, cy = x0 + _STACKED_CELL / 2, y0 + _STACKED_CELL / 2
-    for (hx0, hx1), (hy0, hy1) in _STACKED_HOLES:
-        if hx0 - eps < cx < hx1 + eps and hy0 - eps < cy < hy1 + eps:
-            return True
-    return False
+def _walls(axis: int, sides, u: np.ndarray, v: np.ndarray):
+    """Unit grid quads normal to ``axis``, one per (position, outward sign)
+    in ``sides`` for each cell (u[m], v[m]) on the other two axes, cells
+    first: (quads (Q, 4, 3) int, reverse flags (Q,)).
+
+    Corners run (u, v), (u + 1, v), (u + 1, v + 1), (u, v + 1) over the
+    other axes in ascending order, whose normal is +x, -y or +z for axis
+    0, 1 or 2; a quad is flagged where that normal points inward."""
+    pos, sign = np.array(sides).T
+    quads = np.empty((len(u), len(sides), 4, 3), dtype=np.int64)
+    a, b = (ax for ax in range(3) if ax != axis)
+    quads[..., axis] = pos[:, None]
+    quads[..., a] = (u[:, None] + [0, 1, 1, 0])[:, None]
+    quads[..., b] = (v[:, None] + [0, 0, 1, 1])[:, None]
+    flip = np.broadcast_to(sign * (-1) ** axis < 0, (len(u), len(sides)))
+    return quads.reshape(-1, 4, 3), flip.reshape(-1)
 
 
 def stacked_mesh() -> Mesh:
     """Genus-2 block: a box with two rectangular through-holes; chi = -2.
 
-    Built cell-by-cell on a regular grid so shared wall vertices coincide
-    exactly; centered at the origin.
+    Built from unit quads on a regular grid so shared wall vertices
+    coincide exactly, numbered in order of first use; centered at the
+    origin. Quads come caps first, then the outer x and y walls, then
+    each hole's walls layer by layer.
     """
     cell = _STACKED_CELL
-    dx, dy, dz = _STACKED_DIMS
-    nx, ny, nz = (int(round(d / cell)) for d in _STACKED_DIMS)
-    vertex_ids: dict[tuple[int, int, int], int] = {}
-    verts: list[tuple[float, float, float]] = []
-    faces: list[tuple[int, int, int]] = []
-
-    def vid(i, j, k):
-        key = (i, j, k)
-        if key not in vertex_ids:
-            vertex_ids[key] = len(verts)
-            verts.append((i * cell, j * cell, k * cell))
-        return vertex_ids[key]
-
-    def quad(p00, p10, p11, p01, outward):
-        a, b, c, d = (vid(*p) for p in (p00, p10, p11, p01))
-        pa, pb, pc = (np.array(verts[i]) for i in (a, b, c))
-        if np.dot(np.cross(pb - pa, pc - pa), outward) < 0:
-            a, b, c, d = a, d, c, b
-        faces.append((a, b, c))
-        faces.append((a, c, d))
-
-    up, down = np.array([0, 0, 1.0]), np.array([0, 0, -1.0])
-    for i in range(nx):
-        for j in range(ny):
-            if _in_hole_cell(i * cell, j * cell):
-                continue
-            quad((i, j, nz), (i + 1, j, nz), (i + 1, j + 1, nz), (i, j + 1, nz), up)
-            quad((i, j, 0), (i + 1, j, 0), (i + 1, j + 1, 0), (i, j + 1, 0), down)
-    for j in range(ny):
-        for k in range(nz):
-            quad((0, j, k), (0, j + 1, k), (0, j + 1, k + 1), (0, j, k + 1),
-                 np.array([-1.0, 0, 0]))
-            quad((nx, j, k), (nx, j + 1, k), (nx, j + 1, k + 1), (nx, j, k + 1),
-                 np.array([1.0, 0, 0]))
-    for i in range(nx):
-        for k in range(nz):
-            quad((i, 0, k), (i + 1, 0, k), (i + 1, 0, k + 1), (i, 0, k + 1),
-                 np.array([0, -1.0, 0]))
-            quad((i, ny, k), (i + 1, ny, k), (i + 1, ny, k + 1), (i, ny, k + 1),
-                 np.array([0, 1.0, 0]))
-    for (hx0, hx1), (hy0, hy1) in _STACKED_HOLES:
-        i0, i1 = int(round(hx0 / cell)), int(round(hx1 / cell))
-        j0, j1 = int(round(hy0 / cell)), int(round(hy1 / cell))
-        for k in range(nz):
-            for j in range(j0, j1):
-                # the solid lies outside the hole, so outward points inward
-                quad((i0, j, k), (i0, j + 1, k), (i0, j + 1, k + 1), (i0, j, k + 1),
-                     np.array([1.0, 0, 0]))
-                quad((i1, j, k), (i1, j + 1, k), (i1, j + 1, k + 1), (i1, j, k + 1),
-                     np.array([-1.0, 0, 0]))
-            for i in range(i0, i1):
-                quad((i, j0, k), (i + 1, j0, k), (i + 1, j0, k + 1), (i, j0, k + 1),
-                     np.array([0, 1.0, 0]))
-                quad((i, j1, k), (i + 1, j1, k), (i + 1, j1, k + 1), (i, j1, k + 1),
-                     np.array([0, -1.0, 0]))
-    center = np.array([dx, dy, dz]) / 2.0
-    return Mesh(np.array(verts) - center, np.array(faces, dtype=np.int64))
+    nx, ny, nz = (round(d / cell) for d in _STACKED_DIMS)
+    holes = [[round(e / cell) for e in (*hx, *hy)] for hx, hy in _STACKED_HOLES]
+    solid = np.ones((nx, ny), dtype=bool)
+    for i0, i1, j0, j1 in holes:
+        solid[i0:i1, j0:j1] = False
+    parts = [_walls(2, [(nz, 1), (0, -1)], *np.nonzero(solid)),
+             _walls(0, [(0, -1), (nx, 1)], *np.indices((ny, nz)).reshape(2, -1)),
+             _walls(1, [(0, -1), (ny, 1)], *np.indices((nx, nz)).reshape(2, -1))]
+    for (i0, i1, j0, j1), k in product(holes, range(nz)):
+        # the solid lies outside the hole, so outward points into it
+        parts += [_walls(0, [(i0, 1), (i1, -1)], np.arange(j0, j1), np.full(j1 - j0, k)),
+                  _walls(1, [(j0, 1), (j1, -1)], np.arange(i0, i1), np.full(i1 - i0, k))]
+    corners, flip = map(np.concatenate, zip(*parts))
+    corners = corners.reshape(-1, 3)
+    _, first, inverse = np.unique(np.ravel_multi_index(corners.T, (nx + 1, ny + 1, nz + 1)),
+                                  return_index=True, return_inverse=True)
+    order = np.argsort(first)
+    rank = np.empty_like(order)
+    rank[order] = np.arange(len(order))
+    quads = rank[inverse].reshape(-1, 4)
+    quads[flip] = quads[flip][:, [0, 3, 2, 1]]
+    verts = corners[first[order]] * cell - np.array(_STACKED_DIMS) / 2.0
+    return Mesh(verts, quads[:, [0, 1, 2, 0, 2, 3]].reshape(-1, 3))
 
 
 # ---------------------------------------------------------------------------

@@ -349,6 +349,19 @@ class TestSynthTriangulate:
         assert topology(mesh).chi == 0
         assert len(topology(mesh).boundary_edges) == 0
 
+    @pytest.mark.parametrize("flag, value, shape", [
+        ("--sigma", "nan", "box"), ("--major-radius", "-1", "sphere"),
+        ("--major-radius", "0", "sphere"), ("--major-radius", "inf", "torus"),
+    ])
+    def test_spec_it_cannot_build_is_two_and_writes_nothing(self, tmp_path, capsys,
+                                                            flag, value, shape):
+        out = tmp_path / "c.xyz"
+        code, _, err = invoke(["synth", "--shape", shape, flag, value, "--n", "10",
+                               "--out", str(out)], capsys)
+        assert code == 2
+        assert err.startswith("error: ") and flag[2:].replace("-", "_") in err
+        assert not out.exists()
+
     def test_byte_identical_reruns(self, tmp_path, capsys):
         outs = []
         for name in ("a.xyz", "b.xyz"):

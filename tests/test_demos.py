@@ -15,6 +15,8 @@ def test_demo_leaves_working_directory_empty(demo, tmp_path):
     env = dict(os.environ)
     env["PYTHONPATH"] = os.pathsep.join(
         p for p in (str(ROOT / "src"), env.get("PYTHONPATH")) if p)
+    # a subprocess does not inherit pytest's filterwarnings
+    env["PYTHONWARNINGS"] = "error::RuntimeWarning"
     proc = subprocess.run([sys.executable, str(ROOT / "demos" / demo)], cwd=tmp_path,
                           env=env, capture_output=True, text=True, timeout=600)
     assert proc.returncode == 0, proc.stderr

@@ -39,6 +39,17 @@ end_header
 0 1 0
 3 0 1 2
 """
+PLY_TWO_VERTICES_THREE_ROWS = """ply
+format ascii 1.0
+element vertex 2
+property double x
+property double y
+property double z
+end_header
+0 0 0
+1 0 0
+0 1 0
+"""
 
 
 MALFORMED_PLY_HEADER_LINES = [
@@ -83,6 +94,19 @@ class TestReadMesh:
         with pytest.raises(ParseError) as err:
             read_mesh(path)
         assert "truncated" in str(err.value)
+
+    @pytest.mark.parametrize("read, text, line", [
+        (meshio.mesh_from_text, MINIMAL_OFF + "3 0 2 1\n", 7),
+        (meshio.mesh_from_text, PLY_TWO_VERTICES_THREE_ROWS, 10),
+        (meshio.points_from_text, PLY_TWO_VERTICES_THREE_ROWS, 10),
+    ], ids=["off-face", "ply-mesh", "ply-points"])
+    def test_row_after_the_last_element_rejected_at_its_line(self, read, text, line):
+        """A row beyond the declared counts is refused, not dropped: an OFF
+        face row after the last face, a PLY vertex row after the last vertex."""
+        with pytest.raises(ParseError) as err:
+            read(text)
+        assert err.value.line == line
+        assert "after the last element" in str(err.value)
 
     def test_bad_float_reports_line(self, tmp_path):
         path = write(tmp_path, "bad.obj", "v 0 0 0\nv oops 0 0\n")

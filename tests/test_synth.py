@@ -29,6 +29,19 @@ class TestSpecValidation:
         with pytest.raises(ConfigError):
             SyntheticSpec("sphere", sigma=-0.1)
 
+    @pytest.mark.parametrize("shape, field, value", [
+        ("box", "sigma", np.nan), ("box", "sigma", np.inf),
+        ("sphere", "major_radius", -1.0), ("sphere", "major_radius", 0.0),
+        ("sphere", "major_radius", np.nan), ("sphere", "major_radius", np.inf),
+        ("torus", "major_radius", np.inf),
+    ])
+    def test_values_it_cannot_build_rejected(self, shape, field, value):
+        """Each of these would build a wrong shape, not fail: a NaN sigma
+        the noiseless cloud, a negative sphere radius an inside-out mesh, a
+        zero one a single point, an infinite torus radius NaN vertices."""
+        with pytest.raises(ConfigError):
+            SyntheticSpec(shape, **{field: value})
+
     @pytest.mark.parametrize("fill", FILLS)
     @pytest.mark.parametrize("shape", SHAPES)
     def test_zero_points_give_an_empty_cloud(self, shape, fill):
@@ -47,7 +60,13 @@ class TestReferenceMeshes:
 
     def test_outward_orientation_positive_volume(self):
         for shape in ("sphere", "torus", "box", "stacked"):
-            assert enclosed_volume(reference_mesh(SyntheticSpec(shape))) > 0, shape
+            mesh = reference_mesh(SyntheticSpec(shape))
+            assert enclosed_volume(mesh) > 0, shape
+            # closed and consistently oriented: each directed edge occurs
+            # once, and so does its reverse
+            edges = mesh.faces[:, [0, 1, 1, 2, 2, 0]].reshape(-1, 2)
+            assert len(np.unique(edges, axis=0)) == len(edges), shape
+            assert set(map(tuple, edges)) == set(map(tuple, edges[:, ::-1])), shape
 
     def test_stacked_volume_matches_construction(self):
         mesh = reference_mesh(SyntheticSpec("stacked"))
