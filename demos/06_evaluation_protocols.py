@@ -9,7 +9,7 @@ undoing the motion.
 
 import numpy as np
 
-from alphaforge import SyntheticSpec, evaluate, icp_align, sample_surface, synth
+from alphaforge import SyntheticSpec, evaluate, synth
 from alphaforge.metrics import PROTOCOLS
 
 _, block = synth(SyntheticSpec("stacked", n=10))
@@ -28,12 +28,8 @@ angle = np.deg2rad(20)
 rot = np.array([[np.cos(angle), -np.sin(angle), 0],
                 [np.sin(angle), np.cos(angle), 0], [0, 0, 1.0]])
 moved = block.with_vertices(block.vertices @ rot.T + [0.3, -0.1, 0.2])
-rep = evaluate(moved, block, "tmnet", n_samples=4000, seed=2)
-print(f"\nrigidly moved block, tmnet protocol (ICP first): "
-      f"chamfer {rep.chamfer:.2e}")
-
-p = sample_surface(moved, 2000, seed=4)
-q = sample_surface(block, 2000, seed=4)
-transform, cd = icp_align(p, q)
-print(f"ICP recovered rotation angle "
-      f"{np.rad2deg(transform.angle):.4f} degrees (true 20)")
+print("\nrigidly moved block vs ground truth:")
+for proto in ("skeleton", "tmnet"):
+    rep = evaluate(moved, block, proto, n_samples=4000, seed=2)
+    note = "ICP first" if proto == "tmnet" else "no alignment"
+    print(f"{proto:<12}chamfer {rep.chamfer:.4g}  ({note})")

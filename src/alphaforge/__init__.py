@@ -29,20 +29,13 @@ from .loss import (
 )
 from .mesh import Mesh, PointCloud, Topology, enclosed_volume, topology
 from .meshio import read_mesh, read_points, write_mesh, write_points
-from .metrics import (
-    EvalReport,
-    RigidTransform,
-    apply_protocol_scaling,
-    evaluate,
-    icp_align,
-)
+from .metrics import EvalReport, apply_protocol_scaling, evaluate
 from .policy import (
     QPolicy,
     TrainLog,
     greedy_tau,
     load_policy,
     q_values,
-    reward,
     score_row,
     select_action,
     state_descriptor,
@@ -64,14 +57,14 @@ __version__ = "0.1.0"
 __all__ = [
     "DelaunayComplex", "EvalReport", "LossBreakdown", "LossPlan",
     "LossWeights", "Mesh", "METRIC_SAMPLES", "PRETTY_TAUS", "PointCloud", "QPolicy", "REWARD_SAMPLES",
-    "RefineConfig", "RigidTransform", "SMOOTH_TAUS", "SyntheticSpec",
+    "RefineConfig", "SMOOTH_TAUS", "SyntheticSpec",
     "TAU_PRESETS", "Topology", "TrainLog", "apply_protocol_scaling",
     "boundary_meshes", "delaunay_complex", "enclosed_volume", "errors",
     "evaluate", "extract_boundary_faces",
-    "filter_tetrahedra", "greedy_tau", "icosphere", "icp_align", "laplacian_coords",
+    "filter_tetrahedra", "greedy_tau", "icosphere", "laplacian_coords",
     "load_policy", "loss_plan", "pretty_weights",
     "q_values", "read_mesh", "read_points", "reference_mesh", "refine_mesh",
-    "reward", "sample_surface", "score_row", "select_action",
+    "sample_surface", "score_row", "select_action",
     "smooth_weights", "state_descriptor", "subdivide", "synth",
     "taubin_smooth", "topology", "total_loss",
     "trace_to_csv", "train_policy", "triangulate", "update",

@@ -27,7 +27,7 @@ from . import meshio
 from .alphashape import TAU_PRESETS, triangulate
 from .errors import AlphaForgeError, ConfigError, GeometryError
 from .loss import pretty_weights, smooth_weights
-from .mesh import topology
+from .mesh import Mesh, topology
 from .metrics import PROTOCOLS, evaluate
 from .policy import (
     QPolicy,
@@ -52,6 +52,7 @@ SEED_EVAL = 4
 # Destinations of the flags that read a file, or standard input for "-".
 STDIN_READERS = ("config", "infile", "mesh", "pred", "gt", "policy")
 
+FORMAT_HELP = "output format; None: --out's suffix if it names one, else the first choice"
 NU_HELP = "reward F1 radius; None: 3%% of each ground truth's longest bounding-box edge"
 
 
@@ -148,6 +149,16 @@ def _parse_taus(text: str) -> tuple[float, ...]:
     return taus
 
 
+def _write_out(args, data) -> None:
+    """Write a mesh or a cloud to --out in --format, else in --out's suffix
+    when it names one of the kind's formats, else as OBJ or XYZ."""
+    formats, to_text = ((meshio.MESH_FORMATS, meshio.mesh_to_text) if isinstance(data, Mesh)
+                        else (meshio.POINT_FORMATS, meshio.points_to_text))
+    suffix = Path(args.out).suffix.lstrip(".").lower()
+    fmt = args.format or (suffix if suffix in formats else formats[0])
+    meshio._write_text(args.out, to_text(data, fmt))
+
+
 # ---------------------------------------------------------------------------
 # Subcommands
 
@@ -163,7 +174,7 @@ def _cmd_synth(args) -> int:
                          major_radius=args.major_radius,
                          minor_radius=args.minor_radius)
     cloud, ref = synth(spec)
-    meshio._write_text(args.out, meshio.points_to_text(cloud, args.format))
+    _write_out(args, cloud)
     if args.ref_out:
         meshio.write_mesh(ref, args.ref_out)
     return 0
@@ -176,14 +187,14 @@ def _cmd_triangulate(args) -> int:
     print(f"triangulate: {mesh.num_vertices} vertices, {mesh.num_faces} faces, "
           f"chi={topo.chi}, boundary_edges={len(topo.boundary_edges)}, "
           f"nonmanifold_edges={len(topo.nonmanifold_edges)}", file=sys.stderr)
-    meshio._write_text(args.out, meshio.mesh_to_text(mesh, args.format))
+    _write_out(args, mesh)
     return 0
 
 
 def _cmd_sample(args) -> int:
     mesh = meshio.read_mesh(args.mesh)
     cloud = sample_surface(mesh, args.n, args.seed + SEED_SAMPLE)
-    meshio._write_text(args.out, meshio.points_to_text(cloud, args.format))
+    _write_out(args, cloud)
     return 0
 
 
@@ -226,10 +237,8 @@ def _cmd_reconstruct(args) -> int:
         if tau is None:
             raise GeometryError(f"the policy cannot describe a {len(cloud)}-point cloud")
         print(f"reconstruct: policy chose tau={tau}", file=sys.stderr)
-    elif args.tau is not None:
-        tau = args.tau
     else:
-        raise _UsageError("reconstruct needs --tau or --policy")
+        tau = args.tau
 
     initial = triangulate(cloud, tau)
     if weights.lambda6 > 0 and not cloud.has_normals:
@@ -239,7 +248,7 @@ def _cmd_reconstruct(args) -> int:
     refined, trace = refine_mesh(initial, cloud, cfg, seed=args.seed + SEED_REFINE)
     if args.trace:
         meshio._write_text(args.trace, trace_to_csv(trace))
-    meshio._write_text(args.out, meshio.mesh_to_text(refined, args.format))
+    _write_out(args, refined)
     return 0
 
 
@@ -324,7 +333,8 @@ def _build_parser() -> _Parser:
                    help="sample the surface or the solid body")
     p.add_argument("--major-radius", type=float, default=1.0)
     p.add_argument("--minor-radius", type=float, default=0.4)
-    p.add_argument("--format", choices=meshio.POINT_FORMATS, default="xyz")
+    p.add_argument("--format", choices=meshio.POINT_FORMATS, default=None,
+                   help=FORMAT_HELP)
     p.add_argument("--ref-out", default=None,
                    help="also write the reference mesh here")
     p.set_defaults(func=_cmd_synth)
@@ -335,14 +345,16 @@ def _build_parser() -> _Parser:
                    help="input cloud, '-' for stdin")
     p.add_argument("--tau", type=float, required=True,
                    help="circumradius threshold")
-    p.add_argument("--format", choices=meshio.MESH_FORMATS, default="obj")
+    p.add_argument("--format", choices=meshio.MESH_FORMATS, default=None,
+                   help=FORMAT_HELP)
     p.set_defaults(func=_cmd_triangulate)
 
     p = subparser("sample", help="area-uniform surface sampling of a mesh")
     common(p)
     p.add_argument("--mesh", required=True, help="input mesh path, '-' for stdin")
     p.add_argument("--n", type=int, default=METRIC_SAMPLES)
-    p.add_argument("--format", choices=meshio.POINT_FORMATS, default="xyz")
+    p.add_argument("--format", choices=meshio.POINT_FORMATS, default=None,
+                   help=FORMAT_HELP)
     p.set_defaults(func=_cmd_sample)
 
     p = subparser("evaluate", help="protocol evaluation of pred vs gt mesh")
@@ -374,8 +386,9 @@ def _build_parser() -> _Parser:
                   help="cloud -> triangulate -> baseline -> refine -> mesh")
     common(p)
     p.add_argument("--in", dest="infile", default="-")
-    p.add_argument("--tau", type=float, default=None)
-    p.add_argument("--policy", default=None, help="policy JSON choosing tau")
+    tau = p.add_mutually_exclusive_group(required=True)
+    tau.add_argument("--tau", type=float, default=None)
+    tau.add_argument("--policy", default=None, help="policy JSON choosing tau")
     p.add_argument("--preset", choices=("smooth", "pretty"), default="smooth",
                    help="loss-weight preset")
     p.add_argument("--stages", type=int, default=RefineConfig.stages)
@@ -386,7 +399,8 @@ def _build_parser() -> _Parser:
                    help="midpoint-subdivide between stages")
     p.add_argument("--taubin-iters", type=int, default=RefineConfig.taubin_iters)
     p.add_argument("--trace", default=None, help="write loss-trace CSV here")
-    p.add_argument("--format", choices=meshio.MESH_FORMATS, default="obj")
+    p.add_argument("--format", choices=meshio.MESH_FORMATS, default=None,
+                   help=FORMAT_HELP)
     p.set_defaults(func=_cmd_reconstruct)
 
     p = subparser("ablate",

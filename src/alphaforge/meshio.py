@@ -19,8 +19,8 @@ raises ``ParseError``, so error line numbers do not depend on the path.
 
 OFF and PLY share one element reader, ``_read_elements``: the PLY header
 and OFF's counts line each give counted ``(name, count, properties)``
-elements. A count is decimal digits, and no row may follow the last
-element.
+elements. A count is decimal digits, a vertex row has exactly its
+element's fields, and no row may follow the last element.
 """
 
 from __future__ import annotations
@@ -257,7 +257,10 @@ def _read_elements(elements, rows, lineno):
             width = 6 if {"nx", "ny", "nz"}.issubset(props) else 3
             cols = [props.index(c) for c in ("x", "y", "z", "nx", "ny", "nz")[:width]]
             for ln, text in block:
-                vals = _parse_floats(text.split(), ln, len(props))
+                fields = text.split()
+                if len(fields) != len(props):
+                    raise ParseError(f"vertex row has {len(fields)} fields, not {len(props)}", ln)
+                vals = _parse_floats(fields, ln, len(props))
                 verts.append([vals[i] for i in cols])
                 vertex_lines.append(ln)
         elif name == "face":

@@ -16,7 +16,8 @@ whose certificate has lapsed (``loss._NeighborList`` with two
 candidates): a point keeps its neighbor while its movement since its last
 query stays under the gap between its nearest candidate now and the
 runner-up of that query, so each iteration matches exactly as a query of
-every point would. ``icp_align`` runs ICP in the frame of its two clouds.
+every point would. ICP (``_icp``) has no entry point of its own: it runs
+inside ``evaluate``, in the frame of the two protocol-scaled meshes.
 """
 
 from __future__ import annotations
@@ -26,7 +27,7 @@ from dataclasses import dataclass, field
 import numpy as np
 from scipy.spatial import cKDTree
 
-from .errors import DegenerateConfiguration, EmptyCloud, EmptyMesh
+from .errors import DegenerateConfiguration, EmptyMesh
 from .loss import (
     _chamfer_value,
     _Match,
@@ -52,42 +53,6 @@ F1_RADII: dict[str, tuple[float, ...]] = {
     "tmnet": (0.1,),
     "skeleton": (0.1,),
 }
-
-
-@dataclass(frozen=True)
-class RigidTransform:
-    """Rotation (proper orthonormal 3x3) plus translation."""
-
-    rotation: np.ndarray
-    translation: np.ndarray
-
-    def __post_init__(self):
-        r = np.asarray(self.rotation, dtype=np.float64)
-        t = np.asarray(self.translation, dtype=np.float64).reshape(3)
-        if r.shape != (3, 3):
-            raise ValueError("rotation must be 3x3")
-        if np.abs(r.T @ r - np.eye(3)).max() > 1e-9 or np.linalg.det(r) < 0:
-            raise ValueError("rotation must be orthonormal with det +1")
-        object.__setattr__(self, "rotation", r)
-        object.__setattr__(self, "translation", t)
-
-    @classmethod
-    def identity(cls) -> "RigidTransform":
-        return cls(np.eye(3), np.zeros(3))
-
-    def apply(self, points: np.ndarray) -> np.ndarray:
-        return points @ self.rotation.T + self.translation
-
-    def compose_after(self, inner: "RigidTransform") -> "RigidTransform":
-        """Transform equal to applying ``inner`` first, then self."""
-        return RigidTransform(self.rotation @ inner.rotation,
-                              self.rotation @ inner.translation + self.translation)
-
-    @property
-    def angle(self) -> float:
-        """Rotation angle in radians."""
-        c = (np.trace(self.rotation) - 1.0) / 2.0
-        return float(np.arccos(np.clip(c, -1.0, 1.0)))
 
 
 @dataclass(frozen=True)
@@ -131,66 +96,41 @@ def _mean_abs_cosine(pn: np.ndarray, qn: np.ndarray, m: _Match) -> float:
     return float((np.abs(cos_fwd).sum() + np.abs(cos_rev).sum()) / (len(pn) + len(qn)))
 
 
-def _best_rigid_fit(src: np.ndarray, dst: np.ndarray) -> RigidTransform:
-    """Least-squares rigid transform mapping src onto dst (SVD/Procrustes
-    with the determinant sign fix)."""
+def _best_rigid_fit(src: np.ndarray, dst: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Least-squares rotation r and translation t with src @ r.T + t
+    nearest dst (SVD/Procrustes with the determinant sign fix)."""
     cs = src.mean(axis=0)
     cd = dst.mean(axis=0)
     h = (src - cs).T @ (dst - cd)
     u, _, vt = np.linalg.svd(h)
     d = np.sign(np.linalg.det(vt.T @ u.T))
     r = vt.T @ np.diag([1.0, 1.0, d]) @ u.T
-    return RigidTransform(r, cd - r @ cs)
-
-
-def icp_align(
-    p: PointCloud,
-    q: PointCloud,
-    max_iters: int = 50,
-    tol: float = 1e-10,
-    history: list | None = None,
-) -> tuple[RigidTransform, float]:
-    """Iterative closest point: align P onto Q from an identity start.
-
-    Alternates nearest-neighbor correspondence with the optimal rigid fit
-    until the mean-squared correspondence error improves by less than tol
-    or max_iters is reached. Returns the accumulated transform and the
-    Chamfer distance between the aligned P and Q. Pass a list as
-    ``history`` to collect the per-iteration MSE values (non-increasing).
-
-    The loop runs, and ``tol`` applies, in the joint frame (``mesh._frame``)
-    of P and Q: the translation comes back scaled by 2^k, the Chamfer and
-    the MSE values by 4^k, so the steps taken do not depend on the scale.
-
-    Raises DegenerateConfiguration when P's spread is rank-deficient
-    (e.g. collinear points), for which the rotation is not identifiable,
-    and DegenerateInput outside the frame's range.
-    """
-    k = _frame(p.points, q.points)
-    p, q = (PointCloud(np.ldexp(c.points, -k)) for c in (p, q))
-    tree = cKDTree(q.points)
-    framed: list[float] = []
-    transform, aligned = _icp(p, q, tree, max_iters, tol, framed)
-    if history is not None:
-        history.extend(float(np.ldexp(mse, 2 * k)) for mse in framed)
-    chamfer = float(np.ldexp(_chamfer_value(_match(aligned, q.points, tree)), 2 * k))
-    return RigidTransform(transform.rotation, np.ldexp(transform.translation, k)), chamfer
+    return r, cd - r @ cs
 
 
 def _icp(p: PointCloud, q: PointCloud, tree, max_iters: int = 50, tol: float = 1e-10,
-         history: list | None = None) -> tuple[RigidTransform, np.ndarray]:
-    """``icp_align``'s loop against ``tree``, a kd-tree built over q's
-    points, which the caller may query again. Returns the accumulated
-    transform and P's points as the loop aligned them, step by step."""
-    if len(p) == 0 or len(q) == 0:
-        raise EmptyCloud("icp_align needs non-empty clouds")
+         history: list | None = None) -> tuple[np.ndarray, np.ndarray]:
+    """Iterative closest point: align P onto Q from an identity start.
+
+    Alternates nearest-neighbor correspondence against ``tree``, a kd-tree
+    built over Q's points that the caller may query again, with the optimal
+    rigid fit, until the mean-squared correspondence error improves by less
+    than tol or max_iters is reached. Returns the accumulated rotation and
+    P's points as the loop aligned them, step by step. Pass a list as
+    ``history`` to collect the per-iteration MSE values (non-increasing).
+    ``evaluate`` runs it in the frame of its two meshes, so tol does not
+    depend on their scale.
+
+    Raises DegenerateConfiguration when P's spread is rank-deficient
+    (e.g. collinear points), for which the rotation is not identifiable.
+    """
     pts = p.points
     centered = pts - pts.mean(axis=0)
     svals = np.linalg.svd(centered, compute_uv=False)
     if len(pts) < 3 or svals[1] <= 1e-12 * max(svals[0], 1e-300):
         raise DegenerateConfiguration("point spread is rank-deficient (collinear)")
 
-    transform = RigidTransform.identity()
+    rotation = np.eye(3)
     aligned = pts.copy()
     neighbors = _NeighborList(len(pts), len(q), FIXED_CANDIDATES, tree)
     prev_mse = np.inf
@@ -202,16 +142,16 @@ def _icp(p: PointCloud, q: PointCloud, tree, max_iters: int = 50, tol: float = 1
             if history is not None:
                 history.append(0.0)
             break
-        step = _best_rigid_fit(aligned, matched)
-        aligned = step.apply(aligned)
-        transform = step.compose_after(transform)
+        r, t = _best_rigid_fit(aligned, matched)
+        aligned = aligned @ r.T + t
+        rotation = r @ rotation
         mse = float(_tree_sq_distances((aligned - matched).T).mean())
         if history is not None:
             history.append(mse)
         if prev_mse - mse < tol:
             break
         prev_mse = mse
-    return transform, aligned
+    return rotation, aligned
 
 
 def apply_protocol_scaling(mesh: Mesh, protocol: str) -> Mesh:
@@ -264,8 +204,8 @@ def evaluate(
     tree = cKDTree(gt_cloud.points)
     points, normals = pred_cloud.points, pred_cloud.normals
     if protocol == "tmnet":
-        transform, points = _icp(pred_cloud, gt_cloud, tree)
-        normals = normals @ transform.rotation.T
+        rotation, points = _icp(pred_cloud, gt_cloud, tree)
+        normals = normals @ rotation.T
     match = _match(points, gt_cloud.points, tree)
     cd = float(np.ldexp(_chamfer_value(match), 2 * k))
 

@@ -154,14 +154,6 @@ def select_action(policy: QPolicy, s: np.ndarray,
     return int(np.argmax(q_values(policy, s))), True
 
 
-def reward(pred: Mesh, gt: Mesh, nu: float | None = None,
-           n_samples: int = REWARD_SAMPLES, seed: int = 0) -> float:
-    """Mesh-fidelity reward: F1 at radius nu between equal-seed surface
-    samplings of the two meshes, on a 0..1 scale. Without nu the radius is
-    ``NU_FRACTION`` of gt's longest bounding-box edge."""
-    return _reward_against(gt, nu, n_samples, seed)(pred)
-
-
 def _check_reward_args(nu: float | None, n_samples: int) -> None:
     if nu is not None and not 0.0 < nu < math.inf:
         raise ValueError(f"reward radius nu must be finite and positive, not {nu!r}")
@@ -170,8 +162,10 @@ def _check_reward_args(nu: float | None, n_samples: int) -> None:
 
 
 def _reward_against(gt: Mesh, nu: float | None, n_samples: int, seed: int):
-    """``reward`` against gt as a function of pred, with gt sampled, and its
-    kd-tree built, once."""
+    """The mesh-fidelity reward against gt as a function of pred, with gt
+    sampled, and its kd-tree built, once: the F1 at radius nu between
+    equal-seed surface samplings of pred and gt, on a 0..1 scale. Without nu
+    the radius is ``NU_FRACTION`` of gt's longest bounding-box edge."""
     _check_reward_args(nu, n_samples)
     if gt.num_faces == 0:
         raise EmptyMesh("reward needs non-empty meshes")
@@ -200,10 +194,10 @@ def greedy_tau(policy: QPolicy, cloud: PointCloud) -> float | None:
 
 def score_row(cloud: PointCloud, gt: Mesh, taus, nu: float | None = None,
               n_samples: int = REWARD_SAMPLES, seed: int = 0) -> list[float]:
-    """Each tau's ``reward`` of the cloud's alpha-shape mesh against gt, bit
-    for bit, with the meshes read off one complex and gt sampled once. A
-    cell with no mesh, or whose reward raises a GeometryError, scores 0;
-    bad arguments raise before any Qhull run."""
+    """Each tau's reward (``_reward_against``) of the cloud's alpha-shape
+    mesh against gt, with the meshes read off one complex and gt sampled
+    once. A cell with no mesh, or whose reward raises a GeometryError,
+    scores 0; bad arguments raise before any Qhull run."""
     return [r or 0.0 for r in _row(cloud, gt, taus, nu, n_samples, seed)]
 
 

@@ -7,27 +7,26 @@ criteria execute.
 import time
 
 import numpy as np
+from scipy.spatial import cKDTree
 
 from alphaforge import (
     LossWeights,
     PointCloud,
     QPolicy,
     RefineConfig,
-    RigidTransform,
     SyntheticSpec,
     apply_protocol_scaling,
     delaunay_complex,
     enclosed_volume,
     evaluate,
     icosphere,
-    icp_align,
     loss_plan,
     q_values,
     read_mesh,
     read_points,
     refine_mesh,
-    reward,
     sample_surface,
+    score_row,
     smooth_weights,
     state_descriptor,
     synth,
@@ -40,9 +39,8 @@ from alphaforge import (
     write_points,
 )
 from alphaforge.cli import run as cli_run
-from alphaforge.errors import EmptyMesh
 from alphaforge.loss import _log_chamfer_grad, _Match
-from alphaforge.metrics import PROTOCOLS
+from alphaforge.metrics import PROTOCOLS, _icp
 from alphaforge.refine import TAUBIN_LAM, _umbrella
 import oracles
 from test_delaunay import (
@@ -168,18 +166,6 @@ def _policy_instance(cls, seed):
                                major_radius=0.8))
 
 
-def _action_rewards(cloud, gt):
-    out = []
-    for tau in POLICY_ACTIONS:
-        try:
-            mesh = triangulate(cloud, tau)
-            out.append(reward(mesh, gt, nu=POLICY_NU,
-                              n_samples=POLICY_SAMPLES, seed=999))
-        except EmptyMesh:
-            out.append(0.0)
-    return out
-
-
 def test_criterion_4_policy_learning():
     """Trained policy matches the per-class brute-force best threshold on
     >= 90% of 100 held-out instances and loses <= 0.01 mean reward."""
@@ -200,7 +186,7 @@ def test_criterion_4_policy_learning():
     chosen_rewards = []
     fixed = np.zeros((len(held), len(POLICY_ACTIONS)))
     for k, (cloud, gt) in enumerate(held):
-        rs = _action_rewards(cloud, gt)
+        rs = score_row(cloud, gt, POLICY_ACTIONS, POLICY_NU, POLICY_SAMPLES, 999)
         fixed[k] = rs
         chosen = int(np.argmax(q_values(policy, state_descriptor(cloud))))
         matches += chosen == int(np.argmax(rs))
@@ -255,8 +241,9 @@ def test_criterion_6_metric_fixed_points_and_icp():
     rot = np.array([[np.cos(angle), -np.sin(angle), 0],
                     [np.sin(angle), np.cos(angle), 0], [0, 0, 1.0]])
     q = PointCloud(p.points @ rot.T + np.array([0.3, -0.1, 0.2]))
-    transform, _ = icp_align(p, q, max_iters=60)
-    ok &= RigidTransform(transform.rotation @ rot.T, np.zeros(3)).angle < 1e-6
+    rotation, _ = _icp(p, q, cKDTree(q.points), max_iters=60)
+    residual = (np.trace(rotation @ rot.T) - 1.0) / 2.0
+    ok &= np.arccos(np.clip(residual, -1.0, 1.0)) < 1e-6
 
     cube = synth(SyntheticSpec("box", n=10))[1]
     scaled = apply_protocol_scaling(cube, "meshrcnn")

@@ -440,6 +440,18 @@ class TestSampleEvaluate:
         assert err == "error: n_samples must be >= 1\n"
         assert scaled == [] and not out.exists()
 
+    def test_tmnet_on_two_samples_is_two(self, tmp_path, capsys):
+        """Two samples are collinear, so ICP cannot identify a rotation; the
+        error is reported and no report is written."""
+        _, gt = synth(SyntheticSpec("torus", n=10))
+        write_mesh(gt, tmp_path / "m.obj")
+        out = tmp_path / "report.json"
+        code, _, err = invoke(["evaluate", "--pred", str(tmp_path / "m.obj"),
+                               "--gt", str(tmp_path / "m.obj"), "--protocol", "tmnet",
+                               "--n-samples", "2", "--out", str(out)], capsys)
+        assert (code, err) == (2, "error: point spread is rank-deficient (collinear)\n")
+        assert not out.exists()
+
     @pytest.mark.parametrize("fmt", ["off", "ply"])
     def test_piped_off_or_ply_prediction_matches_file(self, tmp_path, capsys, monkeypatch,
                                                       fmt):
@@ -478,6 +490,55 @@ class TestInputFormats:
         want = invoke(argv + [str(plain)], capsys)
         assert want[0] == 0, want[2]
         assert invoke(argv + [str(tmp_path / f"in.{fmt}")], capsys) == want
+
+
+OUTPUT_COMMANDS = {
+    "synth": (["synth", "--shape", "sphere", "--n", "50"], "xyz"),
+    "triangulate": (["triangulate", "--tau", "0.5", "--in", "{dir}/c.xyz"], "obj"),
+    "sample": (["sample", "--n", "50", "--mesh", "{dir}/m.obj"], "xyz"),
+    "reconstruct": (["reconstruct", "--tau", "0.5", "--stages", "1", "--iters", "1",
+                     "--in", "{dir}/c.xyz"], "obj"),
+}
+
+
+def written_format(text):
+    """The format a writer's output is in, told by its first line."""
+    first = text.split("\n", 1)[0]
+    return {"ply": "ply", "OFF": "off"}.get(first, "obj" if first.startswith("v ") else "xyz")
+
+
+class TestOutputFormats:
+    """The written format is --format, else --out's suffix when it names one
+    of the command's formats, else OBJ for a mesh and XYZ for a cloud."""
+
+    @pytest.fixture
+    def command(self, request, tmp_path):
+        cloud, ref = synth(SyntheticSpec("sphere", n=300, fill="solid", seed=1))
+        write_points(cloud, tmp_path / "c.xyz")
+        write_mesh(ref, tmp_path / "m.obj")
+        argv, default = OUTPUT_COMMANDS[request.param]
+        return [a.format(dir=tmp_path) for a in argv], default
+
+    @pytest.mark.parametrize("command", OUTPUT_COMMANDS, indirect=True)
+    @pytest.mark.parametrize("suffix", ["ply", "off", "obj", "xyz", "txt"])
+    def test_suffix_names_the_format(self, tmp_path, capsys, command, suffix):
+        argv, default = command
+        formats = ("obj", "off", "ply") if default == "obj" else ("xyz", "ply")
+        fmt = suffix if suffix in formats else default
+        out = tmp_path / f"o.{suffix}"
+        assert invoke(argv + ["--out", str(out)], capsys)[0] == 0
+        code, want, err = invoke(argv + ["--format", fmt], capsys)
+        assert code == 0, err
+        assert written_format(want) == fmt
+        assert out.read_text() == want
+
+    @pytest.mark.parametrize("command", OUTPUT_COMMANDS, indirect=True)
+    def test_format_wins_over_the_suffix(self, tmp_path, capsys, command):
+        argv, default = command
+        out = tmp_path / "o.ply"
+        assert invoke(argv + ["--format", default, "--out", str(out)], capsys)[0] == 0
+        assert written_format(out.read_text()) == default
+        assert out.read_text() == invoke(argv, capsys)[1]
 
 
 class TestPolicyCommands:
@@ -778,6 +839,27 @@ class TestReconstruct:
         write_points(cloud, path)
         code, _, _ = invoke(["reconstruct", "--in", str(path)], capsys)
         assert code == 1
+
+    @pytest.mark.parametrize("argv, doc", [
+        (["--tau", "0.05", "--policy", "{dir}/p.json"], None),
+        (["--policy", "{dir}/p.json"], {"tau": 0.05}),
+        (["--tau", "0.05"], {"policy": "{dir}/p.json"}),
+    ], ids=["flags", "config-tau", "config-policy"])
+    def test_tau_and_policy_together_is_usage_error(self, tmp_path, capsys, argv, doc):
+        """The policy would silently win over --tau, so the two are refused
+        together, from the command line or the config, before the cloud or
+        the policy (here neither exists) is read."""
+        argv = ["reconstruct", "--in", str(tmp_path / "c.xyz"),
+                "--out", str(tmp_path / "r.obj"), *(a.format(dir=tmp_path) for a in argv)]
+        if doc is not None:
+            (tmp_path / "cfg.json").write_text(json.dumps(
+                {k: v.format(dir=tmp_path) if isinstance(v, str) else v
+                 for k, v in doc.items()}))
+            argv += ["--config", str(tmp_path / "cfg.json")]
+        code, out, err = invoke(argv, capsys)
+        assert (code, out) == (1, "")
+        assert "not allowed with argument" in err
+        assert sorted(p.name for p in tmp_path.iterdir()) == (["cfg.json"] if doc else [])
 
     @pytest.mark.parametrize("subdivide, obj_sha, csv_sha", [
         (False, "89ff4ea19566b3596fa557d00e075ed453c9f13fbb01438f5b8ad842485a5daf",

@@ -108,6 +108,22 @@ class TestReadMesh:
         assert err.value.line == line
         assert "after the last element" in str(err.value)
 
+    @pytest.mark.parametrize("read, text, line", [
+        (meshio.mesh_from_text, "OFF\n3 1 0\n0 0 0\n1 0 0 9\n0 1 0\n3 0 1 2\n", 4),
+        (meshio.mesh_from_text, "OFF\n3 1 0\n0 0 0\n1 0\n0 1 0\n3 0 1 2\n", 4),
+        (meshio.mesh_from_text, MINIMAL_PLY.replace("1 0 0\n", "1 0 0 4 5 6\n"), 11),
+        (meshio.points_from_text, PLY_TWO_VERTICES_THREE_ROWS.replace("1 0 0\n0 1 0\n",
+                                                                      "1 0 0 0 0 1\n"), 9),
+    ], ids=["off-extra", "off-short", "ply-mesh-extra", "ply-points-extra"])
+    def test_vertex_row_of_another_width_rejected_at_its_line(self, read, text, line):
+        """A vertex row has exactly its element's fields: a PLY row with
+        normals under x/y/z properties is not read as a bare point, nor an
+        OFF row with a fourth field as its first three."""
+        with pytest.raises(ParseError) as err:
+            read(text)
+        assert err.value.line == line
+        assert "vertex row has" in str(err.value)
+
     def test_bad_float_reports_line(self, tmp_path):
         path = write(tmp_path, "bad.obj", "v 0 0 0\nv oops 0 0\n")
         with pytest.raises(ParseError) as err:

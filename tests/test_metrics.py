@@ -8,18 +8,16 @@ from scipy.spatial import cKDTree
 
 from alphaforge import (
     PointCloud,
-    RigidTransform,
     SyntheticSpec,
     apply_protocol_scaling,
     evaluate,
     icosphere,
-    icp_align,
     reference_mesh,
     sample_surface,
     synth,
 )
 from alphaforge.errors import DegenerateConfiguration
-from alphaforge.loss import _match
+from alphaforge.loss import _chamfer_value, _match
 from alphaforge.metrics import PROTOCOLS, _best_rigid_fit, _f1, _icp, _mean_abs_cosine
 from conftest import random_rotation
 
@@ -85,12 +83,25 @@ class TestNormalCosine:
         assert cos == pytest.approx(total / 19, rel=1e-12)
 
 
+def icp(p, q, **kw):
+    """``_icp`` of P onto Q against a fresh kd-tree over Q, plus the Chamfer
+    between the aligned P and Q."""
+    tree = cKDTree(q.points)
+    rotation, aligned = _icp(p, q, tree, **kw)
+    return rotation, aligned, _chamfer_value(_match(aligned, q.points, tree))
+
+
+def angle(rotation):
+    """Rotation angle in radians."""
+    return float(np.arccos(np.clip((np.trace(rotation) - 1.0) / 2.0, -1.0, 1.0)))
+
+
 class TestIcp:
     def test_identity_fixed_point(self):
         p = PointCloud(np.random.default_rng(5).random((40, 3)))
-        transform, cd = icp_align(p, p)
-        assert transform.angle == pytest.approx(0.0, abs=1e-12)
-        np.testing.assert_allclose(transform.translation, 0.0, atol=1e-12)
+        rotation, aligned, cd = icp(p, p)
+        assert angle(rotation) == pytest.approx(0.0, abs=1e-12)
+        np.testing.assert_allclose(aligned, p.points, atol=1e-12)
         assert cd == pytest.approx(0.0, abs=1e-20)
 
     def test_recovers_known_transform(self):
@@ -99,16 +110,15 @@ class TestIcp:
         rot = rot_z(20.0)
         t = np.array([0.3, -0.1, 0.2])
         q = PointCloud(p.points @ rot.T + t)
-        transform, cd = icp_align(p, q, max_iters=60)
-        residual = RigidTransform(transform.rotation @ rot.T, np.zeros(3))
-        assert residual.angle < 1e-6
+        rotation, _, cd = icp(p, q, max_iters=60)
+        assert angle(rotation @ rot.T) < 1e-6
         assert cd < 1e-12
 
     def test_collinear_degenerate(self):
         p = PointCloud([[0, 0, 0], [1, 0, 0]])
         q = PointCloud(np.random.default_rng(7).random((10, 3)))
         with pytest.raises(DegenerateConfiguration):
-            icp_align(p, q)
+            icp(p, q)
 
     def test_mse_non_increasing(self):
         rng = np.random.default_rng(8)
@@ -116,22 +126,9 @@ class TestIcp:
         q = PointCloud(p.points @ rot_z(25.0).T + [0.2, 0.1, -0.3]
                        + 0.01 * rng.normal(size=(80, 3)))
         history = []
-        icp_align(p, q, max_iters=40, history=history)
+        icp(p, q, max_iters=40, history=history)
         assert len(history) >= 2
         assert all(b <= a + 1e-12 for a, b in zip(history, history[1:]))
-
-    @pytest.mark.parametrize("max_iters", [1, 4, 12])
-    def test_two_kdtree_builds_whatever_the_iterations(self, kdtree_builds, max_iters):
-        """One tree over the fixed target serves every iteration; one over
-        the aligned cloud serves the final Chamfer."""
-        rng = np.random.default_rng(8)
-        p = PointCloud(rng.random((80, 3)))
-        q = PointCloud(p.points @ rot_z(25.0).T + [0.2, 0.1, -0.3]
-                       + 0.01 * rng.normal(size=(80, 3)))
-        history = []
-        icp_align(p, q, max_iters=max_iters, tol=-np.inf, history=history)
-        assert len(history) == max_iters
-        assert len(kdtree_builds) == 2
 
 
 def torus_icp_clouds():
@@ -153,20 +150,20 @@ def plain_icp(p, q, max_iters=50, tol=1e-10):
     """Oracle: the ICP loop with a fresh k=1 query of every point at every
     iteration."""
     tree = cKDTree(q)
-    transform, aligned, prev_mse, history = RigidTransform.identity(), p.copy(), np.inf, []
+    rotation, aligned, prev_mse, history = np.eye(3), p.copy(), np.inf, []
     for _ in range(max_iters):
         dist, idx = tree.query(aligned, k=1)
         if dist.max() == 0.0:
             history.append(0.0)
             break
-        step = _best_rigid_fit(aligned, q[idx])
-        aligned = step.apply(aligned)
-        transform = step.compose_after(transform)
+        r, t = _best_rigid_fit(aligned, q[idx])
+        aligned = aligned @ r.T + t
+        rotation = r @ rotation
         history.append(float(((aligned - q[idx]) ** 2).sum(axis=1).mean()))
         if prev_mse - history[-1] < tol:
             break
         prev_mse = history[-1]
-    return transform, history
+    return rotation, aligned, history
 
 
 class CountingTree:
@@ -186,15 +183,13 @@ class CountingTree:
 
 class TestIcpRequeries:
     def test_torus_alignment_pinned(self):
-        """Rotation, translation, Chamfer and MSE history recorded when ICP
-        queried every point at every iteration."""
+        """Rotation, Chamfer and MSE history recorded when ICP queried every
+        point at every iteration."""
         p, q = torus_icp_clouds()
         history = []
-        transform, cd = icp_align(p, q, history=history)
-        assert sha256(transform.rotation) == (
+        rotation, _, cd = icp(p, q, history=history)
+        assert sha256(rotation) == (
             "d72e901d7abea8f618efd45521a5fbb1ba8c5f3afb3cf3ab8a5bd963ab9c6b6a")
-        assert sha256(transform.translation) == (
-            "35dcd05dc89d1a8777d0d817a69a575bd2404d5de6e3fa4651dfffb79fbd0361")
         assert cd == float.fromhex("0x1.92d1650b6b1a0p-8")
         assert len(history) == 25
         assert sha256(np.array(history)) == (
@@ -215,10 +210,10 @@ class TestIcpRequeries:
         p = PointCloud(np.random.default_rng(5).random((40, 3)))
         history = []
         tree = CountingTree(p.points, history)
-        transform, aligned = _icp(p, p, tree, history=history)
+        rotation, aligned = _icp(p, p, tree, history=history)
         assert history == [0.0]
         assert tree.rows == [(0, 40)]
-        np.testing.assert_array_equal(transform.rotation, np.eye(3))
+        np.testing.assert_array_equal(rotation, np.eye(3))
         np.testing.assert_array_equal(aligned, p.points)
 
     @settings(max_examples=60, deadline=None)
@@ -235,13 +230,13 @@ class TestIcpRequeries:
         q = rng.normal(size=(n_q, 3)) @ random_rotation(rng).T + 0.1 * rng.normal(size=3)
         history = []
         try:
-            transform, _ = icp_align(PointCloud(p), PointCloud(q), max_iters=max_iters,
-                                     history=history)
+            rotation, aligned = _icp(PointCloud(p), PointCloud(q), cKDTree(q),
+                                     max_iters=max_iters, history=history)
         except DegenerateConfiguration:
             return
-        want, want_history = plain_icp(p, q, max_iters=max_iters)
-        assert sha256(transform.rotation) == sha256(want.rotation)
-        assert sha256(transform.translation) == sha256(want.translation)
+        want, want_aligned, want_history = plain_icp(p, q, max_iters=max_iters)
+        assert sha256(rotation) == sha256(want)
+        assert sha256(aligned) == sha256(want_aligned)
         assert history == want_history
 
 
@@ -294,10 +289,14 @@ class TestEvaluate:
         assert report.chamfer == pytest.approx(expected, rel=1e-9)
 
     def test_tmnet_aligns_rigid_copy(self):
+        """ICP removes the motion: unaligned (skeleton), the same pair is a
+        Chamfer of about 0.1 apart."""
         brick = reference_mesh(SyntheticSpec("stacked"))
         moved = brick.with_vertices(brick.vertices @ rot_z(20.0).T + [0.3, -0.1, 0.2])
         report = evaluate(moved, brick, "tmnet", n_samples=1500, seed=3)
         assert report.chamfer < 1e-6
+        unaligned = evaluate(moved, brick, "skeleton", n_samples=1500, seed=3)
+        assert 0.05 < unaligned.chamfer < 0.2
 
     @pytest.mark.parametrize("proto", PROTOCOLS)
     def test_one_correspondence_per_evaluation(self, nn_calls, proto):

@@ -12,7 +12,7 @@ from alphaforge import (
     greedy_tau,
     icosphere,
     q_values,
-    reward,
+    sample_surface,
     score_row,
     select_action,
     state_descriptor,
@@ -22,8 +22,11 @@ from alphaforge import (
     update,
 )
 from alphaforge.errors import EmptyMesh, RewardOutOfRange, TooFewPoints
+from alphaforge.loss import _match
+from alphaforge.metrics import _f1
 from alphaforge.policy import (
     STATE_DIM,
+    _reward_against,
     _row,
     load_policy,
     policy_to_json,
@@ -144,23 +147,25 @@ class TestSelectAction:
 
 
 class TestReward:
+    """The reward closure that ``score_row`` scores every cell with."""
+
     def test_identical_meshes_full_reward(self):
         mesh = icosphere(2)
-        assert reward(mesh, mesh, nu=1e-4, n_samples=1000, seed=3) == 1.0
+        assert _reward_against(mesh, 1e-4, 1000, 3)(mesh) == 1.0
 
     def test_distant_surfaces_zero(self):
         mesh = icosphere(1)
         far = mesh.with_vertices(mesh.vertices + [100.0, 0, 0])
-        assert reward(far, mesh, nu=1e-4, n_samples=500, seed=3) == 0.0
+        assert _reward_against(mesh, 1e-4, 500, 3)(far) == 0.0
 
     def test_empty_mesh_raises(self):
         with pytest.raises(EmptyMesh):
-            reward(Mesh(np.zeros((0, 3))), icosphere(0))
+            _reward_against(icosphere(0), None, 300, 0)(Mesh(np.zeros((0, 3))))
 
     def test_no_samples_is_a_usage_error_not_a_score(self, complex_builds):
         mesh = icosphere(1)
         with pytest.raises(ValueError, match="n_samples"):
-            reward(mesh, mesh, 1e-4, 0, 3)
+            _reward_against(mesh, 1e-4, 0, 3)
         with pytest.raises(ValueError, match="n_samples"):
             score_row(sphere_cloud(n=100), mesh, (0.3,), 1e-4, 0, 3)
         assert complex_builds == []  # refused before the cloud is tetrahedralized
@@ -169,7 +174,7 @@ class TestReward:
     def test_radius_must_be_finite_and_positive(self, complex_builds, nu):
         mesh = icosphere(1)
         cloud = sphere_cloud(n=100)
-        for call in (lambda: reward(mesh, mesh, nu, 100, 3),
+        for call in (lambda: _reward_against(mesh, nu, 100, 3),
                      lambda: score_row(cloud, mesh, (0.3,), nu, 100, 3),
                      lambda: train_policy([(cloud, mesh)], QPolicy.fresh((0.3,)), 2, 3,
                                           nu, 100)):
@@ -179,11 +184,12 @@ class TestReward:
 
     def test_default_radius_is_three_percent_of_the_ground_truth_extent(self):
         gt, pred = icosphere(2), icosphere(1)
-        want = reward(pred, gt, 0.03 * float(np.ptp(gt.vertices, axis=0).max()), 500, 3)
+        radius = 0.03 * float(np.ptp(gt.vertices, axis=0).max())
+        want = _reward_against(gt, radius, 500, 3)(pred)
         assert 0.0 < want < 1.0
         for k in (-10, 0, 40):  # scaling by a power of two is exact, radius included
-            assert reward(pred.with_vertices(pred.vertices * 2.0**k),
-                          gt.with_vertices(gt.vertices * 2.0**k), None, 500, 3) == want
+            of = _reward_against(gt.with_vertices(gt.vertices * 2.0**k), None, 500, 3)
+            assert of(pred.with_vertices(pred.vertices * 2.0**k)) == want
 
 
 def coplanar_cloud(n=40, seed=5):
@@ -219,8 +225,9 @@ class TestScoringPath:
         assert _row(cloud, empty, (0.05, 0.3, 0.9), 0.2, 300, 7) == [None, 0.0, 0.0]
 
     def test_score_is_reward_or_zero_on_geometry_errors(self, surface_samplings):
-        """A row's cells are the bytes of ``reward`` at the same seed, from
-        one sampling of the ground truth; 0 where the tau keeps no mesh, the
+        """A row's cells are the bytes of the F1 at radius nu between
+        equal-seed samplings of each mesh and the ground truth, on a 0..1
+        scale, from one sampling of the ground truth; 0 where the tau keeps no mesh, the
         ground truth is empty or the cloud cannot be tetrahedralized."""
         cloud, gt = synth(SyntheticSpec("sphere", n=120, fill="solid", seed=9,
                                         major_radius=0.8))
@@ -232,7 +239,10 @@ class TestScoringPath:
             surface_samplings.clear()
             row = score_row(cloud, gt, taus, nu, 300, 7)
             assert [args[0] is gt for args in surface_samplings] == [True, False, False]
-            want = [0.0] + [reward(mesh, gt, nu, 300, 7) for mesh in meshes]
+            q = sample_surface(gt, 300, 7).points
+            radius = nu or 0.03 * float(np.ptp(gt.vertices, axis=0).max())
+            want = [0.0] + [_f1(_match(sample_surface(mesh, 300, 7).points, q), radius)[2]
+                            / 100.0 for mesh in meshes]
             assert [r.hex() for r in row] == [w.hex() for w in want]
         assert score_row(cloud, Mesh(np.zeros((0, 3))), taus, 0.2, 300, 7) == [0.0] * 3
         assert score_row(coplanar_cloud(), gt, taus, 0.2, 300, 7) == [0.0] * 3
